@@ -36,11 +36,12 @@ from .lindblad import (
     thermal_cavity_generator,
 )
 from .thermo import (
+    LEDGER_DTYPE,
     ControlEnergetics,
-    StepLedger,
     check_measurement_entropy_lemma,
     control_energetics,
     entropy_production_step,
+    first_law_residual,
     stochastic_entropy,
 )
 from .trajectory import (
@@ -65,8 +66,9 @@ __all__ = [
     "verify_instrument",
     "Protocol", "ThermalGenerator", "gibbs_state", "heat_work_segment",
     "propagate", "thermal_cavity_generator",
-    "ControlEnergetics", "StepLedger", "check_measurement_entropy_lemma",
-    "control_energetics", "entropy_production_step", "stochastic_entropy",
+    "LEDGER_DTYPE", "ControlEnergetics", "check_measurement_entropy_lemma",
+    "control_energetics", "entropy_production_step", "first_law_residual",
+    "stochastic_entropy",
     "ControlSchedule", "FeedbackPolicy", "FixedPolicy", "StepPlan",
     "TrajectoryRecord", "derive_stream_seed", "ensemble_statistics",
     "enumerate_tree", "sample_trajectory",

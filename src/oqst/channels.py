@@ -231,21 +231,34 @@ class StinespringDilation:
         joint = tensor_product(rho.matrix, self.unit_state.matrix)
         return self.joint_unitary @ joint @ dag(self.joint_unitary)
 
+    def readout(self, correlated: np.ndarray):
+        """Read the unit out of a joint matrix taken after the joint unitary.
+
+        ``correlated`` lives on system ⊗ unit, optionally followed by
+        further factors, which the projectors leave alone.  Yields
+        ``(label, probability, normalized joint state)`` in label order; the
+        state is None for branches below ``IMPOSSIBLE_BRANCH``.
+        """
+        rest = correlated.shape[0] // (self.system_dim * self.unit_dim)
+        for label, p_u in self.projectors:
+            p_full = np.kron(np.eye(self.system_dim), p_u)
+            if rest > 1:
+                p_full = np.kron(p_full, np.eye(rest))
+            raw = p_full @ correlated @ dag(p_full)
+            p = float(np.trace(raw).real)
+            if p < IMPOSSIBLE_BRANCH:
+                yield label, max(p, 0.0), None
+            else:
+                yield label, p, hermitize(raw) / p
+
     def apply(self, rho: DensityOperator) -> list[BranchResult]:
         """Reduced branch action; should match :func:`apply_instrument`."""
-        correlated = self.joint_after_unitary(rho)
         dims = [self.system_dim, self.unit_dim]
-        results = []
-        for label, p_u in self.projectors:
-            p_full = tensor_product(np.eye(self.system_dim), p_u)
-            raw = p_full @ correlated @ dag(p_full)
-            reduced = _partial_trace_matrix(raw, dims, [0])
-            p = float(np.trace(reduced).real)
-            if p < IMPOSSIBLE_BRANCH:
-                results.append(BranchResult(label, max(p, 0.0), None))
-            else:
-                results.append(BranchResult(label, p, DensityOperator(hermitize(reduced) / p)))
-        return results
+        return [
+            BranchResult(label, p, None if post is None
+                         else DensityOperator(_partial_trace_matrix(post, dims, [0])))
+            for label, p, post in self.readout(self.joint_after_unitary(rho))
+        ]
 
 
 def _complete_to_unitary(columns: np.ndarray, dim: int) -> np.ndarray:

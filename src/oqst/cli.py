@@ -28,11 +28,13 @@ import numpy as np
 from .scenarios import (
     CavityConfig,
     RateModel,
+    law_flags,
     run_cavity,
     run_classical_limit,
     run_projective_example,
     run_tpm_jarzynski,
 )
+from .scenarios.cavity import number_populations
 from .qmath import DensityOperator
 
 EXIT_OK = 0
@@ -228,57 +230,49 @@ def _write_summary(out_dir: str, payload: dict):
         fh.write("\n")
 
 
+def _write_columns(path: str, columns: dict):
+    """CSV from named columns; numbers go through ``fmt``, strings as they are."""
+    cells = [[v if isinstance(v, str) else fmt(v) for v in col] for col in columns.values()]
+    _write_csv(path, list(columns), zip(*cells))
+
+
 def _emit_cavity(report, config: RunConfig, out_dir: str):
     rec = report.records[0]
-    rows = []
-    for i, ledger in enumerate(rec.ledgers):
-        pops = np.asarray(rec.states[i], dtype=float)
-        n_vec = np.arange(pops.size)
-        mean_n = float(n_vec @ pops)
-        var_n = float(n_vec**2 @ pops - mean_n**2)
-        rows.append([
-            ledger.step, fmt(report.times[i]), rec.kinds[i], ledger.outcome,
-            fmt(mean_n), fmt(var_n), fmt(ledger.w_ctrl_sys), fmt(ledger.q_ctrl_sys),
-            fmt(ledger.w_seg), fmt(ledger.q_seg), fmt(ledger.sigma_ctrl),
-            fmt(ledger.sigma_seg), fmt(ledger.logp_increment),
-        ])
-    _write_csv(
-        os.path.join(out_dir, "trajectory.csv"),
-        ["step", "time", "atom_kind", "outcome", "mean_n", "var_n", "W_ctrl",
-         "Q_ctrl", "W_seg", "Q_seg", "Sigma_ctrl", "Sigma_seg", "logp_increment"],
-        rows,
-    )
-    rows = []
-    for i in range(len(report.times)):
-        rows.append([
-            i + 1,
-            fmt(report.populations[i, 0]), fmt(report.populations[i, 1]),
-            fmt(report.populations[i, 2]), fmt(report.populations[i, 3]),
-            fmt(report.sigma_ctrl_avg[i]), fmt(report.sigma_ctrl_se[i]),
-            fmt(report.sigma_seg_avg[i]), fmt(report.efficiency[i]),
-        ])
-    _write_csv(
-        os.path.join(out_dir, "ensemble.csv"),
-        ["step", "p0", "p1", "p2", "p3", "Sigma_ctrl_avg", "Sigma_ctrl_se",
-         "Sigma_seg_avg", "efficiency"],
-        rows,
-    )
+    led = rec.ledgers
+    pops = [number_populations(state) for state in rec.states]
+    n_vec = np.arange(pops[0].size)
+    mean_n = [float(n_vec @ p) for p in pops]
+    _write_columns(os.path.join(out_dir, "trajectory.csv"), {
+        "step": led.step, "time": report.times, "atom_kind": rec.kinds,
+        "outcome": led.outcome, "mean_n": mean_n,
+        "var_n": [float(n_vec**2 @ p - m**2) for p, m in zip(pops, mean_n)],
+        "W_ctrl": led.w_ctrl_sys, "Q_ctrl": led.q_ctrl_sys, "W_seg": led.w_seg,
+        "Q_seg": led.q_seg, "Sigma_ctrl": led.sigma_ctrl, "Sigma_seg": led.sigma_seg,
+        "logp_increment": led.logp_increment,
+    })
+    _write_columns(os.path.join(out_dir, "ensemble.csv"), {
+        "step": range(1, len(report.times) + 1),
+        **{f"p{n}": report.populations[:, n] for n in range(4)},
+        "Sigma_ctrl_avg": report.sigma_ctrl_avg, "Sigma_ctrl_se": report.sigma_ctrl_se,
+        "Sigma_seg_avg": report.sigma_seg_avg, "efficiency": report.efficiency,
+    })
     checks = report.law_checks
+    flags = law_flags(checks)
     _write_summary(out_dir, {
         "config": config.to_json(),
         "seed": config.seed,
         "totals": report.totals,
         "law_checks": {
-            "first_law_ok": checks["first_law_max_residual"] <= 1e-10,
-            "second_law_segment_ok": checks["sigma_seg_min"] >= -1e-10,
-            "truncation_ok": checks["truncation_max"] <= 1e-6,
-            "efficiency_bounded": 0.0 <= checks["efficiency_max"] <= 1.0 + 1e-9,
+            **flags,
             "first_law_max_residual": checks["first_law_max_residual"],
             "sigma_seg_min": checks["sigma_seg_min"],
             "truncation_max": checks["truncation_max"],
         },
     })
-    return checks["first_law_max_residual"] <= 1e-10 and checks["sigma_seg_min"] >= -1e-10
+    # The efficiency curve is a Monte Carlo estimate: over a few trajectories
+    # it can exceed one by sampling noise alone, so it is reported but does
+    # not fail the run.
+    return flags["first_law_ok"] and flags["second_law_segment_ok"] and flags["truncation_ok"]
 
 
 def _emit_projective(report, config: RunConfig, out_dir: str):
@@ -390,8 +384,47 @@ def emit_outputs(report, config: RunConfig, out_dir: str) -> bool:
     raise CliError(f"no emitter for report type {type(report).__name__}")
 
 
+def _prepare_run(config: RunConfig):
+    """Build the scenario's inputs; return a function that runs it to a report.
+
+    Invalid scenario parameters raise ``ValueError`` or ``TypeError`` here,
+    before any work starts.
+    """
+    p = config.params
+    if config.scenario == "cavity":
+        cavity = CavityConfig(
+            steps=p["steps"], trajectories=p["traj"], target_nt=p["target"],
+            delay_d=p["delay"], cutoff=p["cutoff"],
+            exact_propagator=bool(p["exact_propagator"]), dense=bool(p["dense"]),
+            seed=config.seed, workers=config.workers,
+        )
+        return lambda: run_cavity(cavity)
+    if config.scenario == "projective":
+        h = 0.5 * p["omega"] * np.diag([1.0, -1.0]).astype(complex)
+        return lambda: run_projective_example(h, DensityOperator.pure([1, 1]), np.eye(2))
+    if config.scenario == "tpm":
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return lambda: run_tpm_jarzynski(0.5 * sz, sz, hadamard, p["beta"])
+    if config.scenario == "classical":
+        model = RateModel.thermal(p["energies"], p["beta"])
+        return lambda: run_classical_limit(
+            model, steps=p["steps"], dt=p["dt"], mode=p["mode"],
+            trajectories=p["traj"], seed=config.seed,
+        )
+    raise CliError(f"unhandled scenario {config.scenario}")  # pragma: no cover
+
+
 def execute(config: RunConfig) -> int:
     """Run the configured scenario; returns a process exit code."""
+    run = None
+    if config.scenario != "verify":
+        try:
+            run = _prepare_run(config)
+        except (ValueError, TypeError) as exc:
+            print(f"error: invalid configuration: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+
     out_dir = config.out_dir or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -413,38 +446,7 @@ def execute(config: RunConfig) -> int:
                 "all_passed": all(r.passed for r in results),
             })
             return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
-
-        if config.scenario == "cavity":
-            p = config.params
-            report = run_cavity(CavityConfig(
-                steps=p["steps"], trajectories=p["traj"], target_nt=p["target"],
-                delay_d=p["delay"], cutoff=p["cutoff"],
-                exact_propagator=bool(p["exact_propagator"]), dense=bool(p["dense"]),
-                seed=config.seed, workers=config.workers,
-            ))
-            ok = emit_outputs(report, config, out_dir)
-        elif config.scenario == "projective":
-            omega = config.params["omega"]
-            h = 0.5 * omega * np.diag([1.0, -1.0]).astype(complex)
-            report = run_projective_example(
-                h, DensityOperator.pure([1, 1]), np.eye(2)
-            )
-            ok = emit_outputs(report, config, out_dir)
-        elif config.scenario == "tpm":
-            sz = np.diag([1.0, -1.0]).astype(complex)
-            hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-            report = run_tpm_jarzynski(0.5 * sz, sz, hadamard, config.params["beta"])
-            ok = emit_outputs(report, config, out_dir)
-        elif config.scenario == "classical":
-            p = config.params
-            model = RateModel.thermal(p["energies"], p["beta"])
-            report = run_classical_limit(
-                model, steps=p["steps"], dt=p["dt"], mode=p["mode"],
-                trajectories=p["traj"], seed=config.seed,
-            )
-            ok = emit_outputs(report, config, out_dir)
-        else:  # pragma: no cover - guarded by RunConfig
-            raise CliError(f"unhandled scenario {config.scenario}")
+        ok = emit_outputs(run(), config, out_dir)
     except OSError as exc:
         print(f"error: output failed: {exc}", file=sys.stderr)
         return EXIT_IO

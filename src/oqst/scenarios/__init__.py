@@ -9,6 +9,7 @@ from .cavity import (
     atom_transfer,
     cavity_efficiency,
     feedback_decision,
+    law_flags,
     run_cavity,
 )
 from .classical import ClassicalReport, RateModel, run_classical_limit
@@ -24,6 +25,7 @@ __all__ = [
     "atom_transfer",
     "cavity_efficiency",
     "feedback_decision",
+    "law_flags",
     "run_cavity",
     "ClassicalReport",
     "RateModel",

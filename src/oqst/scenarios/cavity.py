@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, n_thermal, thermal_cavity_generator
 from ..qmath import DensityOperator, shannon_entropy
-from ..thermo import StepLedger, entropy_production_step
+from ..thermo import FIRST_LAW_ATOL, ThermoError, entropy_production_step, first_law_residual
 from ..trajectory import (
     ControlSchedule,
     FeedbackPolicy,
@@ -40,6 +40,9 @@ from ..trajectory import (
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 FEEDBACK_KINDS = ("emitter", "absorber")
 TRUNCATION_LEAK = 1e-6
+# Rounding allowances of the reported law flags (see ``law_flags``).
+SIGMA_SEG_REPORT_FLOOR = -1e-10
+EFFICIENCY_CEILING = 1.0 + 1e-9
 # Ramsey preparation puts sensor atoms in an equal superposition (half a
 # quantum), emitters are prepared excited, absorbers stay in the ground
 # state; informational only, never part of the efficiency.
@@ -79,6 +82,20 @@ class CavityConfig:
             raise ValueError("step_ta must be far below the cavity lifetime")
         if self.delay_d < 0 or self.steps < 1 or self.trajectories < 1:
             raise ValueError("delay, steps and trajectories must be nonnegative/positive")
+        if not self.exact_propagator:
+            # The first-order population step 1 + R dt stays a stochastic
+            # matrix only while no level empties faster than once per step.
+            exit_rate = float(-np.diagonal(classical_rate_matrix(self.generator())).min())
+            if self.step_ta * exit_rate > 1.0:
+                raise ValueError(
+                    f"step_ta times the largest exit rate is {self.step_ta * exit_rate:.3g} > 1; "
+                    "the first-order step map would have negative entries"
+                )
+
+    def generator(self) -> ThermalGenerator:
+        return thermal_cavity_generator(
+            self.omega_c, self.temperature, self.lifetime_tc, self.cutoff
+        )
 
     @property
     def dim(self) -> int:
@@ -154,7 +171,8 @@ def feedback_decision(estimate, target_nt: int) -> str:
     return "sensor"
 
 
-def _populations(state) -> np.ndarray:
+def number_populations(state) -> np.ndarray:
+    """Number-basis populations of a population vector or a density matrix."""
     m = np.asarray(state)
     return np.real(np.diagonal(m)) if m.ndim == 2 else np.real(m)
 
@@ -176,7 +194,7 @@ class CavityPolicy(FeedbackPolicy):
             for kind in kinds[lo : step - 1]:
                 if kind in FEEDBACK_KINDS:
                     return "sensor"
-        return feedback_decision(_populations(estimate), self.target_nt)
+        return feedback_decision(number_populations(estimate), self.target_nt)
 
     def plan(self, step, estimate, outcomes, kinds):
         if self.instruments is None:
@@ -205,9 +223,7 @@ class _DiagonalContext:
 
     def __init__(self, config: CavityConfig):
         self.config = config
-        gen = thermal_cavity_generator(
-            config.omega_c, config.temperature, config.lifetime_tc, config.cutoff
-        )
+        gen = config.generator()
         self.beta = gen.beta
         self.n_vec = np.arange(config.dim, dtype=float)
         self.nsq_vec = self.n_vec**2
@@ -237,7 +253,7 @@ def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryReco
     estimates = [p]
     outcomes: list = []
     kinds: list = []
-    ledgers: list = []
+    rows: list = []
     states: list = []
     for step in range(1, cfg.steps + 1):
         e_start = float(n_vec @ p)
@@ -264,25 +280,11 @@ def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryReco
         logp_inc = float(-np.log(prob)) + 0.0
         log_prob += logp_inc
         s_end = log_prob + shannon_entropy(post)
-        ledger = StepLedger(
-            step=step,
-            outcome=int(label),
-            logp_increment=logp_inc,
-            e_sys_start=e_start,
-            e_sys_pre=e_pre,
-            e_sys_end=e_end,
-            de_unit=0.0,
-            w_seg=0.0,
-            q_seg=q_seg,
-            w_ctrl_sys=w_ctrl,
-            w_ctrl_unit=0.0,
-            q_ctrl_sys=q_ctrl,
-            q_ctrl_unit=0.0,
-            s_start=s_start,
-            s_pre=s_pre,
-            s_end=s_end,
-        )
-        ledgers.append(entropy_production_step(ledger, beta))
+        # LEDGER_DTYPE order; the sigma columns are filled on closing
+        rows.append((
+            step, label, logp_inc, e_start, e_pre, e_end, 0.0, 0.0, q_seg,
+            w_ctrl, 0.0, q_ctrl, 0.0, s_start, s_pre, s_end, np.nan, np.nan,
+        ))
         outcomes.append(int(label))
         kinds.append(kind)
         estimates.append(post)
@@ -293,42 +295,48 @@ def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryReco
         outcomes=tuple(outcomes),
         kinds=tuple(kinds),
         log_prob=log_prob,
-        ledgers=tuple(ledgers),
+        ledgers=entropy_production_step(rows, beta),
         states=tuple(states),
         final_state=p,
         times=ctx.times,
     )
 
 
+def _indexed_trajectories(config: CavityConfig, indices, run_one) -> list:
+    """Run ``run_one(seed)`` per trajectory index; law failures name the index."""
+    out = []
+    for i in indices:
+        try:
+            out.append(run_one(derive_stream_seed(config.seed, i)))
+        except ThermoError as exc:
+            raise ThermoError(f"trajectory {i}: {exc}") from exc
+    return out
+
+
 def _diagonal_chunk(config: CavityConfig, indices) -> list:
     ctx = _DiagonalContext(config)
-    return [
-        _run_diagonal_trajectory(ctx, derive_stream_seed(config.seed, i)) for i in indices
-    ]
+    return _indexed_trajectories(
+        config, indices, lambda seed: _run_diagonal_trajectory(ctx, seed)
+    )
 
 
 def _dense_chunk(config: CavityConfig, indices) -> list:
-    gen = thermal_cavity_generator(
-        config.omega_c, config.temperature, config.lifetime_tc, config.cutoff
-    )
+    gen = config.generator()
     instruments = {
         kind: atom_instrument(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
     }
     policy = CavityPolicy(config.target_nt, config.delay_d, instruments=instruments)
     schedule = ControlSchedule.uniform(config.steps, config.step_ta)
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
-    out = []
-    for i in indices:
-        rec = sample_trajectory(
-            gen, schedule, policy, rho0,
-            seed=derive_stream_seed(config.seed, i),
-            method=config.method,
-        )
+
+    def run_one(seed):
+        rec = sample_trajectory(gen, schedule, policy, rho0, seed=seed, method=config.method)
         for state in rec.states:
             if np.real(np.diagonal(state))[config.cutoff] > TRUNCATION_LEAK:
                 raise TruncationLeakError("population reached the cutoff level")
-        out.append(rec)
-    return out
+        return rec
+
+    return _indexed_trajectories(config, indices, run_one)
 
 
 @dataclass(frozen=True)
@@ -391,30 +399,21 @@ def cavity_efficiency(report: "CavityReport", config: CavityConfig | None = None
     )
 
 
-def _stack_column(records, name) -> np.ndarray:
-    return np.array([[getattr(l, name) for l in r.ledgers] for r in records])
-
-
 def _build_report(config: CavityConfig, records: list) -> CavityReport:
     n_traj = len(records)
-    pops = np.array([[_populations(s) for s in r.states] for r in records])  # (N, steps, dim)
+    pops = np.array([[number_populations(s) for s in r.states] for r in records])  # (N, steps, dim)
     if pops[:, :, config.cutoff].max() > TRUNCATION_LEAK:
         raise TruncationLeakError("population reached the cutoff level")
     n_vec = np.arange(config.dim, dtype=float)
     mean_n = pops @ n_vec
     var_n = pops @ (n_vec**2) - mean_n**2
-    sigma_ctrl = _stack_column(records, "sigma_ctrl")
-    sigma_seg = _stack_column(records, "sigma_seg")
-    w_ctrl = _stack_column(records, "w_ctrl_sys")
-    q_ctrl = _stack_column(records, "q_ctrl_sys")
-    q_seg = _stack_column(records, "q_seg")
-    logp = _stack_column(records, "logp_increment")
-    s_end = _stack_column(records, "s_end")
-    e_end = _stack_column(records, "e_sys_end")
-    e_start = _stack_column(records, "e_sys_start")
-    w_seg = _stack_column(records, "w_seg")
-    entropy = s_end - np.cumsum(logp, axis=1)
-    residual = e_end - e_start - (w_seg + w_ctrl + q_seg + q_ctrl)
+    batch = np.stack([r.ledgers for r in records])  # (N, steps)
+    sigma_ctrl = batch["sigma_ctrl"]
+    sigma_seg = batch["sigma_seg"]
+    w_ctrl = batch["w_ctrl_sys"]
+    logp = batch["logp_increment"]
+    e_end = batch["e_sys_end"]
+    entropy = batch["s_end"] - np.cumsum(logp, axis=1)
     prep = np.array(
         [[ATOM_PREP_WORK[k] for k in r.kinds] for r in records], dtype=float
     )
@@ -434,7 +433,7 @@ def _build_report(config: CavityConfig, records: list) -> CavityReport:
         return data.std(axis=0, ddof=1) / math.sqrt(n_traj)
 
     law_checks = {
-        "first_law_max_residual": float(np.abs(residual).max()),
+        "first_law_max_residual": float(np.abs(first_law_residual(batch)).max()),
         "sigma_seg_min": float(sigma_seg.min()),
         "sigma_ctrl_avg_min": float(sigma_ctrl.mean(axis=0).min()),
         "truncation_max": float(pops[:, :, config.cutoff].max()),
@@ -462,8 +461,8 @@ def _build_report(config: CavityConfig, records: list) -> CavityReport:
         sigma_seg_avg=sigma_seg.mean(axis=0),
         sigma_seg_se=se(sigma_seg),
         w_ctrl_avg=w_ctrl.mean(axis=0),
-        q_ctrl_avg=q_ctrl.mean(axis=0),
-        q_seg_avg=q_seg.mean(axis=0),
+        q_ctrl_avg=batch["q_ctrl_sys"].mean(axis=0),
+        q_seg_avg=batch["q_seg"].mean(axis=0),
         logp_avg=logp.mean(axis=0),
         entropy_avg=entropy.mean(axis=0),
         energy_avg=e_end.mean(axis=0),
@@ -473,6 +472,16 @@ def _build_report(config: CavityConfig, records: list) -> CavityReport:
         law_checks=law_checks,
         totals=totals,
     )
+
+
+def law_flags(law_checks: dict) -> dict:
+    """The four pass/fail flags of a stabilization run's ``law_checks``."""
+    return {
+        "first_law_ok": law_checks["first_law_max_residual"] <= FIRST_LAW_ATOL,
+        "second_law_segment_ok": law_checks["sigma_seg_min"] >= SIGMA_SEG_REPORT_FLOOR,
+        "truncation_ok": law_checks["truncation_max"] <= TRUNCATION_LEAK,
+        "efficiency_bounded": 0.0 <= law_checks["efficiency_max"] <= EFFICIENCY_CEILING,
+    }
 
 
 def run_cavity(config: CavityConfig) -> CavityReport:

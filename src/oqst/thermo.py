@@ -14,8 +14,7 @@ only on average.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .qmath import (
     dag,
     hermitize,
     shannon_entropy,
-    tensor_product,
     von_neumann_entropy,
     _partial_trace_matrix,
 )
@@ -118,13 +116,10 @@ def control_energetics(
         e_u0 = float(np.trace(hu @ dilation.unit_state.matrix).real)
         e_uv = float(np.trace(hu @ u_after_v).real)
         w_unit = e_uv - e_u0
-        for label, p_u in dilation.projectors:
-            p_full = tensor_product(np.eye(dilation.system_dim), p_u)
-            raw = p_full @ correlated @ dag(p_full)
-            p = float(np.trace(raw).real)
-            if p < IMPOSSIBLE_BRANCH:
+        for label, _, post in dilation.readout(correlated):
+            if post is None:
                 continue
-            u_r = _partial_trace_matrix(raw, dims, [1]) / p
+            u_r = _partial_trace_matrix(post, dims, [1])
             e_ur = float(np.trace(hu @ u_r).real)
             q_unit[label] = e_ur - e_uv
             de_unit[label] = e_ur - e_u0
@@ -155,66 +150,57 @@ def stochastic_entropy(log_prob: float, state) -> float:
     return float(log_prob) + von_neumann_entropy(as_matrix(state))
 
 
-@dataclass(frozen=True, slots=True)
-class StepLedger:
-    """Thermodynamic bookkeeping for one interval (segment then control).
-
-    Energies are in the protocol's energy unit, entropies in nats.  The
-    stochastic entropies ``s_start``/``s_pre``/``s_end`` refer to just
-    after the previous control, just before this one, and just after it.
-    """
-
-    step: int
-    outcome: int
-    logp_increment: float
-    e_sys_start: float
-    e_sys_pre: float
-    e_sys_end: float
-    de_unit: float
-    w_seg: float
-    q_seg: float
-    w_ctrl_sys: float
-    w_ctrl_unit: float
-    q_ctrl_sys: float
-    q_ctrl_unit: float
-    s_start: float
-    s_pre: float
-    s_end: float
-    sigma_ctrl: float = math.nan
-    sigma_seg: float = math.nan
-
-    @property
-    def work_total(self) -> float:
-        return self.w_seg + self.w_ctrl_sys + self.w_ctrl_unit
-
-    @property
-    def heat_total(self) -> float:
-        return self.q_seg + self.q_ctrl_sys + self.q_ctrl_unit
-
-    @property
-    def first_law_residual(self) -> float:
-        de = (self.e_sys_end - self.e_sys_start) + self.de_unit
-        return de - self.work_total - self.heat_total
+# One row per interval (segment then control) of a trajectory's ledger.
+# Energies are in the protocol's energy unit, entropies in nats.  The
+# stochastic entropies s_start/s_pre/s_end refer to just after the previous
+# control, just before this one, and just after it.  A trajectory's ledger
+# is a record array of shape (steps,); a batch stacks them to (N, steps).
+LEDGER_DTYPE = np.dtype(
+    [("step", np.int64), ("outcome", np.int64)]
+    + [(name, np.float64) for name in (
+        "logp_increment", "e_sys_start", "e_sys_pre", "e_sys_end", "de_unit",
+        "w_seg", "q_seg", "w_ctrl_sys", "w_ctrl_unit", "q_ctrl_sys",
+        "q_ctrl_unit", "s_start", "s_pre", "s_end", "sigma_ctrl", "sigma_seg",
+    )]
+)
 
 
-def entropy_production_step(ledger: StepLedger, beta: float) -> StepLedger:
-    """Fill in the control and segment entropy productions and check them.
+def first_law_residual(ledger):
+    """dE_sys + dE_unit - W - Q, for a ledger row, a trajectory or a batch."""
+    de = (ledger["e_sys_end"] - ledger["e_sys_start"]) + ledger["de_unit"]
+    work = ledger["w_seg"] + ledger["w_ctrl_sys"] + ledger["w_ctrl_unit"]
+    heat = ledger["q_seg"] + ledger["q_ctrl_sys"] + ledger["q_ctrl_unit"]
+    return de - work - heat
 
-    The segment part must be nonnegative for a thermal generator; a value
+
+def entropy_production_step(ledger, beta: float) -> np.recarray:
+    """Close a trajectory's ledger: fill in the entropy productions and check both laws.
+
+    ``ledger`` holds the rows of one trajectory, as ``LEDGER_DTYPE`` tuples
+    or a structured array (which is filled in place); the
+    ``sigma_ctrl``/``sigma_seg`` entries it carries are overwritten.  The
+    segment part must be nonnegative for a thermal generator; a value
     below ``SEGMENT_EP_FLOOR`` signals a propagation or bookkeeping bug.
+    Raises ``ThermoError`` naming the first step that breaks either law.
     """
-    sigma_ctrl = (ledger.s_end - ledger.s_pre) - beta * ledger.q_ctrl_sys
-    sigma_seg = (ledger.s_pre - ledger.s_start) - beta * ledger.q_seg
-    if sigma_seg < SEGMENT_EP_FLOOR:
+    ledger = np.asarray(ledger, dtype=LEDGER_DTYPE).view(np.recarray)
+    ledger.sigma_ctrl = (ledger.s_end - ledger.s_pre) - beta * ledger.q_ctrl_sys
+    ledger.sigma_seg = (ledger.s_pre - ledger.s_start) - beta * ledger.q_seg
+    residual = first_law_residual(ledger)
+    seg_bad = ledger.sigma_seg < SEGMENT_EP_FLOOR
+    bad = seg_bad | (np.abs(residual) > FIRST_LAW_ATOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if seg_bad[i]:
+            raise ThermoError(
+                f"segment entropy production {ledger.sigma_seg[i]:.3e} below "
+                f"{SEGMENT_EP_FLOOR} on step {ledger.step[i]}"
+            )
         raise ThermoError(
-            f"segment entropy production {sigma_seg:.3e} below {SEGMENT_EP_FLOOR}"
+            f"first law residual {residual[i]:.3e} beyond {FIRST_LAW_ATOL} "
+            f"on step {ledger.step[i]}"
         )
-    out = replace(ledger, sigma_ctrl=sigma_ctrl, sigma_seg=sigma_seg)
-    if abs(out.first_law_residual) > FIRST_LAW_ATOL:
-        raise ThermoError(
-            f"first law residual {out.first_law_residual:.3e} beyond {FIRST_LAW_ATOL}"
-        )
-    return out
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -266,12 +252,9 @@ def average_control_entropy_production(
     correlated = dilation.joint_after_unitary(rho_pre)
     probs = []
     post_term = 0.0
-    for label, p_u in dilation.projectors:
-        p_full = tensor_product(np.eye(dilation.system_dim), p_u)
-        raw = p_full @ correlated @ dag(p_full)
-        p = float(np.trace(raw).real)
-        probs.append(max(p, 0.0))
-        if p > IMPOSSIBLE_BRANCH:
-            post_term += p * von_neumann_entropy(hermitize(raw) / p)
+    for _, p, post in dilation.readout(correlated):
+        probs.append(p)
+        if post is not None:
+            post_term += p * von_neumann_entropy(post)
     s_pre = von_neumann_entropy(rho_pre)  # unit starts pure and uncorrelated
     return shannon_entropy(np.array(probs)) + post_term - s_pre

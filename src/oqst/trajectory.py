@@ -35,7 +35,7 @@ from .qmath import (
     _partial_trace_matrix,
 )
 from .thermo import (
-    StepLedger,
+    LEDGER_DTYPE,
     control_energetics,
     entropy_production_step,
     stochastic_entropy,
@@ -168,12 +168,16 @@ class FixedPolicy(FeedbackPolicy):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Outcome sequence with its ledger and conditional boundary states."""
+    """Outcome sequence with its ledger and conditional boundary states.
+
+    ``ledgers`` is a ``LEDGER_DTYPE`` record array, one row per step: rows
+    iterate with attribute access, columns index by name.
+    """
 
     outcomes: tuple
     kinds: tuple
     log_prob: float
-    ledgers: tuple
+    ledgers: np.recarray
     states: tuple  # post-control conditional system states (matrices)
     final_state: np.ndarray
     times: tuple
@@ -187,9 +191,6 @@ class TrajectoryRecord:
     @property
     def probability(self) -> float:
         return float(np.exp(-self.log_prob))
-
-    def ledger_column(self, name: str) -> np.ndarray:
-        return np.array([getattr(l, name) for l in self.ledgers], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +415,10 @@ class _Engine:
             rest = int(np.prod(new_dims[2:])) if len(new_dims) > 2 else 1
             v_full = np.kron(dilation.joint_unitary, np.eye(rest)) if rest > 1 else dilation.joint_unitary
             correlated = v_full @ extended @ dag(v_full)
-            for label, p_u in dilation.projectors:
-                p_embed = np.kron(np.eye(self.gen.dim), p_u)
-                if rest > 1:
-                    p_embed = np.kron(p_embed, np.eye(rest))
-                raw = p_embed @ correlated @ dag(p_embed)
-                p = float(np.trace(raw).real)
-                if p < PROB_FLOOR:
-                    branches.append((label, max(p, 0.0), None, None, None))
+            for label, p, post_joint in dilation.readout(correlated):
+                if post_joint is None:
+                    branches.append((label, p, None, None, None))
                     continue
-                post_joint = hermitize(raw) / p
                 sys_post = hermitize(_partial_trace_matrix(post_joint, new_dims, [0]))
                 branches.append((label, p, sys_post, post_joint, list(new_dims[1:])))
         return ce, branches
@@ -444,25 +439,13 @@ class _Engine:
             cur.energetic_units = True
         e_end = float(np.trace(cur.h @ cur.mat).real)
         s_end = self._stochastic_entropy(cur)
-        ledger = StepLedger(
-            step=step,
-            outcome=label,
-            logp_increment=logp_inc,
-            e_sys_start=seg.e_start,
-            e_sys_pre=seg.e_pre,
-            e_sys_end=e_end,
-            de_unit=ce.de_unit.get(label, 0.0),
-            w_seg=seg.w_seg,
-            q_seg=seg.q_seg,
-            w_ctrl_sys=ce.w_system,
-            w_ctrl_unit=ce.w_unit,
-            q_ctrl_sys=ce.q_system[label],
-            q_ctrl_unit=ce.q_unit.get(label, 0.0),
-            s_start=seg.s_start,
-            s_pre=seg.s_pre,
-            s_end=s_end,
-        )
-        cur.ledgers.append(entropy_production_step(ledger, self.gen.beta))
+        # LEDGER_DTYPE order; finish() fills the two sigma columns
+        cur.ledgers.append((
+            step, label, logp_inc, seg.e_start, seg.e_pre, e_end,
+            ce.de_unit.get(label, 0.0), seg.w_seg, seg.q_seg, ce.w_system, ce.w_unit,
+            ce.q_system[label], ce.q_unit.get(label, 0.0),
+            seg.s_start, seg.s_pre, s_end, np.nan, np.nan,
+        ))
         cur.outcomes.append(label)
         cur.kinds.append(plan.kind)
         cur.estimates.append(cur.mat)
@@ -480,7 +463,7 @@ class _Engine:
             outcomes=tuple(cur.outcomes),
             kinds=tuple(cur.kinds),
             log_prob=cur.log_prob,
-            ledgers=tuple(cur.ledgers),
+            ledgers=entropy_production_step(cur.ledgers, self.gen.beta),
             states=tuple(cur.states),
             final_state=cur.mat,
             times=self.schedule.times,
@@ -605,13 +588,6 @@ class EnsembleReport:
     mean_final_state: np.ndarray
 
 
-LEDGER_COLUMNS = (
-    "logp_increment", "e_sys_start", "e_sys_pre", "e_sys_end", "de_unit",
-    "w_seg", "q_seg", "w_ctrl_sys", "w_ctrl_unit", "q_ctrl_sys",
-    "q_ctrl_unit", "s_start", "s_pre", "s_end", "sigma_ctrl", "sigma_seg",
-)
-
-
 def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
     """Average ledger columns and conditional states across records.
 
@@ -634,10 +610,11 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
         raise EngineError(f"unknown weights mode {weights!r}")
     total = float(w.sum())
     wn = w / total
+    batch = np.stack([r.ledgers for r in records])  # (N, steps)
     means: dict = {}
     ses: dict = {}
-    for col in LEDGER_COLUMNS:
-        data = np.array([r.ledger_column(col) for r in records])  # (N, steps)
+    for col in LEDGER_DTYPE.names:
+        data = batch[col]
         means[col] = wn @ data if n_steps else np.zeros(0)
         if weights == "equal" and len(records) > 1 and n_steps:
             ses[col] = data.std(axis=0, ddof=1) / np.sqrt(len(records))

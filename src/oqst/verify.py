@@ -15,7 +15,8 @@ from . import qmath
 from .channels import apply_instrument, random_instrument, stinespring_dilate
 from .lindblad import Protocol, heat_work_segment, thermal_cavity_generator
 from .qmath import DensityOperator, dag, mutual_information, von_neumann_entropy
-from .scenarios import CavityConfig, RateModel, run_cavity, run_classical_limit, run_tpm_jarzynski
+from .scenarios import CavityConfig, RateModel, law_flags, run_cavity
+from .scenarios import run_classical_limit, run_tpm_jarzynski
 from .thermo import (
     average_control_entropy_production,
     check_measurement_entropy_lemma,
@@ -187,14 +188,8 @@ def check_segment_second_law(seed: int, samples: int = 200) -> CheckResult:
 
 def check_cavity_laws(seed: int) -> CheckResult:
     report = run_cavity(CavityConfig(steps=60, trajectories=100, seed=seed))
-    ok = (
-        report.law_checks["first_law_max_residual"] <= 1e-10
-        and report.law_checks["sigma_seg_min"] >= -1e-10
-        and report.law_checks["truncation_max"] <= 1e-6
-        and 0.0 <= report.law_checks["efficiency_max"] <= 1.0 + 1e-9
-    )
     return CheckResult(
-        "stabilization run obeys both laws", ok,
+        "stabilization run obeys both laws", all(law_flags(report.law_checks).values()),
         f"first-law residual {report.law_checks['first_law_max_residual']:.2e}, "
         f"min drift production {report.law_checks['sigma_seg_min']:.2e}",
     )
@@ -207,16 +202,17 @@ def check_diagonal_dense_equality(seed: int) -> CheckResult:
     dense = run_cavity(CavityConfig(
         steps=50, trajectories=3, seed=seed, cutoff=5, target_nt=1, delay_d=3, dense=True
     ))
-    worst = 0.0
-    for a, b in zip(diag.records, dense.records):
-        if a.outcomes != b.outcomes:
-            return CheckResult(
-                "population path matches density-matrix path", False,
-                "outcome sequences diverged",
-            )
-        for la, lb in zip(a.ledgers, b.ledgers):
-            for col in ("w_ctrl_sys", "q_ctrl_sys", "sigma_ctrl", "sigma_seg"):
-                worst = max(worst, abs(getattr(la, col) - getattr(lb, col)))
+    if any(a.outcomes != b.outcomes for a, b in zip(diag.records, dense.records)):
+        return CheckResult(
+            "population path matches density-matrix path", False,
+            "outcome sequences diverged",
+        )
+    a = np.stack([r.ledgers for r in diag.records])
+    b = np.stack([r.ledgers for r in dense.records])
+    worst = max(
+        float(np.abs(a[col] - b[col]).max())
+        for col in ("w_ctrl_sys", "q_ctrl_sys", "sigma_ctrl", "sigma_seg")
+    )
     return CheckResult(
         "population path matches density-matrix path", worst <= 1e-9,
         f"max ledger deviation {worst:.2e}",

@@ -20,6 +20,7 @@ from oqst.scenarios.cavity import (
     sensor_weights,
     thermal_populations,
 )
+from oqst.thermo import first_law_residual
 
 NT, CUTOFF = 2, 8
 
@@ -210,6 +211,20 @@ class TestDiagonalDenseEquivalence:
                             "sigma_seg", "logp_increment", "s_end", "e_sys_end"):
                     assert abs(getattr(la, col) - getattr(lb, col)) <= 1e-9
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_ledger_rows_and_columns(self, dense):
+        report = run_cavity(CavityConfig(steps=12, trajectories=2, seed=4, dense=dense))
+        rec = report.records[0]
+        assert len(rec.ledgers) == 12
+        rows = list(rec.ledgers)
+        assert [row.step for row in rows] == list(range(1, 13))
+        assert [row.outcome for row in rows] == list(rec.outcomes)
+        assert np.array_equal(rec.ledgers["sigma_ctrl"], [row.sigma_ctrl for row in rows])
+        assert first_law_residual(rows[3]) == first_law_residual(rec.ledgers)[3]
+        batch = np.stack([r.ledgers for r in report.records])
+        assert batch["w_ctrl_sys"].shape == (2, 12)
+        assert np.abs(first_law_residual(batch)).max() <= 1e-10
+
     def test_exact_propagator_variant_agrees(self):
         diag = run_cavity(CavityConfig(
             steps=30, trajectories=3, seed=21, exact_propagator=True
@@ -229,6 +244,12 @@ class TestConfigValidation:
     def test_step_must_be_short(self):
         with pytest.raises(ValueError):
             CavityConfig(step_ta=1.0)
+
+    def test_first_order_step_map_must_stay_nonnegative(self):
+        # at cutoff 40 the top level empties ~4x per step of 6.5 ms
+        with pytest.raises(ValueError, match="negative entries"):
+            CavityConfig(cutoff=40, step_ta=6.5e-3)
+        CavityConfig(cutoff=40, step_ta=6.5e-3, exact_propagator=True)
 
     def test_truncation_error_type(self):
         assert issubclass(TruncationLeakError, RuntimeError)

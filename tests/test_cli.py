@@ -1,5 +1,6 @@
 """Command-line contract: parsing, outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,9 +12,11 @@ from oqst.cli import (
     EXIT_OK,
     CliError,
     RunConfig,
+    emit_outputs,
     main,
     parse_config,
 )
+from oqst.scenarios import CavityConfig, run_cavity
 
 
 class TestParsing:
@@ -107,6 +110,13 @@ class TestExecution:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["law_checks"]["first_law_ok"] is True
 
+    def test_dense_cavity_outputs(self, tmp_path):
+        # the dense path records density matrices, not population vectors
+        code = main(["run", "cavity", "--dense", "--steps", "10", "--traj", "2",
+                     "--seed", "4", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 11
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -145,6 +155,30 @@ class TestExecution:
     def test_parse_error_exit_code(self):
         assert main(["run", "nonsense"]) == EXIT_CONFIG
         assert main([]) == EXIT_CONFIG
+
+    def test_invalid_cavity_config_exit_code(self, tmp_path):
+        code = main(["run", "cavity", "--target", "6", "--cutoff", "8",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
+    def test_mistyped_config_param_exit_code(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": "cavity", "params": {"steps": "ten"}}))
+        code = main(["run", "cavity", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("check, value, flag, fails_run", [
+        ("truncation_max", 1e-5, "truncation_ok", True),
+        ("efficiency_max", 1.05, "efficiency_bounded", False),
+    ])
+    def test_cavity_law_flags(self, tmp_path, check, value, flag, fails_run):
+        report = run_cavity(CavityConfig(steps=10, trajectories=3, seed=2))
+        report = dataclasses.replace(report, law_checks={**report.law_checks, check: value})
+        ok = emit_outputs(report, RunConfig(scenario="cavity"), str(tmp_path))
+        assert ok is not fails_run
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["law_checks"][flag] is False
+        assert summary["law_checks"]["first_law_ok"] is True
 
     def test_io_failure_exit_code(self, tmp_path):
         # creating the output directory under a regular file cannot work

@@ -1,6 +1,7 @@
 """Control energetics, stochastic entropy and entropy production checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oqst.channels import (
 )
 from oqst.qmath import DensityOperator, dag, mutual_information, von_neumann_entropy
 from oqst.thermo import (
-    StepLedger,
+    LEDGER_DTYPE,
     ThermoError,
     average_control_entropy_production,
     check_measurement_entropy_lemma,
@@ -121,15 +122,16 @@ def make_ledger(**overrides):
         w_seg=0.0, q_seg=0.0, w_ctrl_sys=0.0, w_ctrl_unit=0.0,
         q_ctrl_sys=0.5, q_ctrl_unit=0.0,
         s_start=0.0, s_pre=0.0, s_end=math.log(2),
+        sigma_ctrl=math.nan, sigma_seg=math.nan,
     )
     base.update(overrides)
-    return StepLedger(**base)
+    return np.array([tuple(base[name] for name in LEDGER_DTYPE.names)], dtype=LEDGER_DTYPE)
 
 
 class TestEntropyProductionStep:
     def test_balanced_sensor_outcome_gives_log2(self):
         ledger = make_ledger(q_ctrl_sys=0.0, e_sys_end=0.0)
-        done = entropy_production_step(ledger, beta=3.0)
+        (done,) = entropy_production_step(ledger, beta=3.0)
         assert done.sigma_ctrl == pytest.approx(math.log(2), abs=1e-12)
         assert done.sigma_seg == 0.0
 
@@ -137,7 +139,7 @@ class TestEntropyProductionStep:
         ledger = make_ledger(
             logp_increment=0.0, q_ctrl_sys=0.0, e_sys_end=0.0, s_end=0.0,
         )
-        done = entropy_production_step(ledger, beta=1.0)
+        (done,) = entropy_production_step(ledger, beta=1.0)
         assert done.sigma_seg == pytest.approx(0.0, abs=1e-12)
         assert done.sigma_ctrl == pytest.approx(0.0, abs=1e-12)
 
@@ -150,6 +152,19 @@ class TestEntropyProductionStep:
         ledger = make_ledger(s_pre=-1.0, s_start=0.0, q_seg=0.0, q_ctrl_sys=0.0,
                              e_sys_end=0.0, s_end=-1.0 + math.log(2))
         with pytest.raises(ThermoError):
+            entropy_production_step(ledger, beta=1.0)
+
+    @pytest.mark.parametrize("broken, message", [
+        (dict(e_sys_end=1.0), "first law residual 5.000e-01 beyond 1e-10 on step 3"),
+        (dict(s_pre=-1.0, e_sys_end=0.0, q_ctrl_sys=0.0, s_end=-1.0 + math.log(2)),
+         "segment entropy production -1.000e+00 below -1e-06 on step 3"),
+    ])
+    def test_violation_names_the_first_failing_step(self, broken, message):
+        ledger = np.concatenate([
+            make_ledger(step=1), make_ledger(step=2),
+            make_ledger(step=3, **broken), make_ledger(step=4, **broken),
+        ])
+        with pytest.raises(ThermoError, match=re.escape(message)):
             entropy_production_step(ledger, beta=1.0)
 
 

@@ -12,7 +12,7 @@ from oqst.channels import (
 )
 from oqst.lindblad import ThermalGenerator, propagate, thermal_cavity_generator
 from oqst.qmath import DensityOperator, von_neumann_entropy
-from oqst.thermo import average_control_entropy_production
+from oqst.thermo import average_control_entropy_production, first_law_residual
 from oqst.trajectory import (
     ControlSchedule,
     EngineError,
@@ -119,7 +119,7 @@ class TestSampling:
                 gen, sched, pol, rho0, seed=derive_stream_seed(7, i), method="first_order"
             )
             for l in rec.ledgers:
-                assert abs(l.first_law_residual) <= 1e-10
+                assert abs(first_law_residual(l)) <= 1e-10
                 assert l.sigma_seg >= -1e-10
 
     def test_forced_outcomes_replay(self):
@@ -186,7 +186,7 @@ class TestEnsembleStatistics:
         pol = FixedPolicy([Z_INSTR, X_INSTR])
         rec = sample_trajectory(gen, sched, pol, DensityOperator.maximally_mixed(2), seed=11)
         rep = ensemble_statistics([rec])
-        assert np.allclose(rep.column_means["sigma_ctrl"], rec.ledger_column("sigma_ctrl"))
+        assert np.allclose(rep.column_means["sigma_ctrl"], rec.ledgers["sigma_ctrl"])
         assert np.allclose(rep.mean_states[0], rec.states[0])
 
     def test_enumeration_average_equals_averaged_maps(self):
