@@ -16,8 +16,6 @@ import numpy as np
 
 from .qmath import (
     DensityOperator,
-    QmathError,
-    as_matrix,
     dag,
     hermitize,
     tensor_product,

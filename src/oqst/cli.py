@@ -7,8 +7,9 @@ Commands::
 
 Shared flags: ``--config PATH`` (JSON, overridden by explicit flags),
 ``--seed U64``, ``--out DIR``, ``--workers N`` (default from OQST_WORKERS).
-Outputs are plain CSV plus a ``summary.json`` and are byte-identical for
-identical (config, seed) regardless of worker count.
+Outputs are plain CSV plus a ``summary.json``.  For identical (config,
+seed) the CSV files are byte-identical regardless of worker count;
+``summary.json`` also echoes ``workers`` and ``out``.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
 4 I/O failure.
@@ -36,6 +37,10 @@ from .scenarios import (
 )
 from .scenarios.cavity import number_populations
 from .qmath import DensityOperator
+from .thermo import (
+    AVG_HEAT_ATOL, CLASSICAL_IDENTITY_ATOL, JARZYNSKI_ATOL, OUTCOME_ENTROPY_FLOOR,
+    RECORD_PRODUCTION_FLOOR,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +67,10 @@ class CliError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
+# Counts among the run settings, with their least allowed value.
+_COUNT_MINIMA = {"steps": 1, "traj": 1, "target": 1, "cutoff": 1, "delay": 0, "workers": 1}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved invocation: scenario, parameter block, seed, output."""
@@ -75,21 +84,20 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS + ("verify",):
             raise CliError(f"unknown scenario {self.scenario!r}")
-        if self.workers < 1:
-            raise CliError("workers must be positive")
         defaults = _DEFAULT_PARAMS.get(self.scenario, {})
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise CliError(f"unknown parameter keys {sorted(unknown)}")
         merged = {**defaults, **self.params}
-        for key, value in merged.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+        for key, value in {**merged, "workers": self.workers}.items():
+            if key in _COUNT_MINIMA:
+                # exactly int: a float would be truncated, a bool read as 0 or 1
+                if type(value) is not int or value < _COUNT_MINIMA[key]:
+                    raise CliError(f"{key} must be an integer of at least "
+                                   f"{_COUNT_MINIMA[key]}, got {value!r}")
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 if key in ("beta", "dt", "omega") and value <= 0:
                     raise CliError(f"parameter {key} must be positive")
-                if key in ("steps", "traj", "target", "cutoff") and value < 1:
-                    raise CliError(f"parameter {key} must be at least 1")
-                if key == "delay" and value < 0:
-                    raise CliError(f"parameter {key} must be nonnegative")
         object.__setattr__(self, "params", merged)
 
     def to_json(self) -> dict:
@@ -192,7 +200,7 @@ def parse_config(argv) -> RunConfig:
     workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
     return RunConfig(
         scenario=scenario, params=params, seed=int(seed),
-        out_dir=out_dir, workers=int(workers),
+        out_dir=out_dir, workers=workers,
     )
 
 
@@ -250,11 +258,12 @@ def _emit_cavity(report, config: RunConfig, out_dir: str):
         "Q_seg": led.q_seg, "Sigma_ctrl": led.sigma_ctrl, "Sigma_seg": led.sigma_seg,
         "logp_increment": led.logp_increment,
     })
+    means, ses = report.stats.column_means, report.stats.column_se
     _write_columns(os.path.join(out_dir, "ensemble.csv"), {
         "step": range(1, len(report.times) + 1),
         **{f"p{n}": report.populations[:, n] for n in range(4)},
-        "Sigma_ctrl_avg": report.sigma_ctrl_avg, "Sigma_ctrl_se": report.sigma_ctrl_se,
-        "Sigma_seg_avg": report.sigma_seg_avg, "efficiency": report.efficiency,
+        "Sigma_ctrl_avg": means["sigma_ctrl"], "Sigma_ctrl_se": ses["sigma_ctrl"],
+        "Sigma_seg_avg": means["sigma_seg"], "efficiency": report.efficiency,
     })
     checks = report.law_checks
     flags = law_flags(checks)
@@ -288,7 +297,10 @@ def _emit_projective(report, config: RunConfig, out_dir: str):
         ["outcome", "probability", "Q_ctrl", "Q_closed", "post_energy"],
         rows,
     )
-    ok = abs(report.avg_heat) <= 1e-10 and report.entropy_gain >= -1e-9
+    flags = {
+        "avg_heat_zero": abs(report.avg_heat) <= AVG_HEAT_ATOL,
+        "outcome_entropy_dominates": report.entropy_gain >= OUTCOME_ENTROPY_FLOOR,
+    }
     _write_summary(out_dir, {
         "config": config.to_json(),
         "seed": config.seed,
@@ -298,12 +310,9 @@ def _emit_projective(report, config: RunConfig, out_dir: str):
             "shannon_outcomes": report.shannon_outcomes,
             "shannon_spectrum": report.shannon_spectrum,
         },
-        "law_checks": {
-            "avg_heat_zero": abs(report.avg_heat) <= 1e-10,
-            "outcome_entropy_dominates": report.entropy_gain >= -1e-9,
-        },
+        "law_checks": flags,
     })
-    return ok
+    return all(flags.values())
 
 
 def _emit_tpm(report, config: RunConfig, out_dir: str):
@@ -319,7 +328,7 @@ def _emit_tpm(report, config: RunConfig, out_dir: str):
          "W_ctrl", "Q_ctrl"],
         rows,
     )
-    ok = report.identity_residual <= 1e-10
+    flags = {"jarzynski_identity_ok": report.identity_residual <= JARZYNSKI_ATOL}
     _write_summary(out_dir, {
         "config": config.to_json(),
         "seed": config.seed,
@@ -328,9 +337,9 @@ def _emit_tpm(report, config: RunConfig, out_dir: str):
             "z_ratio": report.z_ratio,
             "identity_residual": report.identity_residual,
         },
-        "law_checks": {"jarzynski_identity_ok": ok},
+        "law_checks": flags,
     })
-    return ok
+    return all(flags.values())
 
 
 def _emit_classical(report, config: RunConfig, out_dir: str):
@@ -347,10 +356,12 @@ def _emit_classical(report, config: RunConfig, out_dir: str):
          "backward_entropy", "identity_residual"],
         rows,
     )
-    ok = (
-        report.max_identity_residual <= 1e-8
-        and bool((report.sigma_record >= -1e-10).all())
-    )
+    flags = {
+        "difference_identity_ok": report.max_identity_residual <= CLASSICAL_IDENTITY_ATOL,
+        "record_production_nonnegative": bool(
+            (report.sigma_record >= RECORD_PRODUCTION_FLOOR).all()
+        ),
+    }
     _write_summary(out_dir, {
         "config": config.to_json(),
         "seed": config.seed,
@@ -358,12 +369,9 @@ def _emit_classical(report, config: RunConfig, out_dir: str):
             "max_identity_residual": report.max_identity_residual,
             "max_redefined_residual": report.max_redefined_residual,
         },
-        "law_checks": {
-            "difference_identity_ok": report.max_identity_residual <= 1e-8,
-            "record_production_nonnegative": bool((report.sigma_record >= -1e-10).all()),
-        },
+        "law_checks": flags,
     })
-    return ok
+    return all(flags.values())
 
 
 def emit_outputs(report, config: RunConfig, out_dir: str) -> bool:

@@ -17,22 +17,24 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
 
 from ..channels import Instrument, OutcomeBranch
-from ..lindblad import ThermalGenerator, n_thermal, thermal_cavity_generator
+from ..lindblad import ThermalGenerator, thermal_cavity_generator
 from ..qmath import DensityOperator, shannon_entropy
 from ..thermo import FIRST_LAW_ATOL, ThermoError, entropy_production_step, first_law_residual
 from ..trajectory import (
     ControlSchedule,
+    EnsembleReport,
     FeedbackPolicy,
     StepPlan,
     TrajectoryRecord,
     choose_branch,
     derive_stream_seed,
+    ensemble_statistics,
     sample_trajectory,
     stream_rng,
 )
@@ -242,11 +244,18 @@ class _DiagonalContext:
         self.policy = CavityPolicy(target_nt=config.target_nt, delay=config.delay_d)
 
 
+def _check_leak(populations, step: int) -> None:
+    """Raise ``TruncationLeakError`` if the cutoff level holds more than ``TRUNCATION_LEAK``."""
+    if populations[-1] > TRUNCATION_LEAK:
+        raise TruncationLeakError(
+            f"population {populations[-1]:.2e} at the cutoff level on step {step}"
+        )
+
+
 def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryRecord:
     cfg = ctx.config
     rng = stream_rng(seed)
     n_vec, step_map, beta = ctx.n_vec, ctx.step_map, ctx.beta
-    cutoff = cfg.cutoff
     p = ctx.p0
     log_prob = 0.0
     s_prev = shannon_entropy(p)
@@ -271,10 +280,7 @@ def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryReco
         label = choose_branch(probs, rng.random())
         prob = float(probs[label])
         post = weights[label] / prob
-        if post[cutoff] > TRUNCATION_LEAK:
-            raise TruncationLeakError(
-                f"population {post[cutoff]:.2e} at the cutoff level on step {step}"
-            )
+        _check_leak(post, step)
         e_end = float(n_vec @ post)
         q_ctrl = e_end - e_avg_post
         logp_inc = float(-np.log(prob)) + 0.0
@@ -303,13 +309,13 @@ def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryReco
 
 
 def _indexed_trajectories(config: CavityConfig, indices, run_one) -> list:
-    """Run ``run_one(seed)`` per trajectory index; law failures name the index."""
+    """Run ``run_one(seed)`` per trajectory index; law and leak failures name the index."""
     out = []
     for i in indices:
         try:
             out.append(run_one(derive_stream_seed(config.seed, i)))
-        except ThermoError as exc:
-            raise ThermoError(f"trajectory {i}: {exc}") from exc
+        except (ThermoError, TruncationLeakError) as exc:
+            raise type(exc)(f"trajectory {i}: {exc}") from exc
     return out
 
 
@@ -331,9 +337,8 @@ def _dense_chunk(config: CavityConfig, indices) -> list:
 
     def run_one(seed):
         rec = sample_trajectory(gen, schedule, policy, rho0, seed=seed, method=config.method)
-        for state in rec.states:
-            if np.real(np.diagonal(state))[config.cutoff] > TRUNCATION_LEAK:
-                raise TruncationLeakError("population reached the cutoff level")
+        for step, state in enumerate(rec.states, start=1):
+            _check_leak(number_populations(state), step)
         return rec
 
     return _indexed_trajectories(config, indices, run_one)
@@ -341,26 +346,20 @@ def _dense_chunk(config: CavityConfig, indices) -> list:
 
 @dataclass(frozen=True)
 class CavityReport:
-    """Per-step ensemble view of a stabilization run plus the raw records."""
+    """Per-step ensemble view of a stabilization run plus the raw records.
+
+    ``stats`` holds the per-step means and standard errors of every ledger
+    column, e.g. ``stats.column_means["sigma_ctrl"]``; the other arrays are
+    the cavity quantities no ledger column gives.
+    """
 
     config: CavityConfig
     records: tuple
     times: np.ndarray
     populations: np.ndarray       # (steps, dim) ensemble-average conditional populations
     mean_n_avg: np.ndarray
-    var_n_avg: np.ndarray
     var_below_fraction: np.ndarray  # fraction of trajectories with var(n) < 0.1
-    sigma_ctrl_avg: np.ndarray
-    sigma_ctrl_se: np.ndarray
-    sigma_seg_avg: np.ndarray
-    sigma_seg_se: np.ndarray
-    w_ctrl_avg: np.ndarray
-    q_ctrl_avg: np.ndarray
-    q_seg_avg: np.ndarray
-    logp_avg: np.ndarray
-    entropy_avg: np.ndarray
-    energy_avg: np.ndarray
-    atom_prep_avg: np.ndarray
+    stats: EnsembleReport
     efficiency: np.ndarray
     beta: float
     law_checks: dict
@@ -370,108 +369,75 @@ class CavityReport:
         return self.populations[:, n]
 
 
-def _efficiency_curve(
-    energy_avg, entropy_avg, w_ctrl_avg, logp_avg, beta, e0, s0
-) -> np.ndarray:
+def cavity_efficiency(report: CavityReport) -> np.ndarray:
     """Free-energy gain over resources spent, step by step.
 
     Resources are the integrated work put into the cavity plus the
     temperature-weighted information accumulated in the record; the gain
     is the nonequilibrium free energy relative to the initial Gibbs state.
+    The average Shannon entropy of the conditional state is, by linearity,
+    the mean stochastic entropy minus the accumulated mean information.
     The no-resources-yet corner reports zero.
     """
-    delta_f = (energy_avg - entropy_avg / beta) - (e0 - s0 / beta)
-    spent = np.cumsum(w_ctrl_avg) + np.cumsum(logp_avg) / beta
+    means = report.stats.column_means
+    beta = report.beta
+    information = np.cumsum(means["logp_increment"])
+    entropy_avg = means["s_end"] - information
+    n_vec = np.arange(report.config.dim, dtype=float)
+    p0 = thermal_populations(beta, report.config.dim)
+    e0, s0 = float(n_vec @ p0), shannon_entropy(p0)
+    delta_f = (means["e_sys_end"] - entropy_avg / beta) - (e0 - s0 / beta)
+    spent = np.cumsum(means["w_ctrl_sys"]) + information / beta
     eta = np.zeros_like(delta_f)
     ok = spent > 1e-12
     eta[ok] = delta_f[ok] / spent[ok]
     return eta
 
 
-def cavity_efficiency(report: "CavityReport", config: CavityConfig | None = None) -> np.ndarray:
-    """Recompute the per-step efficiency curve from an ensemble report."""
-    cfg = report.config if config is None else config
-    n_vec = np.arange(cfg.dim, dtype=float)
-    p0 = thermal_populations(report.beta, cfg.dim)
-    return _efficiency_curve(
-        report.energy_avg, report.entropy_avg, report.w_ctrl_avg, report.logp_avg,
-        report.beta, float(n_vec @ p0), shannon_entropy(p0),
-    )
-
-
 def _build_report(config: CavityConfig, records: list) -> CavityReport:
-    n_traj = len(records)
+    stats = ensemble_statistics(records)
+    populations = stats.mean_states  # dense records hold density matrices: keep the diagonal
+    if config.dense:
+        populations = np.real(np.diagonal(populations, axis1=1, axis2=2))
     pops = np.array([[number_populations(s) for s in r.states] for r in records])  # (N, steps, dim)
-    if pops[:, :, config.cutoff].max() > TRUNCATION_LEAK:
-        raise TruncationLeakError("population reached the cutoff level")
     n_vec = np.arange(config.dim, dtype=float)
     mean_n = pops @ n_vec
     var_n = pops @ (n_vec**2) - mean_n**2
-    batch = np.stack([r.ledgers for r in records])  # (N, steps)
-    sigma_ctrl = batch["sigma_ctrl"]
-    sigma_seg = batch["sigma_seg"]
-    w_ctrl = batch["w_ctrl_sys"]
-    logp = batch["logp_increment"]
-    e_end = batch["e_sys_end"]
-    entropy = batch["s_end"] - np.cumsum(logp, axis=1)
-    prep = np.array(
-        [[ATOM_PREP_WORK[k] for k in r.kinds] for r in records], dtype=float
-    )
-    nth = n_thermal(config.omega_c, config.temperature)
-    beta = float(np.log1p(1.0 / nth))
-    p0 = thermal_populations(beta, config.dim)
-    e0 = float(n_vec @ p0)
-    s0 = shannon_entropy(p0)
-    eff = _efficiency_curve(
-        e_end.mean(axis=0), entropy.mean(axis=0), w_ctrl.mean(axis=0),
-        logp.mean(axis=0), beta, e0, s0,
-    )
-
-    def se(data):
-        if n_traj < 2:
-            return np.zeros(data.shape[1])
-        return data.std(axis=0, ddof=1) / math.sqrt(n_traj)
-
-    law_checks = {
-        "first_law_max_residual": float(np.abs(first_law_residual(batch)).max()),
-        "sigma_seg_min": float(sigma_seg.min()),
-        "sigma_ctrl_avg_min": float(sigma_ctrl.mean(axis=0).min()),
-        "truncation_max": float(pops[:, :, config.cutoff].max()),
-        "efficiency_max": float(eff.max()),
-    }
-    totals = {
-        "work_cavity_total": float(w_ctrl.mean(axis=0).sum()),
-        "information_total_nats": float(logp.mean(axis=0).sum()),
-        "atom_prep_work_total": float(prep.mean(axis=0).sum()),
-        "p_target_final": float(pops[:, -1, config.target_nt].mean()),
-        "sensor_fraction": float(
-            np.mean([[k == "sensor" for k in r.kinds] for r in records])
-        ),
-    }
-    return CavityReport(
+    means = stats.column_means
+    report = CavityReport(
         config=config,
         records=tuple(records),
         times=np.asarray(records[0].times),
-        populations=pops.mean(axis=0),
-        mean_n_avg=mean_n.mean(axis=0),
-        var_n_avg=var_n.mean(axis=0),
+        populations=populations,
+        mean_n_avg=populations @ n_vec,
         var_below_fraction=(var_n < 0.1).mean(axis=0),
-        sigma_ctrl_avg=sigma_ctrl.mean(axis=0),
-        sigma_ctrl_se=se(sigma_ctrl),
-        sigma_seg_avg=sigma_seg.mean(axis=0),
-        sigma_seg_se=se(sigma_seg),
-        w_ctrl_avg=w_ctrl.mean(axis=0),
-        q_ctrl_avg=batch["q_ctrl_sys"].mean(axis=0),
-        q_seg_avg=batch["q_seg"].mean(axis=0),
-        logp_avg=logp.mean(axis=0),
-        entropy_avg=entropy.mean(axis=0),
-        energy_avg=e_end.mean(axis=0),
-        atom_prep_avg=prep.mean(axis=0),
-        efficiency=eff,
-        beta=beta,
-        law_checks=law_checks,
-        totals=totals,
+        stats=stats,
+        efficiency=None,
+        beta=config.generator().beta,
+        law_checks={},
+        totals={
+            "work_cavity_total": float(means["w_ctrl_sys"].sum()),
+            "information_total_nats": float(means["logp_increment"].sum()),
+            "atom_prep_work_total": float(
+                np.mean([sum(ATOM_PREP_WORK[k] for k in r.kinds) for r in records])
+            ),
+            "p_target_final": float(populations[-1, config.target_nt]),
+            "sensor_fraction": float(
+                np.mean([[k == "sensor" for k in r.kinds] for r in records])
+            ),
+        },
     )
+    eff = cavity_efficiency(report)  # reads only stats, beta and config
+    law_checks = {
+        "first_law_max_residual": max(
+            float(np.abs(first_law_residual(r.ledgers)).max()) for r in records
+        ),
+        "sigma_seg_min": min(float(r.ledgers["sigma_seg"].min()) for r in records),
+        "sigma_ctrl_avg_min": float(means["sigma_ctrl"].min()),
+        "truncation_max": float(pops[:, :, config.cutoff].max()),
+        "efficiency_max": float(eff.max()),
+    }
+    return replace(report, efficiency=eff, law_checks=law_checks)
 
 
 def law_flags(law_checks: dict) -> dict:

@@ -38,6 +38,11 @@ from .qmath import (
 FIRST_LAW_ATOL = 1e-10
 AVG_HEAT_ATOL = 1e-10
 SEGMENT_EP_FLOOR = -1e-6
+# Reported law thresholds of the projective, TPM and classical-limit runs.
+OUTCOME_ENTROPY_FLOOR = -1e-9  # outcome minus spectrum Shannon entropy
+JARZYNSKI_ATOL = 1e-10  # |<exp(-beta dE)> - Z1/Z0|
+CLASSICAL_IDENTITY_ATOL = 1e-8  # record - state - backward entropy production
+RECORD_PRODUCTION_FLOOR = -1e-10  # record-based entropy production
 
 
 class ThermoError(ValueError):

@@ -622,8 +622,8 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
             ses[col] = np.zeros(n_steps)
     mean_states = None
     if n_steps and all(len(r.states) == n_steps for r in records):
-        stacked = np.array([np.stack(r.states) for r in records])
-        mean_states = np.tensordot(wn, stacked, axes=1)
+        # record by record, so no (N, steps, ...) copy of every state is held
+        mean_states = sum(wi * np.stack(r.states) for wi, r in zip(wn, records))
     finals = np.array([r.final_state for r in records])
     mean_final = np.tensordot(wn, finals, axes=1)
     return EnsembleReport(

@@ -295,8 +295,18 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list:
-    """Run every invariant check on streams derived from ``seed``."""
+    """Run every invariant check on streams derived from ``seed``.
+
+    A check that raises one of the package's own error types (a law or a
+    precondition broke mid-run) counts as failed, with the error as its
+    detail, and the remaining checks still run.
+    """
     results = []
     for i, check in enumerate(ALL_CHECKS):
-        results.append(check(derive_stream_seed(seed, i) % (2**32)))
+        try:
+            results.append(check(derive_stream_seed(seed, i) % (2**32)))
+        except Exception as exc:
+            if not type(exc).__module__.startswith(f"{__package__}."):
+                raise
+            results.append(CheckResult(check.__name__, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -73,7 +73,7 @@ def test_criterion_01_stabilization_probability(cavity_run):
 def test_criterion_02_control_entropy_production(cavity_run):
     report, _ = cavity_run
     horizon = _horizon(report)
-    avg = float(report.sigma_ctrl_avg[2 * horizon :].mean())
+    avg = float(report.stats.column_means["sigma_ctrl"][2 * horizon :].mean())
     assert abs(avg - 0.70) <= 0.15
     print(f"\nACCEPTANCE 2 PASS: stabilized per-step Sigma_ctrl = {avg:.4f} nats "
           f"(target 0.70 +/- 0.15)")

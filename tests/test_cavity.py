@@ -253,3 +253,11 @@ class TestConfigValidation:
 
     def test_truncation_error_type(self):
         assert issubclass(TruncationLeakError, RuntimeError)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_leak_names_trajectory_and_step(self, dense):
+        config = CavityConfig(steps=12, trajectories=3, seed=83, cutoff=5, target_nt=1,
+                              delay_d=3, dense=dense)
+        with pytest.raises(TruncationLeakError,
+                           match=r"^trajectory 1: population \S+ at the cutoff level on step 11$"):
+            run_cavity(config)

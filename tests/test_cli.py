@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from oqst.cli import (
@@ -12,6 +13,7 @@ from oqst.cli import (
     EXIT_OK,
     CliError,
     RunConfig,
+    _prepare_run,
     emit_outputs,
     main,
     parse_config,
@@ -180,6 +182,32 @@ class TestExecution:
         assert summary["law_checks"][flag] is False
         assert summary["law_checks"]["first_law_ok"] is True
 
+    @pytest.mark.parametrize("scenario, broken, flag", [
+        ("projective", {"avg_heat": 1e-6}, "avg_heat_zero"),
+        ("tpm", {"exp_average": 2.0}, "jarzynski_identity_ok"),
+        ("classical", {"sigma_record": -np.ones(5)}, "record_production_nonnegative"),
+    ])
+    def test_noncavity_law_flags(self, tmp_path, scenario, broken, flag):
+        params = {"steps": 5} if scenario == "classical" else {}
+        config = RunConfig(scenario=scenario, params=params)
+        report = dataclasses.replace(_prepare_run(config)(), **broken)
+        assert emit_outputs(report, config, str(tmp_path)) is False
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["law_checks"][flag] is False
+
+    @pytest.mark.parametrize("scenario, params, workers", [
+        ("cavity", {"steps": 5, "traj": 2.5}, 1),
+        ("classical", {"steps": 2.5}, 1),
+        ("cavity", {"steps": 5, "traj": True}, 1),
+        ("cavity", {"steps": 5, "traj": 2}, 2.7),
+    ])
+    def test_non_integer_count_exit_code(self, tmp_path, scenario, params, workers):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": scenario, "params": params, "workers": workers}))
+        code = main(["run", scenario, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_io_failure_exit_code(self, tmp_path):
         # creating the output directory under a regular file cannot work
         blocker = tmp_path / "file"
@@ -197,6 +225,26 @@ class TestExecution:
         )
         code = main(["verify", "--out", str(tmp_path)])
         assert code == EXIT_INVARIANT
+
+    def test_verify_reports_a_raising_check(self, tmp_path, monkeypatch, capsys):
+        import oqst.verify as verify_mod
+        from oqst.thermo import ThermoError
+        from oqst.verify import CheckResult
+
+        def check_raises(seed):
+            raise ThermoError("trajectory 2: broken law on step 5")
+
+        monkeypatch.setattr(verify_mod, "ALL_CHECKS", (
+            check_raises, lambda seed: CheckResult("stub", True, "ok"),
+        ))
+        code = main(["verify", "--out", str(tmp_path)])
+        assert code == EXIT_INVARIANT
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert checks["check_raises"] == {
+            "passed": False, "detail": "ThermoError: trajectory 2: broken law on step 5",
+        }
+        assert checks["stub"]["passed"] is True
 
     def test_verify_success_exit_code(self, tmp_path, monkeypatch):
         import oqst.verify as verify_mod
