@@ -133,13 +133,6 @@ class BranchResult:
     state: DensityOperator | None
 
 
-def branch_probabilities(instr: Instrument, mat: np.ndarray) -> np.ndarray:
-    """Branch probabilities in label order for a state given as a matrix."""
-    return np.array(
-        [np.trace(b.apply_matrix(mat)).real for b in instr.outcomes], dtype=float
-    )
-
-
 def apply_instrument(instr: Instrument, rho: DensityOperator) -> list[BranchResult]:
     """Apply every branch, returning (label, probability, normalized state) triples.
 

@@ -48,6 +48,7 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 SCENARIOS = ("cavity", "projective", "tpm", "classical")
+CLASSICAL_MODES = ("enumerate", "gillespie")
 
 _DEFAULT_PARAMS = {
     "cavity": {
@@ -84,6 +85,8 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS + ("verify",):
             raise CliError(f"unknown scenario {self.scenario!r}")
+        if type(self.seed) is not int:
+            raise CliError(f"seed must be an integer, got {self.seed!r}")
         defaults = _DEFAULT_PARAMS.get(self.scenario, {})
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -95,6 +98,8 @@ class RunConfig:
                 if type(value) is not int or value < _COUNT_MINIMA[key]:
                     raise CliError(f"{key} must be an integer of at least "
                                    f"{_COUNT_MINIMA[key]}, got {value!r}")
+            elif key == "mode" and value not in CLASSICAL_MODES:
+                raise CliError(f"mode must be one of {CLASSICAL_MODES}, got {value!r}")
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 if key in ("beta", "dt", "omega") and value <= 0:
                     raise CliError(f"parameter {key} must be positive")
@@ -132,6 +137,8 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - allowed
     if unknown:
         raise CliError(f"unknown config keys {sorted(unknown)}")
+    if not isinstance(data.get("params", {}), dict):
+        raise CliError(f"config params must be a JSON object, got {data['params']!r}")
     return data
 
 
@@ -161,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dense", action="store_true", default=None)
     run_p.add_argument("--beta", type=float, default=None)
     run_p.add_argument("--dt", type=float, default=None)
-    run_p.add_argument("--mode", choices=("enumerate", "gillespie"), default=None)
+    run_p.add_argument("--mode", choices=CLASSICAL_MODES, default=None)
     run_p.add_argument("--omega", type=float, default=None)
 
     ver_p = sub.add_parser("verify", help="run the invariant suite")
@@ -199,7 +206,7 @@ def parse_config(argv) -> RunConfig:
     out_dir = ns.out if ns.out is not None else file_cfg.get("out")
     workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
     return RunConfig(
-        scenario=scenario, params=params, seed=int(seed),
+        scenario=scenario, params=params, seed=seed,
         out_dir=out_dir, workers=workers,
     )
 
@@ -247,7 +254,7 @@ def _write_columns(path: str, columns: dict):
 def _emit_cavity(report, config: RunConfig, out_dir: str):
     rec = report.records[0]
     led = rec.ledgers
-    pops = [number_populations(state) for state in rec.states]
+    pops = number_populations(rec.states)
     n_vec = np.arange(pops[0].size)
     mean_n = [float(n_vec @ p) for p in pops]
     _write_columns(os.path.join(out_dir, "trajectory.csv"), {

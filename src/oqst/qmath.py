@@ -51,11 +51,6 @@ def hermitize(a) -> np.ndarray:
     return 0.5 * (m + dag(m))
 
 
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
-    m = as_matrix(a)
-    return bool(np.max(np.abs(m - dag(m))) <= atol)
-
-
 def is_unitary(a, atol: float = HERMITICITY_ATOL) -> bool:
     m = as_matrix(a)
     return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= atol)
@@ -189,11 +184,13 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def shannon_entropy(p) -> float:
-    """-sum p ln p in nats over the entries of a probability vector."""
+def shannon_entropy(p):
+    """-sum p ln p in nats over the last axis; entries up to ``EIG_CLAMP`` count as zero.
+
+    A probability vector gives a float, a stack of them one entropy per vector.
+    """
     v = np.asarray(p, dtype=float)
-    nz = v[v > EIG_CLAMP]
-    return float(-np.sum(nz * np.log(nz)))
+    return -(v * np.log(v, out=np.zeros_like(v), where=v > EIG_CLAMP)).sum(axis=-1)
 
 
 def mutual_information(joint, dims, cut) -> float:

@@ -16,7 +16,9 @@ the same outcome sequences from the same seeds.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +27,9 @@ from scipy.linalg import expm
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, thermal_cavity_generator
 from ..qmath import DensityOperator, shannon_entropy
-from ..thermo import FIRST_LAW_ATOL, ThermoError, entropy_production_step, first_law_residual
+from ..thermo import (
+    FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
+)
 from ..trajectory import (
     ControlSchedule,
     EnsembleReport,
@@ -162,46 +166,43 @@ def atom_instrument(kind: str, target_nt: int, cutoff: int) -> Instrument:
     return Instrument(dim=cutoff + 1, outcomes=branches)
 
 
-def feedback_decision(estimate, target_nt: int) -> str:
-    """Steering rule on a population estimate; ties keep measuring."""
+def feedback_decision(estimate, target_nt: int) -> np.ndarray:
+    """Steering rule on population estimates over the last axis; ties keep measuring."""
     p = np.asarray(estimate, dtype=float)
-    p_target = p[target_nt]
-    if p[target_nt + 1 :].sum() > p_target:
-        return "absorber"
-    if p[:target_nt].sum() > p_target:
-        return "emitter"
-    return "sensor"
+    p_target = p[..., target_nt]
+    return np.where(p[..., target_nt + 1 :].sum(axis=-1) > p_target, "absorber",
+                    np.where(p[..., :target_nt].sum(axis=-1) > p_target, "emitter", "sensor"))
 
 
-def number_populations(state) -> np.ndarray:
-    """Number-basis populations of a population vector or a density matrix."""
-    m = np.asarray(state)
-    return np.real(np.diagonal(m)) if m.ndim == 2 else np.real(m)
+def number_populations(states) -> np.ndarray:
+    """Number-basis populations of (steps, dim) population vectors or (steps, dim, dim) matrices."""
+    m = np.asarray(states)
+    return np.real(np.diagonal(m, axis1=-2, axis2=-1)) if m.ndim == 3 else np.real(m)
 
 
 class CavityPolicy(FeedbackPolicy):
-    """Delayed-estimate feedback with a post-feedback hold-off window."""
+    """Delayed-estimate feedback with a post-feedback hold-off window of ``delay`` steps."""
 
-    def __init__(self, target_nt: int, delay: int, cooldown: int | None = None,
-                 instruments: dict | None = None):
+    def __init__(self, target_nt: int, delay: int, instruments: dict | None = None):
         self.instruments = instruments
         self.target_nt = target_nt
         self.delay = delay
-        self.cooldown = delay if cooldown is None else cooldown
 
-    def decide(self, step: int, estimate, kinds) -> str:
-        # hold off iff a feedback atom went out within the last `cooldown` steps
-        if self.cooldown:
-            lo = max(0, step - self.cooldown - 1)
-            for kind in kinds[lo : step - 1]:
-                if kind in FEEDBACK_KINDS:
-                    return "sensor"
-        return feedback_decision(number_populations(estimate), self.target_nt)
+    def decide(self, step: int, populations, kinds) -> np.ndarray:
+        """Atom kind(s) for ``step`` from ``(..., dim)`` population estimates.
+
+        ``kinds`` lists the kinds sent so far, step first: a tuple for one
+        trajectory, a ``(step - 1, ...)`` array for a batch.
+        """
+        # hold off iff a feedback atom went out within the last `delay` steps
+        recent = np.asarray(kinds[max(0, step - self.delay - 1) : step - 1], dtype=str)
+        held = (recent[..., None] == FEEDBACK_KINDS).any(axis=-1).any(axis=0)
+        return np.where(held, "sensor", feedback_decision(populations, self.target_nt))
 
     def plan(self, step, estimate, outcomes, kinds):
         if self.instruments is None:
             raise RuntimeError("policy was built without instrument operators")
-        kind = self.decide(step, estimate, kinds)
+        kind = str(self.decide(step, np.real(np.diagonal(estimate)), kinds))
         return StepPlan(instrument=self.instruments[kind], kind=kind)
 
 
@@ -220,110 +221,102 @@ def thermal_populations(beta: float, dim: int) -> np.ndarray:
     return w / w.sum()
 
 
-class _DiagonalContext:
-    """Precomputed tables for the population-vector sampler."""
-
-    def __init__(self, config: CavityConfig):
-        self.config = config
-        gen = config.generator()
-        self.beta = gen.beta
-        self.n_vec = np.arange(config.dim, dtype=float)
-        self.nsq_vec = self.n_vec**2
-        rates = classical_rate_matrix(gen)
-        if config.exact_propagator:
-            self.step_map = expm(rates * config.step_ta)
-        else:
-            self.step_map = np.eye(config.dim) + rates * config.step_ta
-        self.transfer = {
-            kind: atom_transfer(kind, config.target_nt, config.cutoff)
-            for kind in ATOM_KINDS
-        }
-        self.avg_transfer = {k: m[0] + m[1] for k, m in self.transfer.items()}
-        self.p0 = thermal_populations(self.beta, config.dim)
-        self.times = tuple((i + 1) * config.step_ta for i in range(config.steps))
-        self.policy = CavityPolicy(target_nt=config.target_nt, delay=config.delay_d)
-
-
-def _check_leak(populations, step: int) -> None:
-    """Raise ``TruncationLeakError`` if the cutoff level holds more than ``TRUNCATION_LEAK``."""
-    if populations[-1] > TRUNCATION_LEAK:
+def _check_leak(populations) -> None:
+    """Raise ``TruncationLeakError`` on the first step of a trajectory's (steps, dim)
+    populations whose cutoff level holds more than ``TRUNCATION_LEAK``."""
+    top = populations[:, -1]
+    leaking = top > TRUNCATION_LEAK
+    if leaking.any():
+        k = int(np.argmax(leaking))
         raise TruncationLeakError(
-            f"population {populations[-1]:.2e} at the cutoff level on step {step}"
+            f"population {top[k]:.2e} at the cutoff level on step {k + 1}"
         )
 
 
-def _run_diagonal_trajectory(ctx: _DiagonalContext, seed: int) -> TrajectoryRecord:
-    cfg = ctx.config
-    rng = stream_rng(seed)
-    n_vec, step_map, beta = ctx.n_vec, ctx.step_map, ctx.beta
-    p = ctx.p0
-    log_prob = 0.0
-    s_prev = shannon_entropy(p)
-    estimates = [p]
-    outcomes: list = []
-    kinds: list = []
-    rows: list = []
-    states: list = []
-    for step in range(1, cfg.steps + 1):
-        e_start = float(n_vec @ p)
-        s_start = s_prev
-        p_mid = step_map @ p
-        e_pre = float(n_vec @ p_mid)
-        q_seg = e_pre - e_start
-        s_pre = log_prob + shannon_entropy(p_mid)
-        est = estimates[max(0, step - cfg.delay_d)] if cfg.delay_d > 0 else p_mid
-        kind = ctx.policy.decide(step, est, kinds)
-        weights = ctx.transfer[kind] @ p_mid  # (2, dim)
-        probs = weights.sum(axis=1)
-        e_avg_post = float(n_vec @ (weights[0] + weights[1]))
-        w_ctrl = e_avg_post - e_pre
-        label = choose_branch(probs, rng.random())
-        prob = float(probs[label])
-        post = weights[label] / prob
-        _check_leak(post, step)
-        e_end = float(n_vec @ post)
-        q_ctrl = e_end - e_avg_post
-        logp_inc = float(-np.log(prob)) + 0.0
-        log_prob += logp_inc
-        s_end = log_prob + shannon_entropy(post)
-        # LEDGER_DTYPE order; the sigma columns are filled on closing
-        rows.append((
-            step, label, logp_inc, e_start, e_pre, e_end, 0.0, 0.0, q_seg,
-            w_ctrl, 0.0, q_ctrl, 0.0, s_start, s_pre, s_end, np.nan, np.nan,
-        ))
-        outcomes.append(int(label))
-        kinds.append(kind)
-        estimates.append(post)
-        states.append(post)
-        p = post
-        s_prev = s_end
-    return TrajectoryRecord(
-        outcomes=tuple(outcomes),
-        kinds=tuple(kinds),
-        log_prob=log_prob,
-        ledgers=entropy_production_step(rows, beta),
-        states=tuple(states),
-        final_state=p,
-        times=ctx.times,
-    )
-
-
-def _indexed_trajectories(config: CavityConfig, indices, run_one) -> list:
-    """Run ``run_one(seed)`` per trajectory index; law and leak failures name the index."""
-    out = []
-    for i in indices:
-        try:
-            out.append(run_one(derive_stream_seed(config.seed, i)))
-        except (ThermoError, TruncationLeakError) as exc:
-            raise type(exc)(f"trajectory {i}: {exc}") from exc
-    return out
+@contextmanager
+def _naming_trajectory(i: int):
+    """Prefix law and leak failures raised inside with the trajectory index ``i``."""
+    try:
+        yield
+    except (ThermoError, TruncationLeakError) as exc:
+        raise type(exc)(f"trajectory {i}: {exc}") from exc
 
 
 def _diagonal_chunk(config: CavityConfig, indices) -> list:
-    ctx = _DiagonalContext(config)
-    return _indexed_trajectories(
-        config, indices, lambda seed: _run_diagonal_trajectory(ctx, seed)
-    )
+    """Sample the population path of trajectories ``indices`` in one pass over the steps.
+
+    Each trajectory draws its uniforms from its own stream, and every
+    per-trajectory number comes from elementwise products and last-axis
+    sums, so a record does not depend on the chunk it was sampled in.
+    """
+    gen = config.generator()
+    rates = classical_rate_matrix(gen)
+    if config.exact_propagator:
+        step_map = expm(rates * config.step_ta)
+    else:
+        step_map = np.eye(config.dim) + rates * config.step_ta
+    transfer = {kind: atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS}
+    policy = CavityPolicy(config.target_nt, config.delay_d)
+    n, steps, delay = len(indices), config.steps, config.delay_d
+    uniforms = np.array([
+        stream_rng(derive_stream_seed(config.seed, i)).random(steps) for i in indices
+    ])
+    n_vec = np.arange(config.dim, dtype=float)
+    p0 = thermal_populations(gen.beta, config.dim)
+    p = np.tile(p0, (n, 1))
+    states = np.empty((n, steps, config.dim))
+    kinds = np.empty((steps, n), dtype="<U8")
+    ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
+    ledger["step"] = np.arange(1, steps + 1)
+    weights = np.empty((n, 2, config.dim))  # joint (outcome, post level) weights of a step
+    rows = np.arange(n)
+    log_prob = np.zeros(n)
+    e_start, s_start = (n_vec * p).sum(axis=-1), shannon_entropy(p)
+    for k in range(steps):
+        p_mid = (step_map * p[:, None, :]).sum(axis=-1)
+        e_pre = (n_vec * p_mid).sum(axis=-1)
+        s_pre = log_prob + shannon_entropy(p_mid)
+        estimate = p_mid if delay == 0 else (states[:, k - delay] if k >= delay else p0)
+        kind = policy.decide(k + 1, estimate, kinds[:k])
+        for name, t in transfer.items():
+            sel = kind == name
+            weights[sel] = (t * p_mid[sel, None, None, :]).sum(axis=-1)
+        probs = weights.sum(axis=-1)
+        e_avg_post = (n_vec * (weights[:, 0] + weights[:, 1])).sum(axis=-1)
+        label = choose_branch(probs, uniforms[:, k])
+        prob = probs[rows, label]
+        post = weights[rows, label] / prob[:, None]
+        e_end = (n_vec * post).sum(axis=-1)
+        logp_inc = -np.log(prob) + 0.0  # avoid -0.0 for certain outcomes
+        log_prob = log_prob + logp_inc
+        s_end = log_prob + shannon_entropy(post)
+        row = ledger[:, k]  # the sigma columns are filled on closing
+        row["outcome"], row["logp_increment"] = label, logp_inc
+        row["e_sys_start"], row["e_sys_pre"], row["e_sys_end"] = e_start, e_pre, e_end
+        row["q_seg"], row["w_ctrl_sys"], row["q_ctrl_sys"] = (
+            e_pre - e_start, e_avg_post - e_pre, e_end - e_avg_post
+        )
+        row["s_start"], row["s_pre"], row["s_end"] = s_start, s_pre, s_end
+        states[:, k] = post
+        kinds[k] = kind
+        p, e_start, s_start = post, e_end, s_end
+
+    times = tuple((i + 1) * config.step_ta for i in range(steps))
+    records = []
+    for j, i in enumerate(indices):  # fail as a run one trajectory at a time would: leak first
+        with _naming_trajectory(i):
+            _check_leak(states[j])
+            closed = entropy_production_step(ledger[j], gen.beta)
+        records.append(TrajectoryRecord(
+            outcomes=tuple(closed.outcome.tolist()),
+            kinds=tuple(map(sys.intern, kinds[:, j].tolist())),  # one str object per kind
+            log_prob=float(log_prob[j]),
+            ledgers=closed,
+            states=states[j],
+            final_state=states[j, -1],
+            times=times,
+        ))
+    return records
 
 
 def _dense_chunk(config: CavityConfig, indices) -> list:
@@ -334,14 +327,14 @@ def _dense_chunk(config: CavityConfig, indices) -> list:
     policy = CavityPolicy(config.target_nt, config.delay_d, instruments=instruments)
     schedule = ControlSchedule.uniform(config.steps, config.step_ta)
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
-
-    def run_one(seed):
-        rec = sample_trajectory(gen, schedule, policy, rho0, seed=seed, method=config.method)
-        for step, state in enumerate(rec.states, start=1):
-            _check_leak(number_populations(state), step)
-        return rec
-
-    return _indexed_trajectories(config, indices, run_one)
+    records = []
+    for i in indices:
+        with _naming_trajectory(i):
+            rec = sample_trajectory(gen, schedule, policy, rho0,
+                                    seed=derive_stream_seed(config.seed, i), method=config.method)
+            _check_leak(number_populations(rec.states))
+        records.append(rec)
+    return records
 
 
 @dataclass(frozen=True)
@@ -396,10 +389,8 @@ def cavity_efficiency(report: CavityReport) -> np.ndarray:
 
 def _build_report(config: CavityConfig, records: list) -> CavityReport:
     stats = ensemble_statistics(records)
-    populations = stats.mean_states  # dense records hold density matrices: keep the diagonal
-    if config.dense:
-        populations = np.real(np.diagonal(populations, axis1=1, axis2=2))
-    pops = np.array([[number_populations(s) for s in r.states] for r in records])  # (N, steps, dim)
+    populations = number_populations(stats.mean_states)
+    pops = np.stack([number_populations(r.states) for r in records])  # (N, steps, dim)
     n_vec = np.arange(config.dim, dtype=float)
     mean_n = pops @ n_vec
     var_n = pops @ (n_vec**2) - mean_n**2

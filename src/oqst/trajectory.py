@@ -78,18 +78,25 @@ def stream_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
 
 
-def choose_branch(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF pick in ascending label order; ties go to the lower label."""
-    cum = np.cumsum(probs)
-    if cum[-1] < 1e-12:
+def choose_branch(probs, u):
+    """Inverse-CDF pick over the last axis in ascending label order.
+
+    Ties go to the lower label, and a pick that lands on a sub-floor branch
+    walks back to the nearest lower viable one.  ``probs`` of shape
+    ``(..., k)`` with uniforms ``u`` of shape ``(...)`` give labels of
+    shape ``(...)``.
+    """
+    probs = np.asarray(probs, dtype=float)
+    cum = probs.cumsum(axis=-1)
+    if (cum[..., -1] < 1e-12).any():
         raise EngineError("no branch carries probability mass; broken instrument")
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    while idx > 0 and probs[idx] < PROB_FLOOR:
-        idx -= 1
-    if probs[idx] < PROB_FLOOR:
+    k = probs.shape[-1]
+    # labels at or below the searchsorted(side="right") position, capped at k - 1
+    reach = np.arange(k) <= (cum <= np.asarray(u)[..., None]).sum(axis=-1, keepdims=True)
+    viable = reach & (probs >= PROB_FLOOR)
+    if not viable.any(axis=-1).all():
         raise EngineError("impossible-branch selection; broken instrument")
-    return idx
+    return k - 1 - viable[..., ::-1].argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +185,7 @@ class TrajectoryRecord:
     kinds: tuple
     log_prob: float
     ledgers: np.recarray
-    states: tuple  # post-control conditional system states (matrices)
+    states: np.ndarray  # (steps, ...) post-control conditional system states
     final_state: np.ndarray
     times: tuple
 
@@ -464,7 +471,7 @@ class _Engine:
             kinds=tuple(cur.kinds),
             log_prob=cur.log_prob,
             ledgers=entropy_production_step(cur.ledgers, self.gen.beta),
-            states=tuple(cur.states),
+            states=np.array(cur.states),
             final_state=cur.mat,
             times=self.schedule.times,
         )
@@ -527,7 +534,6 @@ def enumerate_tree(
     schedule: ControlSchedule,
     policy: FeedbackPolicy,
     rho0: DensityOperator,
-    max_steps: int | None = None,
     *,
     method: str = "exact",
     substeps: int = 1,
@@ -535,7 +541,6 @@ def enumerate_tree(
     max_units: int = 4,
     store_states: bool = True,
     hamiltonian0=None,
-    prob_floor: float = PROB_FLOOR,
     max_leaves: int = MAX_TREE_LEAVES,
 ) -> list:
     """Exact outcome-tree expansion: (outcome sequence, probability, record) leaves.
@@ -543,7 +548,6 @@ def enumerate_tree(
     Probabilities across leaves sum to one up to the discarded sub-floor
     branches; each record's ``log_prob`` is the exact -ln(probability).
     """
-    n_steps = schedule.n_steps if max_steps is None else min(max_steps, schedule.n_steps)
     eng = _Engine(
         gen, schedule, policy, rho0,
         method=method, substeps=substeps,
@@ -555,7 +559,7 @@ def enumerate_tree(
     stack = [(eng.initial(), 1)]
     while stack:
         cur, step = stack.pop()
-        if step > n_steps:
+        if step > schedule.n_steps:
             record = eng.finish(cur)
             leaves.append((record.outcomes, cur.prob, record))
             if len(leaves) > max_leaves:
@@ -565,7 +569,7 @@ def enumerate_tree(
         est = eng.estimate(cur, step)
         plan = eng.policy.plan(step, est, tuple(cur.outcomes), tuple(cur.kinds))
         ce, branches = eng.control_branches(cur, plan)
-        viable = [b for b in branches if b[1] >= prob_floor]
+        viable = [b for b in branches if b[1] >= PROB_FLOOR]
         # Descend in reverse label order so the stack pops lower labels first.
         for i, br in enumerate(reversed(viable)):
             child = cur if i == len(viable) - 1 else cur.clone()
@@ -623,7 +627,7 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
     mean_states = None
     if n_steps and all(len(r.states) == n_steps for r in records):
         # record by record, so no (N, steps, ...) copy of every state is held
-        mean_states = sum(wi * np.stack(r.states) for wi, r in zip(wn, records))
+        mean_states = sum(wi * r.states for wi, r in zip(wn, records))
     finals = np.array([r.final_state for r in records])
     mean_final = np.tensordot(wn, finals, axes=1)
     return EnsembleReport(

@@ -178,6 +178,7 @@ class TestCavityRun:
         for ra, rb in zip(base.records, multi.records):
             assert ra.outcomes == rb.outcomes
             assert ra.kinds == rb.kinds
+            assert np.array_equal(ra.ledgers, rb.ledgers)
         assert np.array_equal(base.populations, multi.populations)
 
     def test_long_single_realization(self):

@@ -208,6 +208,21 @@ class TestExecution:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"scenario": "tpm", "seed": 2.5},
+        {"scenario": "tpm", "seed": True},
+        {"scenario": "tpm", "seed": "x"},
+        {"scenario": "tpm", "params": [1]},
+        {"scenario": "classical", "params": {"steps": 5, "mode": "foo"}},
+    ])
+    def test_invalid_config_file_value_exit_code(self, tmp_path, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code = main(["run", config["scenario"], "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_io_failure_exit_code(self, tmp_path):
         # creating the output directory under a regular file cannot work
         blocker = tmp_path / "file"

@@ -1,7 +1,10 @@
-"""Every module under ``src/oqst`` uses each name it imports.
+"""Every module under ``src/oqst`` uses each name it imports, and every
+public function is named somewhere.
 
-A name counts as used when it is read anywhere in the module or listed in
-its ``__all__``; ``from __future__`` imports are exempt.
+An import counts as used when it is read anywhere in the module or listed
+in its ``__all__``; ``from __future__`` imports are exempt.  A public
+module-level function counts as used when any file under ``src/`` or
+``tests/`` names it (a read, an attribute or an import) other than its def.
 """
 
 import ast
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "oqst"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "oqst"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -41,3 +45,43 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def named(sources) -> set:
+    """Every identifier the sources read, take as an attribute or import."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+                names.add(node.name)
+    return names
+
+
+def unnamed_functions(module_source: str, names: set) -> list:
+    tree = ast.parse(module_source)
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in names
+    )
+
+
+def test_scan_finds_an_unnamed_function():
+    module = ("def used():\n    pass\n\ndef dead():\n    return used()\n\n"
+              "def _private():\n    pass\n")
+    assert unnamed_functions(module, named([module])) == ["dead"]
+
+
+def test_every_public_function_is_named():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    names = named(path.read_text(encoding="utf-8") for path in files)
+    dead = {
+        str(path.relative_to(SRC)): unnamed_functions(path.read_text(encoding="utf-8"), names)
+        for path in MODULES
+    }
+    assert {mod: fns for mod, fns in dead.items() if fns} == {}

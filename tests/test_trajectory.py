@@ -54,6 +54,28 @@ class TestChooseBranch:
         with pytest.raises(EngineError):
             choose_branch(np.array([0.0, 0.0]), 0.5)
 
+    def test_batch_agrees_with_rows(self):
+        # plain picks, a tie, and picks past a short total that walk back over
+        # one and two sub-floor branches
+        probs = np.array([
+            [0.2, 0.3, 0.5], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.3, 0.3, 0.0], [0.5, 0.0, 0.0],
+        ])
+        u = np.array([0.25, 0.5, 0.4999, 0.9, 0.7])
+        picks = choose_branch(probs, u)
+        assert picks.shape == (5,)
+        assert picks.tolist() == [choose_branch(p, x) for p, x in zip(probs, u)]
+        assert picks.tolist() == [1, 2, 0, 1, 0]
+
+    @pytest.mark.parametrize("bad_row, u, match", [
+        ([0.0, 0.0], 0.5, "no branch carries probability mass"),
+        ([1e-16, 1.0], 0.0, "impossible-branch selection"),
+    ])
+    def test_batch_raises_like_rows(self, bad_row, u, match):
+        with pytest.raises(EngineError, match=match):
+            choose_branch(np.array(bad_row), u)
+        with pytest.raises(EngineError, match=match):
+            choose_branch(np.array([[0.5, 0.5], bad_row]), np.array([0.3, u]))
+
 
 class TestSampling:
     def test_empty_schedule_propagates(self):
