@@ -2,15 +2,18 @@
 
 An :class:`Instrument` is a family of completely positive maps, one per
 outcome label, given in operator-sum (Kraus) form and summing to a trace
-preserving map.  :func:`ancilla_dilation` rewrites any instrument as a
+preserving map.  :func:`stinespring_dilate` rewrites any instrument as a
 fresh ancilla ("unit") in a pure state, a joint unitary, and a projective
 readout of the unit; that form is what fixes the work/heat split of a
-control operation in the thermodynamics layer.
+control operation in the thermodynamics layer.  An instrument is
+immutable, so it computes its completeness deviation and its dilation at
+most once and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +67,8 @@ class Instrument:
 
     Construction checks shapes and label ordering only; completeness is the
     job of :func:`verify_instrument` so that deliberately broken instruments
-    can still be built and reported on.
+    can still be built and reported on.  The completeness deviation and
+    the dilation are computed on first use and kept on the instance.
     """
 
     dim: int
@@ -95,12 +99,18 @@ class Instrument:
         """True when every branch has exactly one Kraus operator."""
         return all(len(b.kraus) == 1 for b in self.outcomes)
 
+    @cached_property
     def completeness_deviation(self) -> float:
+        """max |sum_{r,a} A_a(r)† A_a(r) - 1| over the matrix entries."""
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for b in self.outcomes:
             for k in b.kraus:
                 total += dag(k) @ k
         return float(np.max(np.abs(total - np.eye(self.dim))))
+
+    @cached_property
+    def _dilation(self) -> "StinespringDilation":
+        return _dilate(self)
 
     def branch(self, label: int) -> OutcomeBranch:
         for b in self.outcomes:
@@ -117,7 +127,7 @@ class VerificationReport:
 
 def verify_instrument(instr: Instrument, atol: float = COMPLETENESS_ATOL) -> VerificationReport:
     """Check sum_{r,a} A_a†(r) A_a(r) == identity within ``atol``."""
-    dev = instr.completeness_deviation()
+    dev = instr.completeness_deviation
     return VerificationReport(passed=dev <= atol, max_deviation=dev)
 
 
@@ -267,7 +277,12 @@ def stinespring_dilate(instr: Instrument) -> StinespringDilation:
     deterministically on the remaining columns.  The projector of outcome
     ``r`` is the sum of ``|index><index|`` over that branch, with any pad
     levels attached to the last outcome so the readout stays complete.
+    Built once per instrument; later calls return the same object.
     """
+    return instr._dilation
+
+
+def _dilate(instr: Instrument) -> StinespringDilation:
     report = verify_instrument(instr)
     if not report.passed:
         raise ChannelError(

@@ -192,16 +192,11 @@ def parse_config(argv) -> RunConfig:
     if not scenario:
         raise CliError("no scenario given")
     params = dict(file_cfg.get("params", {}))
-    flag_map = {
-        "steps": "steps", "traj": "traj", "target": "target", "delay": "delay",
-        "cutoff": "cutoff", "exact_propagator": "exact_propagator",
-        "dense": "dense", "beta": "beta", "dt": "dt", "mode": "mode",
-        "omega": "omega",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(ns, attr, None)
-        if value is not None:
-            params[key] = value
+    for defaults in _DEFAULT_PARAMS.values():  # a flag is named after its parameter
+        for key in defaults:
+            value = getattr(ns, key, None)
+            if value is not None:
+                params[key] = value
     seed = ns.seed if ns.seed is not None else file_cfg.get("seed", 0)
     out_dir = ns.out if ns.out is not None else file_cfg.get("out")
     workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
@@ -232,13 +227,6 @@ def _json_ready(obj):
     return obj
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_summary(out_dir: str, payload: dict):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
@@ -248,7 +236,10 @@ def _write_summary(out_dir: str, payload: dict):
 def _write_columns(path: str, columns: dict):
     """CSV from named columns; numbers go through ``fmt``, strings as they are."""
     cells = [[v if isinstance(v, str) else fmt(v) for v in col] for col in columns.values()]
-    _write_csv(path, list(columns), zip(*cells))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*cells))
 
 
 def _emit_cavity(report, config: RunConfig, out_dir: str):
@@ -292,18 +283,13 @@ def _emit_cavity(report, config: RunConfig, out_dir: str):
 
 
 def _emit_projective(report, config: RunConfig, out_dir: str):
-    rows = []
-    for i, label in enumerate(report.labels):
-        rows.append([
-            label, fmt(report.probabilities[i]),
-            fmt(report.q_ctrl.get(label, 0.0)), fmt(report.q_closed.get(label, 0.0)),
-            fmt(report.post_energies.get(label, 0.0)),
-        ])
-    _write_csv(
-        os.path.join(out_dir, "outcomes.csv"),
-        ["outcome", "probability", "Q_ctrl", "Q_closed", "post_energy"],
-        rows,
-    )
+    labels = report.labels
+    _write_columns(os.path.join(out_dir, "outcomes.csv"), {
+        "outcome": labels, "probability": report.probabilities,
+        "Q_ctrl": [report.q_ctrl.get(r, 0.0) for r in labels],
+        "Q_closed": [report.q_closed.get(r, 0.0) for r in labels],
+        "post_energy": [report.post_energies.get(r, 0.0) for r in labels],
+    })
     flags = {
         "avg_heat_zero": abs(report.avg_heat) <= AVG_HEAT_ATOL,
         "outcome_entropy_dominates": report.entropy_gain >= OUTCOME_ENTROPY_FLOOR,
@@ -323,18 +309,11 @@ def _emit_projective(report, config: RunConfig, out_dir: str):
 
 
 def _emit_tpm(report, config: RunConfig, out_dir: str):
-    rows = []
-    for leaf in report.leaves:
-        rows.append([
-            leaf.r0, leaf.r1, fmt(leaf.probability), fmt(leaf.eps0), fmt(leaf.eps1),
-            fmt(leaf.q_first), fmt(leaf.w_drive), fmt(leaf.w_ctrl), fmt(leaf.q_ctrl),
-        ])
-    _write_csv(
-        os.path.join(out_dir, "leaves.csv"),
-        ["r0", "r1", "probability", "eps0", "eps1", "Q_first", "W_drive",
-         "W_ctrl", "Q_ctrl"],
-        rows,
-    )
+    headers = ("r0", "r1", "probability", "eps0", "eps1", "Q_first", "W_drive", "W_ctrl",
+               "Q_ctrl")  # each names a leaf field, lower-cased
+    _write_columns(os.path.join(out_dir, "leaves.csv"), {
+        h: [getattr(leaf, h.lower()) for leaf in report.leaves] for h in headers
+    })
     flags = {"jarzynski_identity_ok": report.identity_residual <= JARZYNSKI_ATOL}
     _write_summary(out_dir, {
         "config": config.to_json(),
@@ -350,19 +329,13 @@ def _emit_tpm(report, config: RunConfig, out_dir: str):
 
 
 def _emit_classical(report, config: RunConfig, out_dir: str):
-    rows = []
-    for i in range(len(report.sigma_record)):
-        rows.append([
-            i + 1, fmt((i + 1) * report.dt), fmt(report.heat_avg[i]),
-            fmt(report.sigma_record[i]), fmt(report.sigma_state[i]),
-            fmt(report.backward_entropy[i]), fmt(report.identity_residual[i]),
-        ])
-    _write_csv(
-        os.path.join(out_dir, "steps.csv"),
-        ["step", "time", "heat_avg", "Sigma_record", "Sigma_state",
-         "backward_entropy", "identity_residual"],
-        rows,
-    )
+    steps = np.arange(1, len(report.sigma_record) + 1)
+    _write_columns(os.path.join(out_dir, "steps.csv"), {
+        "step": steps, "time": steps * report.dt, "heat_avg": report.heat_avg,
+        "Sigma_record": report.sigma_record, "Sigma_state": report.sigma_state,
+        "backward_entropy": report.backward_entropy,
+        "identity_residual": report.identity_residual,
+    })
     flags = {
         "difference_identity_ok": report.max_identity_residual <= CLASSICAL_IDENTITY_ATOL,
         "record_production_nonnegative": bool(

@@ -3,6 +3,9 @@
 A :class:`ThermalGenerator` bundles a Hamiltonian, a set of jump dissipators
 and an inverse temperature.  Propagation is available either as the exact
 superoperator exponential or as the first-order map ``rho + L rho * dt``.
+The generator is the one place that builds its Liouvillian and per-step
+superoperators; it keeps the Liouvillian and the most recently used
+``STEP_CACHE_SIZE`` step maps.
 
 Unit conventions are the caller's: rates carry 1/time, the Hamiltonian
 carries the energy unit used for all reported work and heat, and ``beta``
@@ -13,7 +16,9 @@ unit and seconds as time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +29,10 @@ from .qmath import DensityOperator, dag, hermitize
 
 # First-order steps may leak positivity at this scale before it is a bug.
 FIRST_ORDER_LEAK = 1e-9
+# Step maps kept per generator.  The float step lengths of a uniform
+# schedule take a few distinct values per binade of elapsed time (19 over
+# 50000 steps), so all of them stay cached.
+STEP_CACHE_SIZE = 32
 
 
 class LindbladError(ValueError):
@@ -43,7 +52,6 @@ class ThermalGenerator:
     hamiltonian: np.ndarray
     dissipators: tuple  # ((jump operator, rate >= 0), ...)
     beta: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.hamiltonian, dtype=complex)
@@ -76,26 +84,49 @@ class ThermalGenerator:
 
     def liouvillian_matrix(self) -> np.ndarray:
         """Superoperator matrix acting on row-major vectorized states."""
-        if "liouvillian" not in self._cache:
-            d = self.dim
-            eye = np.eye(d)
-            h = self.hamiltonian
-            lm = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-            for op, rate in self.dissipators:
-                anti = dag(op) @ op
-                lm += rate * (
-                    np.kron(op, np.conj(op))
-                    - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-                )
-            self._cache["liouvillian"] = lm
-        return self._cache["liouvillian"]
+        return self._liouvillian
 
-    def propagator(self, dt: float) -> np.ndarray:
-        """exp(L dt) as a superoperator matrix (cached per dt)."""
-        key = ("prop", float(dt))
-        if key not in self._cache:
-            self._cache[key] = expm(self.liouvillian_matrix() * dt)
-        return self._cache[key]
+    @cached_property
+    def _liouvillian(self) -> np.ndarray:
+        d = self.dim
+        eye = np.eye(d)
+        h = self.hamiltonian
+        lm = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for op, rate in self.dissipators:
+            anti = dag(op) @ op
+            lm += rate * (
+                np.kron(op, np.conj(op))
+                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            )
+        lm.setflags(write=False)
+        return lm
+
+    @cached_property
+    def _step_maps(self) -> OrderedDict:
+        return OrderedDict()
+
+    def superoperator(self, dt: float, method: str) -> np.ndarray:
+        """Step map as a superoperator matrix: exp(L dt) or first-order 1 + L dt.
+
+        The ``STEP_CACHE_SIZE`` most recently used maps are kept.
+        """
+        key = (method, float(dt))
+        maps = self._step_maps
+        if key in maps:
+            maps.move_to_end(key)
+            return maps[key]
+        lm = self.liouvillian_matrix()
+        if method == "exact":
+            step = expm(lm * dt)
+        elif method == "first_order":
+            step = np.eye(lm.shape[0]) + lm * dt
+        else:
+            raise LindbladError(f"unknown propagation method {method!r}")
+        step.setflags(write=False)
+        maps[key] = step
+        if len(maps) > STEP_CACHE_SIZE:
+            maps.popitem(last=False)
+        return step
 
 
 def n_thermal(omega: float, temperature: float) -> float:
@@ -176,7 +207,7 @@ def _propagate_matrix(gen: ThermalGenerator, mat: np.ndarray, dt: float, method:
     if dt == 0.0:
         return mat
     if method == "exact":
-        vec = gen.propagator(dt) @ mat.reshape(-1)
+        vec = gen.superoperator(dt, method) @ mat.reshape(-1)
         return hermitize(vec.reshape(gen.dim, gen.dim))
     if method == "first_order":
         out = mat + dt * gen.apply(mat)

@@ -444,17 +444,15 @@ def law_flags(law_checks: dict) -> dict:
 def run_cavity(config: CavityConfig) -> CavityReport:
     """Run the stabilization experiment and reduce it to an ensemble report."""
     chunk_fn = _dense_chunk if config.dense else _diagonal_chunk
-    indices = list(range(config.trajectories))
-    if config.workers <= 1 or config.trajectories < 4:
-        records = chunk_fn(config, indices)
+    n = config.trajectories
+    if config.workers <= 1 or n < 4:
+        records = chunk_fn(config, range(n))
     else:
-        workers = min(config.workers, config.trajectories)
-        chunks = [indices[i::workers] for i in range(workers)]
+        workers = min(config.workers, n)
+        # contiguous index ranges, so the chunks concatenate in trajectory order
+        bounds = [n * w // workers for w in range(workers + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_fn, [config] * workers, chunks))
-        by_index: dict = {}
-        for chunk, recs in zip(chunks, parts):
-            for i, rec in zip(chunk, recs):
-                by_index[i] = rec
-        records = [by_index[i] for i in indices]
+            records = [rec for part in pool.map(chunk_fn, [config] * workers, chunks)
+                       for rec in part]
     return _build_report(config, records)

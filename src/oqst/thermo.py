@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    IMPOSSIBLE_BRANCH,
-    Instrument,
-    StinespringDilation,
-    stinespring_dilate,
-    verify_instrument,
-)
+from .channels import IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate, verify_instrument
 from .qmath import (
     DensityOperator,
     as_matrix,
@@ -79,13 +73,12 @@ def control_energetics(
     h_system,
     rho_pre: DensityOperator,
     h_unit=None,
-    dilation: StinespringDilation | None = None,
 ) -> ControlEnergetics:
     """Energetics of applying ``instr`` to ``rho_pre`` under ``h_system``.
 
     With ``h_unit`` omitted the unit is energetically neutral and all unit
-    entries are zero.  Otherwise the dilation supplies the unit marginals
-    (it is computed on demand when not passed in).
+    entries are zero.  Otherwise the instrument's dilation supplies the
+    unit marginals.
     """
     if not verify_instrument(instr).passed:
         raise ThermoError("instrument fails completeness; refusing energetics")
@@ -111,8 +104,7 @@ def control_energetics(
     de_unit: dict = {}
     if h_unit is not None:
         hu = as_matrix(h_unit)
-        if dilation is None:
-            dilation = stinespring_dilate(instr)
+        dilation = stinespring_dilate(instr)
         if hu.shape != (dilation.unit_dim, dilation.unit_dim):
             raise ThermoError("unit Hamiltonian shape does not match the dilation")
         dims = [dilation.system_dim, dilation.unit_dim]
@@ -245,15 +237,13 @@ def check_measurement_entropy_lemma(
 def average_control_entropy_production(
     instr: Instrument,
     rho_pre: DensityOperator,
-    dilation: StinespringDilation | None = None,
 ) -> float:
     """Outcome-averaged control entropy production via the dilated joint state.
 
     Equals ``S_Sh(p) + sum_r p(r) S(joint post) - S(joint pre)`` since the
     average system heat vanishes; valid for inefficient instruments too.
     """
-    if dilation is None:
-        dilation = stinespring_dilate(instr)
+    dilation = stinespring_dilate(instr)
     correlated = dilation.joint_after_unitary(rho_pre)
     probs = []
     post_term = 0.0

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    IMPOSSIBLE_BRANCH,
-    Instrument,
-    StinespringDilation,
-    stinespring_dilate,
-    verify_instrument,
-)
+from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
 from .lindblad import ThermalGenerator, _propagate_matrix
 from .qmath import (
     DensityOperator,
@@ -280,36 +274,13 @@ class _Engine:
         self.max_units = max_units
         self.store_states = store_states
         self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, dtype=complex)
-        self._verified: set = set()
-        self._dilations: dict = {}
-
-    # -- caches ------------------------------------------------------------
 
     def _check_instrument(self, instr: Instrument):
-        if id(instr) in self._verified:
-            return
-        report = verify_instrument(instr)
-        if not report.passed:
-            raise EngineError(
-                f"instrument fails completeness by {report.max_deviation:.3e}"
-            )
+        dev = instr.completeness_deviation
+        if dev > COMPLETENESS_ATOL:
+            raise EngineError(f"instrument fails completeness by {dev:.3e}")
         if instr.dim != self.gen.dim:
             raise EngineError("instrument dimension does not match generator")
-        self._verified.add(id(instr))
-
-    def _dilation(self, instr: Instrument) -> StinespringDilation:
-        if id(instr) not in self._dilations:
-            self._dilations[id(instr)] = stinespring_dilate(instr)
-        return self._dilations[id(instr)]
-
-    def _segment_superop(self, dt: float) -> np.ndarray:
-        if self.method == "exact":
-            return self.gen.propagator(dt)
-        key = ("fo_super", float(dt))
-        if key not in self.gen._cache:
-            lm = self.gen.liouvillian_matrix()
-            self.gen._cache[key] = np.eye(lm.shape[0]) + lm * dt
-        return self.gen._cache[key]
 
     # -- stepping ----------------------------------------------------------
 
@@ -343,7 +314,7 @@ class _Engine:
             for _ in range(self.substeps):
                 cur.mat = _propagate_matrix(self.gen, cur.mat, sub, self.method)
         else:
-            superop = self._segment_superop(dt / self.substeps)
+            superop = self.gen.superoperator(dt / self.substeps, self.method)
             for _ in range(self.substeps):
                 cur.joint = _apply_superop_factor0(superop, cur.joint, self.gen.dim)
             cur.mat = hermitize(
@@ -388,10 +359,7 @@ class _Engine:
             )
         rho_pre = DensityOperator(hermitize(cur.mat))
         needs_unit = (not instr.efficient) or self.retain
-        dilation = self._dilation(instr) if (needs_unit or plan.h_unit is not None) else None
-        ce = control_energetics(
-            instr, cur.h, rho_pre, h_unit=plan.h_unit, dilation=dilation
-        )
+        ce = control_energetics(instr, cur.h, rho_pre, h_unit=plan.h_unit)
         branches = []
         if not needs_unit:
             base = cur.joint if cur.joint is not None else cur.mat
@@ -416,6 +384,7 @@ class _Engine:
                 raise EngineError(
                     f"joint tracking would exceed max_units={self.max_units}"
                 )
+            dilation = stinespring_dilate(instr)
             base = cur.joint if cur.joint is not None else cur.mat
             dims = [self.gen.dim] + cur.unit_dims
             extended, new_dims = _insert_unit(base, dims, dilation.unit_state.matrix)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from oqst import qmath
+from oqst import lindblad, qmath
+from oqst.channels import random_instrument
 from oqst.lindblad import (
+    STEP_CACHE_SIZE,
     LindbladError,
     Protocol,
     ThermalGenerator,
@@ -15,6 +18,7 @@ from oqst.lindblad import (
     thermal_cavity_generator,
 )
 from oqst.qmath import DensityOperator, von_neumann_entropy
+from oqst.trajectory import ControlSchedule, FixedPolicy, sample_trajectory
 
 OMEGA_C = 2 * np.pi * 51.1e9
 T_ENV = 0.8
@@ -109,6 +113,39 @@ class TestPropagation:
         rho = DensityOperator.pure(v)
         out = propagate(cavity, rho, T_CAV, "exact")
         assert abs(out.matrix[0, 1]) < abs(rho.matrix[0, 1])
+
+
+class TestStepMapCache:
+    def test_uniform_schedule_computes_each_exponential_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lindblad, "expm", lambda m: calls.append(1) or expm(m))
+        gen = thermal_cavity_generator(OMEGA_C, T_ENV, T_CAV, cutoff=8)
+        instr = random_instrument(np.random.default_rng(1), 9, 2, 1)
+        schedule = ControlSchedule.uniform(1000, T_STEP)
+        sample_trajectory(gen, schedule, FixedPolicy([instr] * 1000),
+                          DensityOperator.maximally_mixed(9), seed=2)
+        # rounding makes t_k - t_(k-1) take a few distinct values; one exponential each
+        lengths = np.diff((0.0,) + schedule.times)
+        assert len(calls) == len(set(lengths)) < STEP_CACHE_SIZE
+
+    def test_irregular_schedule_keeps_a_bounded_cache(self):
+        # 300 distinct step lengths at d=9 once left 301 cached matrices (31.6 MB)
+        gen = thermal_cavity_generator(OMEGA_C, T_ENV, T_CAV, cutoff=8)
+        rng = np.random.default_rng(300)
+        schedule = ControlSchedule(times=tuple(np.cumsum(rng.uniform(0.5, 1.5, 300)) * T_STEP))
+        policy = FixedPolicy([random_instrument(rng, 9, 2, 1)] * 300)
+        rho0 = DensityOperator.maximally_mixed(9)
+        rec = sample_trajectory(gen, schedule, policy, rho0, seed=5)
+        assert len(gen._step_maps) == STEP_CACHE_SIZE
+        # evicted maps are rebuilt to the same bits
+        again = sample_trajectory(gen, schedule, policy, rho0, seed=5)
+        assert np.array_equal(again.ledgers, rec.ledgers)
+        # column sums of the ledger computed with an unbounded cache
+        assert sum(rec.outcomes) == 146
+        for col, expected in [("q_seg", -1.5078411419253277), ("s_end", 30833.11735644909),
+                              ("sigma_seg", 12.01686874519347), ("sigma_ctrl", 195.43877894233776),
+                              ("e_sys_end", 1209.8011593601555)]:
+            assert rec.ledgers[col].sum() == pytest.approx(expected, rel=1e-12)
 
 
 class TestHeatWorkSegment:

@@ -79,7 +79,7 @@ class TestControlEnergetics:
         dil = stinespring_dilate(instr)
         h_unit = np.diag(np.arange(dil.unit_dim, dtype=float)).astype(complex)
         rho = qmath.random_density(rng, 2)
-        ce = control_energetics(instr, 0.5 * SZ, rho, h_unit=h_unit, dilation=dil)
+        ce = control_energetics(instr, 0.5 * SZ, rho, h_unit=h_unit)
         avg_q_unit = sum(
             ce.probabilities[i] * ce.q_unit[lab]
             for i, lab in enumerate(ce.labels) if lab in ce.q_unit

@@ -368,6 +368,41 @@ class TestJointTracking:
         assert l.sigma_ctrl == pytest.approx(0.0, abs=1e-10)
 
 
+class _FreshInstrumentPolicy(FeedbackPolicy):
+    """A new random instrument per plan, drawn from the step and outcome history.
+
+    With ``keep`` every plan stays referenced; without it each instrument
+    dies after its step, so a later one may be allocated at the same id.
+    """
+
+    def __init__(self, keep: bool):
+        self.kept = {} if keep else None
+
+    def plan(self, step, estimate, outcomes, kinds):
+        if self.kept is not None and (step, outcomes) in self.kept:
+            return self.kept[step, outcomes]
+        instr = random_instrument(np.random.default_rng([step, *outcomes]), 2, 2, 1)
+        plan = StepPlan(instrument=instr, h_unit=np.diag([0.0, 1.0]).astype(complex))
+        if self.kept is not None:
+            self.kept[step, outcomes] = plan
+        return plan
+
+
+class TestFreshInstruments:
+    def test_fresh_instruments_match_kept_ones(self):
+        # The dilation that fixes the unit's work and heat belongs to the
+        # instrument object, so a dead instrument's must never be reused.
+        gen = qubit_generator()
+        sched = ControlSchedule.uniform(4, 1.0)
+        rho0 = DensityOperator.maximally_mixed(2)
+        kept = enumerate_tree(gen, sched, _FreshInstrumentPolicy(keep=True), rho0)
+        for _ in range(20):
+            fresh = enumerate_tree(gen, sched, _FreshInstrumentPolicy(keep=False), rho0)
+            assert [leaf[0] for leaf in fresh] == [leaf[0] for leaf in kept]
+            for (_, _, a), (_, _, b) in zip(fresh, kept):
+                assert np.array_equal(a.ledgers, b.ledgers)
+
+
 class TestScheduleValidation:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(EngineError):
