@@ -53,6 +53,7 @@ from .trajectory import (
     derive_stream_seed,
     ensemble_statistics,
     enumerate_tree,
+    sample_ensemble,
     sample_trajectory,
 )
 
@@ -71,6 +72,6 @@ __all__ = [
     "stochastic_entropy",
     "ControlSchedule", "FeedbackPolicy", "FixedPolicy", "StepPlan",
     "TrajectoryRecord", "derive_stream_seed", "ensemble_statistics",
-    "enumerate_tree", "sample_trajectory",
+    "enumerate_tree", "sample_ensemble", "sample_trajectory",
     "__version__",
 ]

@@ -396,6 +396,7 @@ def _prepare_run(config: RunConfig):
         return lambda: run_tpm_jarzynski(0.5 * sz, sz, hadamard, p["beta"])
     if config.scenario == "classical":
         model = RateModel.thermal(p["energies"], p["beta"])
+        model.check_step(p["dt"])
         return lambda: run_classical_limit(
             model, steps=p["steps"], dt=p["dt"], mode=p["mode"],
             trajectories=p["traj"], seed=config.seed,

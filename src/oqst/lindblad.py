@@ -25,7 +25,7 @@ import numpy as np
 from scipy import constants
 from scipy.linalg import expm
 
-from .qmath import DensityOperator, dag, hermitize
+from .qmath import DensityOperator, _matmul, _trace, dag, hermitize
 
 # First-order steps may leak positivity at this scale before it is a bug.
 FIRST_ORDER_LEAK = 1e-9
@@ -73,13 +73,14 @@ class ThermalGenerator:
         object.__setattr__(self, "dissipators", tuple(ops))
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Generator action L(rho) on a matrix."""
+        """Generator action L(rho) on a matrix or on each matrix of a (..., d, d) stack."""
         h = self.hamiltonian
-        out = -1j * (h @ mat - mat @ h)
+        out = -1j * (_matmul(h, mat) - _matmul(mat, h))
         for op, rate in self.dissipators:
             od = dag(op)
             anti = od @ op
-            out += rate * (op @ mat @ od - 0.5 * (anti @ mat + mat @ anti))
+            out += rate * (_matmul(_matmul(op, mat), od)
+                           - 0.5 * (_matmul(anti, mat) + _matmul(mat, anti)))
         return out
 
     def liouvillian_matrix(self) -> np.ndarray:
@@ -177,38 +178,36 @@ def gibbs_state(hamiltonian, beta: float) -> DensityOperator:
 
 
 def _clamp_negative(mat: np.ndarray) -> np.ndarray:
-    """Zero out small negative weight, erroring beyond the tolerated leak."""
-    target_trace = np.trace(mat).real
-    offdiag = mat - np.diag(mat.diagonal())
-    if np.max(np.abs(offdiag)) < 1e-14:
-        diag = mat.diagonal().real.copy()
-        low = diag.min()
-        if low >= 0.0:
-            return mat
-        if low < -FIRST_ORDER_LEAK:
-            raise LindbladError(f"first-order step lost positivity by {low:.3e}")
-        diag[diag < 0.0] = 0.0
-        diag *= target_trace / diag.sum()
-        return np.diag(diag.astype(complex))
-    evals, vecs = np.linalg.eigh(hermitize(mat))
-    low = evals.min()
-    if low >= 0.0:
+    """Zero out small negative weight of each (..., d, d) matrix; a larger leak is an error."""
+    rows = mat.reshape((-1,) + mat.shape[-2:])
+    diag = np.diagonal(rows, axis1=-2, axis2=-1)
+    low = diag.real.min(axis=-1)
+    full = np.abs(rows - diag[..., None] * np.eye(mat.shape[-1])).max(axis=(-2, -1)) >= 1e-14
+    if full.any():
+        low[full] = np.linalg.eigvalsh(rows[full])[:, 0]
+    if low.min() >= 0.0:
         return mat
-    if low < -FIRST_ORDER_LEAK:
-        raise LindbladError(f"first-order step lost positivity by {low:.3e}")
+    if low.min() < -FIRST_ORDER_LEAK:
+        raise LindbladError(f"first-order step lost positivity by {low.min():.3e}")
+    fix = low < 0.0
+    evals, vecs = np.linalg.eigh(rows[fix])  # exact for a diagonal matrix
     evals = np.clip(evals, 0.0, None)
-    evals *= target_trace / evals.sum()
-    return (vecs * evals) @ dag(vecs)
+    evals *= (_trace(rows[fix]) / evals.sum(axis=-1))[:, None]
+    out = rows.copy()
+    out[fix] = _matmul(vecs * evals[:, None, :], dag(vecs))
+    return out.reshape(mat.shape)
 
 
 def _propagate_matrix(gen: ThermalGenerator, mat: np.ndarray, dt: float, method: str) -> np.ndarray:
+    """Evolve a matrix, or each matrix of a (..., d, d) stack, for ``dt``."""
     if dt < 0:
         raise LindbladError("dt must be nonnegative")
     if dt == 0.0:
         return mat
     if method == "exact":
-        vec = gen.superoperator(dt, method) @ mat.reshape(-1)
-        return hermitize(vec.reshape(gen.dim, gen.dim))
+        vecs = mat.reshape(mat.shape[:-2] + (1, -1))
+        out = np.multiply(gen.superoperator(dt, method), vecs, order="C").sum(-1)
+        return hermitize(out.reshape(mat.shape))
     if method == "first_order":
         out = mat + dt * gen.apply(mat)
         return _clamp_negative(hermitize(out))

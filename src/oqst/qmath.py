@@ -41,14 +41,51 @@ def as_matrix(op) -> np.ndarray:
 
 
 def dag(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.swapaxes(np.conj(np.asarray(a)), -1, -2)
 
 
 def hermitize(a) -> np.ndarray:
     """Symmetrize ``(a + a†)/2`` to suppress accumulated floating-point skew."""
     m = as_matrix(a)
     return 0.5 * (m + dag(m))
+
+
+def _matmul(a, b) -> np.ndarray:
+    """Matrix product over leading batch axes, from elementwise products and
+    last-axis sums, so each matrix's product does not depend on the others."""
+    b_cols = np.swapaxes(b, -1, -2)[..., None, :, :]
+    return np.multiply(a[..., :, None, :], b_cols, order="C").sum(-1)
+
+
+def _expectation(h, mat) -> np.ndarray:
+    """Re tr(h mat) over leading batch axes: the diagonal of h mat, then its trace."""
+    return np.multiply(h, np.swapaxes(mat, -1, -2), order="C").sum(-1).sum(-1).real
+
+
+def _trace(mat) -> np.ndarray:
+    """Real part of the trace of each matrix in a (..., d, d) stack."""
+    return np.trace(mat, axis1=-2, axis2=-1).real
+
+
+def density_spectrum(mats) -> np.ndarray:
+    """Eigenvalues of Hermitian (..., d, d) states, each checked to be a state.
+
+    The trace must be 1 and no eigenvalue below -1e-10, as
+    :class:`DensityOperator` requires; raises ``QmathError`` otherwise.
+    """
+    mats = hermitize(mats)
+    tr = _trace(mats)
+    off = np.abs(tr - 1.0) > TRACE_ATOL
+    if off.any():
+        raise QmathError(f"density operator trace {tr[off].flat[0]!r} differs from 1 beyond 1e-10")
+    evals = np.linalg.eigvalsh(mats)
+    low = evals[..., 0] < -POSITIVITY_ATOL
+    if low.any():
+        raise QmathError(
+            f"density operator has eigenvalue {evals[..., 0][low].flat[0]!r} below -1e-10"
+        )
+    return evals
 
 
 def is_unitary(a, atol: float = HERMITICITY_ATOL) -> bool:
@@ -71,12 +108,7 @@ class DensityOperator:
             raise QmathError(f"density operator must be square, got shape {m.shape}")
         if np.max(np.abs(m - dag(m))) > HERMITICITY_ATOL:
             raise QmathError("density operator is not Hermitian within 1e-10")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise QmathError(f"density operator trace {tr!r} differs from 1 beyond 1e-10")
-        evals = np.linalg.eigvalsh(hermitize(m))
-        if evals[0] < -POSITIVITY_ATOL:
-            raise QmathError(f"density operator has eigenvalue {evals[0]!r} below -1e-10")
+        density_spectrum(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -140,22 +172,25 @@ def tensor_product(*ops) -> np.ndarray:
 
 
 def _partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace of a matrix, or of each matrix in a (..., D, D) stack."""
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
-    if mat.shape != (total, total):
+    if mat.shape[-2:] != (total, total):
         raise QmathError(
-            f"joint dimension {mat.shape[0]} does not match subsystem dims {dims}"
+            f"joint dimension {mat.shape[-1]} does not match subsystem dims {dims}"
         )
     keep = sorted(keep)
     n = len(dims)
     if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
         raise QmathError(f"invalid keep set {keep} for {n} subsystems")
-    t = mat.reshape(dims + dims)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + tuple(dims + dims))
     # Trace out the complement, highest index first so axes stay valid.
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
+        half = (t.ndim - len(lead)) // 2
+        t = np.trace(t, axis1=len(lead) + idx, axis2=len(lead) + idx + half)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def partial_trace(joint, dims, keep):

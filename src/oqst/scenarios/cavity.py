@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +38,7 @@ from ..trajectory import (
     choose_branch,
     derive_stream_seed,
     ensemble_statistics,
-    sample_trajectory,
+    sample_ensemble,
     stream_rng,
 )
 
@@ -187,6 +186,9 @@ class CavityPolicy(FeedbackPolicy):
         self.instruments = instruments
         self.target_nt = target_nt
         self.delay = delay
+        # one plan object per kind, so the engine steps all rows of a kind together
+        self.plans = {kind: StepPlan(instrument=instr, kind=kind)
+                      for kind, instr in (instruments or {}).items()}
 
     def decide(self, step: int, populations, kinds) -> np.ndarray:
         """Atom kind(s) for ``step`` from ``(..., dim)`` population estimates.
@@ -202,8 +204,7 @@ class CavityPolicy(FeedbackPolicy):
     def plan(self, step, estimate, outcomes, kinds):
         if self.instruments is None:
             raise RuntimeError("policy was built without instrument operators")
-        kind = str(self.decide(step, np.real(np.diagonal(estimate)), kinds))
-        return StepPlan(instrument=self.instruments[kind], kind=kind)
+        return self.plans[str(self.decide(step, np.real(np.diagonal(estimate)), kinds))]
 
 
 def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
@@ -221,25 +222,30 @@ def thermal_populations(beta: float, dim: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _check_leak(populations) -> None:
-    """Raise ``TruncationLeakError`` on the first step of a trajectory's (steps, dim)
+def _check_leak(populations, i: int) -> None:
+    """Raise ``TruncationLeakError`` on the first step of trajectory ``i``'s (steps, dim)
     populations whose cutoff level holds more than ``TRUNCATION_LEAK``."""
     top = populations[:, -1]
     leaking = top > TRUNCATION_LEAK
     if leaking.any():
         k = int(np.argmax(leaking))
         raise TruncationLeakError(
-            f"population {top[k]:.2e} at the cutoff level on step {k + 1}"
+            f"trajectory {i}: population {top[k]:.2e} at the cutoff level on step {k + 1}"
         )
 
 
-@contextmanager
-def _naming_trajectory(i: int):
-    """Prefix law and leak failures raised inside with the trajectory index ``i``."""
+def _close_chunk(ledger, pops, indices, beta: float):
+    """Close a chunk's ``(n, steps)`` ledgers in one call and check its ``(n, steps, dim)``
+    populations for leaks, failing as a run one trajectory at a time would: the
+    lowest failing trajectory, and on it a leak before a broken law."""
+    leaks = np.flatnonzero((pops[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
     try:
-        yield
-    except (ThermoError, TruncationLeakError) as exc:
-        raise type(exc)(f"trajectory {i}: {exc}") from exc
+        entropy_production_step(ledger, beta)
+    except ThermoError as exc:
+        if not leaks.size or exc.row < leaks[0]:
+            raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
+    if leaks.size:
+        _check_leak(pops[leaks[0]], indices[leaks[0]])
 
 
 def _diagonal_chunk(config: CavityConfig, indices) -> list:
@@ -302,21 +308,20 @@ def _diagonal_chunk(config: CavityConfig, indices) -> list:
         p, e_start, s_start = post, e_end, s_end
 
     times = tuple((i + 1) * config.step_ta for i in range(steps))
-    records = []
-    for j, i in enumerate(indices):  # fail as a run one trajectory at a time would: leak first
-        with _naming_trajectory(i):
-            _check_leak(states[j])
-            closed = entropy_production_step(ledger[j], gen.beta)
-        records.append(TrajectoryRecord(
-            outcomes=tuple(closed.outcome.tolist()),
+    _close_chunk(ledger, states, indices, gen.beta)
+    ledger = ledger.view(np.recarray)
+    return [
+        TrajectoryRecord(
+            outcomes=tuple(ledger[j].outcome.tolist()),
             kinds=tuple(map(sys.intern, kinds[:, j].tolist())),  # one str object per kind
             log_prob=float(log_prob[j]),
-            ledgers=closed,
+            ledgers=ledger[j],
             states=states[j],
             final_state=states[j, -1],
             times=times,
-        ))
-    return records
+        )
+        for j in range(n)
+    ]
 
 
 def _dense_chunk(config: CavityConfig, indices) -> list:
@@ -327,13 +332,17 @@ def _dense_chunk(config: CavityConfig, indices) -> list:
     policy = CavityPolicy(config.target_nt, config.delay_d, instruments=instruments)
     schedule = ControlSchedule.uniform(config.steps, config.step_ta)
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
+    seeds = [derive_stream_seed(config.seed, i) for i in indices]
     records = []
-    for i in indices:
-        with _naming_trajectory(i):
-            rec = sample_trajectory(gen, schedule, policy, rho0,
-                                    seed=derive_stream_seed(config.seed, i), method=config.method)
-            _check_leak(number_populations(rec.states))
-        records.append(rec)
+    try:
+        for i, rec in zip(indices, sample_ensemble(gen, schedule, policy, rho0, seeds,
+                                                   method=config.method)):
+            _check_leak(number_populations(rec.states), i)
+            records.append(rec)
+    except ThermoError as exc:  # a broken law in the block after the records checked so far
+        if exc.row is None:
+            raise
+        raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
     return records
 
 

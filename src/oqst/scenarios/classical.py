@@ -87,6 +87,13 @@ class RateModel:
         w = np.exp(-self.beta * (self.energies - self.energies.min()))
         return w / w.sum()
 
+    def check_step(self, dt: float) -> None:
+        """Reject a watch step too long for the near-diagonal one-step transition."""
+        if dt * np.abs(self.rates).max() > STEP_RATE_LIMIT:
+            raise ClassicalModelError(
+                f"dt * max rate must stay below {STEP_RATE_LIMIT} for a near-diagonal step"
+            )
+
     def transition_matrix(self, dt: float) -> np.ndarray:
         return expm(self.rates * dt)
 
@@ -180,10 +187,7 @@ def run_classical_limit(
     seed: int = 0,
 ) -> ClassicalReport:
     """Watch the jump process every ``dt`` and account for both second laws."""
-    if dt * np.abs(model.rates).max() > STEP_RATE_LIMIT:
-        raise ClassicalModelError(
-            f"dt * max rate must stay below {STEP_RATE_LIMIT} for a near-diagonal step"
-        )
+    model.check_step(dt)
     p = model.stationary() if p0 is None else np.asarray(p0, dtype=float)
     if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
         raise ClassicalModelError("initial distribution must be a probability vector")

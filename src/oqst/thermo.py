@@ -26,7 +26,9 @@ from .qmath import (
     hermitize,
     shannon_entropy,
     von_neumann_entropy,
+    _expectation,
     _partial_trace_matrix,
+    _trace,
 )
 
 FIRST_LAW_ATOL = 1e-10
@@ -40,7 +42,15 @@ RECORD_PRODUCTION_FLOOR = -1e-10  # record-based entropy production
 
 
 class ThermoError(ValueError):
-    """Raised when the bookkeeping identities fail beyond tolerance."""
+    """Raised when the bookkeeping identities fail beyond tolerance.
+
+    ``row`` names the failing trajectory's row when a batch of ledgers was
+    checked, and is None otherwise.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,35 @@ def control_energetics(
     )
 
 
+def system_energetics(h, mat, raws):
+    """Probabilities, system work and per-outcome system heat of one control, row by row.
+
+    For states ``mat`` of shape ``(N, d, d)`` under Hamiltonians ``h`` of the
+    same shape, ``raws`` holds each outcome's unnormalized post state,
+    ``(N, K, d, d)``.  Returns ``(probabilities, w_system, q_system)`` of
+    shapes ``(N, K)``, ``(N,)`` and ``(N, K)``, with zero heat for outcomes
+    below ``IMPOSSIBLE_BRANCH``.  Every number comes from elementwise
+    products and last-axis sums of its own row, in the order of the
+    one-state reference :func:`control_energetics`.  Raises ``ThermoError``
+    where a row's average heat is not zero.
+    """
+    probs = _trace(raws)
+    avg = raws[:, 0]
+    for b in range(1, raws.shape[1]):
+        avg = avg + raws[:, b]
+    e_avg = _expectation(h, avg)
+    viable = probs >= IMPOSSIBLE_BRANCH
+    e_post = _expectation(h[:, None], raws) / np.where(viable, probs, 1.0)
+    q_sys = np.where(viable, e_post - e_avg[:, None], 0.0)
+    avg_q = 0.0
+    for b in range(raws.shape[1]):
+        avg_q = avg_q + probs[:, b] * q_sys[:, b]
+    bad = np.abs(avg_q) > AVG_HEAT_ATOL
+    if bad.any():
+        raise ThermoError(f"average control heat {avg_q[bad][0]:.3e} is not zero")
+    return probs, _expectation(h, avg - mat), q_sys
+
+
 def stochastic_entropy(log_prob: float, state) -> float:
     """Record surprisal plus von Neumann entropy of the tracked state.
 
@@ -171,14 +210,16 @@ def first_law_residual(ledger):
 
 
 def entropy_production_step(ledger, beta: float) -> np.recarray:
-    """Close a trajectory's ledger: fill in the entropy productions and check both laws.
+    """Close ledgers: fill in the entropy productions and check both laws.
 
-    ``ledger`` holds the rows of one trajectory, as ``LEDGER_DTYPE`` tuples
-    or a structured array (which is filled in place); the
-    ``sigma_ctrl``/``sigma_seg`` entries it carries are overwritten.  The
-    segment part must be nonnegative for a thermal generator; a value
-    below ``SEGMENT_EP_FLOOR`` signals a propagation or bookkeeping bug.
-    Raises ``ThermoError`` naming the first step that breaks either law.
+    ``ledger`` holds the rows of one trajectory, shape ``(steps,)``, or of
+    a batch, ``(N, steps)``, as ``LEDGER_DTYPE`` tuples or a structured
+    array (which is filled in place); the ``sigma_ctrl``/``sigma_seg``
+    entries it carries are overwritten.  The segment part must be
+    nonnegative for a thermal generator; a value below
+    ``SEGMENT_EP_FLOOR`` signals a propagation or bookkeeping bug.  Raises
+    ``ThermoError`` naming the first step that breaks either law, in the
+    lowest failing trajectory of a batch, whose row it carries as ``row``.
     """
     ledger = np.asarray(ledger, dtype=LEDGER_DTYPE).view(np.recarray)
     ledger.sigma_ctrl = (ledger.s_end - ledger.s_pre) - beta * ledger.q_ctrl_sys
@@ -187,15 +228,16 @@ def entropy_production_step(ledger, beta: float) -> np.recarray:
     seg_bad = ledger.sigma_seg < SEGMENT_EP_FLOOR
     bad = seg_bad | (np.abs(residual) > FIRST_LAW_ATOL)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        row = int(i[0]) if bad.ndim == 2 else None
         if seg_bad[i]:
             raise ThermoError(
                 f"segment entropy production {ledger.sigma_seg[i]:.3e} below "
-                f"{SEGMENT_EP_FLOOR} on step {ledger.step[i]}"
+                f"{SEGMENT_EP_FLOOR} on step {ledger.step[i]}", row=row,
             )
         raise ThermoError(
             f"first law residual {residual[i]:.3e} beyond {FIRST_LAW_ATOL} "
-            f"on step {ledger.step[i]}"
+            f"on step {ledger.step[i]}", row=row,
         )
     return ledger
 

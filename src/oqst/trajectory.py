@@ -2,9 +2,10 @@
 
 A run alternates Lindblad propagation with instrument applications chosen
 by a feedback policy from a delayed state estimate.  Outcomes are sampled
-by inverse CDF from a counter-based per-trajectory stream, or the whole
-outcome tree is enumerated exactly; both share one stepping kernel so the
-sampler can be checked against the enumeration oracle.
+by inverse CDF from a counter-based per-trajectory stream, replayed from a
+given sequence, or the whole outcome tree is enumerated exactly.  All
+three step a batch of trajectories through one kernel, so the sampler can
+be checked against the enumeration oracle.
 
 State tracking is system-only until an instrument with more than one
 Kraus operator per outcome shows up; the units of such operations stay
@@ -24,15 +25,21 @@ from .lindblad import ThermalGenerator, _propagate_matrix
 from .qmath import (
     DensityOperator,
     dag,
+    density_spectrum,
     hermitize,
+    shannon_entropy,
     von_neumann_entropy,
+    _expectation,
+    _matmul,
     _partial_trace_matrix,
+    _trace,
 )
 from .thermo import (
     LEDGER_DTYPE,
+    ThermoError,
     control_energetics,
     entropy_production_step,
-    stochastic_entropy,
+    system_energetics,
 )
 
 PROB_FLOOR = IMPOSSIBLE_BRANCH
@@ -195,357 +202,376 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# The stepping kernel shared by sampling and enumeration.
+# The batched stepping kernel shared by sampling, replay and enumeration.
+
+# Rows sampled together.  Every per-row number comes from that row's own
+# elementwise products, last-axis sums and eigvalsh, so a record depends
+# neither on this size nor on its batch-mates; the size bounds memory only.
+BLOCK_ROWS = 256
 
 
-class _Cursor:
-    """Mutable per-trajectory context; cheap to clone at branch points."""
+class _Run:
+    """The inputs all rows share, with the keywords of :func:`sample_ensemble`."""
 
-    __slots__ = (
-        "mat", "joint", "unit_dims", "log_prob", "prob", "s_prev", "h",
-        "pending_h", "t_prev", "outcomes", "kinds", "ledgers", "states",
-        "estimates", "energetic_units",
-    )
-
-    def clone(self) -> "_Cursor":
-        c = _Cursor.__new__(_Cursor)
-        c.mat = self.mat
-        c.joint = self.joint
-        c.unit_dims = list(self.unit_dims)
-        c.log_prob = self.log_prob
-        c.prob = self.prob
-        c.s_prev = self.s_prev
-        c.h = self.h
-        c.pending_h = self.pending_h
-        c.t_prev = self.t_prev
-        c.outcomes = list(self.outcomes)
-        c.kinds = list(self.kinds)
-        c.ledgers = list(self.ledgers)
-        c.states = list(self.states)
-        c.estimates = list(self.estimates)
-        c.energetic_units = self.energetic_units
-        return c
-
-
-@dataclass(frozen=True)
-class _Segment:
-    e_start: float
-    e_pre: float
-    w_seg: float
-    q_seg: float
-    s_start: float
-    s_pre: float
-
-
-def _apply_superop_factor0(superop: np.ndarray, mat: np.ndarray, d0: int) -> np.ndarray:
-    d_rest = mat.shape[0] // d0
-    t = mat.reshape(d0, d_rest, d0, d_rest)
-    e = superop.reshape(d0, d0, d0, d0)
-    return np.einsum("abcd,cudv->aubv", e, t).reshape(mat.shape)
-
-
-def _insert_unit(joint: np.ndarray, dims: list, unit_mat: np.ndarray):
-    """Tensor a fresh unit in right next to the system factor."""
-    extended = np.kron(joint, unit_mat)
-    nd = dims + [unit_mat.shape[0]]
-    k = len(nd)
-    perm = [0, k - 1] + list(range(1, k - 1))
-    t = extended.reshape(nd + nd).transpose(perm + [p + k for p in perm])
-    out_dims = [nd[p] for p in perm]
-    total = int(np.prod(out_dims))
-    return np.ascontiguousarray(t).reshape(total, total), out_dims
-
-
-class _Engine:
-    def __init__(self, gen, schedule, policy, rho0, *, method, substeps,
-                 retain_efficient_units, max_units, store_states,
+    def __init__(self, gen, schedule, policy, rho0, *, method="exact", substeps=1,
+                 retain_efficient_units=False, max_units=4, store_states=True,
                  hamiltonian0=None):
         if rho0.dim != gen.dim:
             raise EngineError("initial state dimension does not match generator")
         if substeps < 1:
             raise EngineError("substeps must be positive")
-        self.gen = gen
-        self.schedule = schedule
-        self.policy = policy
-        self.rho0 = rho0
-        self.method = method
-        self.substeps = substeps
-        self.retain = retain_efficient_units
-        self.max_units = max_units
-        self.store_states = store_states
-        self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, dtype=complex)
+        self.gen, self.schedule, self.policy, self.rho0 = gen, schedule, policy, rho0
+        self.method, self.substeps, self.max_units = method, substeps, max_units
+        self.retain, self.store_states = retain_efficient_units, store_states
+        self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, complex)
 
-    def _check_instrument(self, instr: Instrument):
-        dev = instr.completeness_deviation
-        if dev > COMPLETENESS_ATOL:
-            raise EngineError(f"instrument fails completeness by {dev:.3e}")
-        if instr.dim != self.gen.dim:
-            raise EngineError("instrument dimension does not match generator")
 
-    # -- stepping ----------------------------------------------------------
+class _Rows:
+    """Per-row state of trajectories stepped together; the row leads every array.
 
-    def initial(self) -> _Cursor:
-        cur = _Cursor.__new__(_Cursor)
-        cur.mat = self.rho0.matrix
-        cur.joint = None
-        cur.unit_dims = []
-        cur.log_prob = 0.0
-        cur.prob = 1.0
-        cur.s_prev = von_neumann_entropy(cur.mat)
-        cur.h = self.h0
-        cur.pending_h = None
-        cur.t_prev = self.schedule.t0
-        cur.outcomes = []
-        cur.kinds = []
-        cur.ledgers = []
-        cur.states = []
-        cur.estimates = [self.rho0.matrix]
-        cur.energetic_units = False
-        return cur
+    ``joint`` holds a row's state of system and tracked units (None while
+    only the system is tracked), ``units`` those units' dimensions, nearest
+    first, and ``pending`` the Hamiltonian its next segment switches to.
+    """
 
-    def _stochastic_entropy(self, cur: _Cursor) -> float:
-        return stochastic_entropy(cur.log_prob, cur.joint if cur.joint is not None else cur.mat)
+    def __init__(self, run: _Run, n: int):
+        d, steps = run.gen.dim, run.schedule.n_steps
+        self.mat = np.repeat(run.rho0.matrix[None], n, axis=0)
+        self.h = np.repeat(run.h0[None], n, axis=0)
+        self.log_prob, self.prob = np.zeros(n), np.ones(n)
+        self.s_prev = np.full(n, von_neumann_entropy(run.rho0.matrix))
+        self.energetic = np.zeros(n, dtype=bool)
+        self.ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
+        self.ledger["step"] = np.arange(1, steps + 1)
+        # post-control states, for the records and for delayed estimates
+        kept = steps if run.store_states or run.policy.delay > 0 else 0
+        self.states = np.empty((n, kept, d, d), dtype=complex)
+        self.joint, self.pending = [None] * n, [None] * n
+        self.units, self.outcomes, self.kinds = [()] * n, [()] * n, [()] * n
 
-    def _propagate_tracked(self, cur: _Cursor, dt: float):
-        if dt <= 0.0:
-            return
-        if cur.joint is None:
-            sub = dt / self.substeps
-            for _ in range(self.substeps):
-                cur.mat = _propagate_matrix(self.gen, cur.mat, sub, self.method)
-        else:
-            superop = self.gen.superoperator(dt / self.substeps, self.method)
-            for _ in range(self.substeps):
-                cur.joint = _apply_superop_factor0(superop, cur.joint, self.gen.dim)
-            cur.mat = hermitize(
-                _partial_trace_matrix(cur.joint, [self.gen.dim] + cur.unit_dims, [0])
-            )
+    def take(self, parent) -> "_Rows":
+        """The rows ``parent``, in that order; a row may repeat."""
+        new = _Rows.__new__(_Rows)
+        for key, value in vars(self).items():
+            setattr(new, key, value[parent] if isinstance(value, np.ndarray)
+                    else [value[i] for i in parent])
+        return new
 
-    def advance_segment(self, cur: _Cursor, t_next: float) -> _Segment:
-        e_start = float(np.trace(cur.h @ cur.mat).real)
-        s_start = cur.s_prev
-        w_seg = 0.0
-        if cur.pending_h is not None:
-            w_seg = float(np.trace((cur.pending_h - cur.h) @ cur.mat).real)
-            cur.h = cur.pending_h
-            cur.pending_h = None
-        e_post_switch = float(np.trace(cur.h @ cur.mat).real)
-        self._propagate_tracked(cur, t_next - cur.t_prev)
-        e_pre = float(np.trace(cur.h @ cur.mat).real)
-        s_pre = self._stochastic_entropy(cur)
-        cur.t_prev = t_next
-        return _Segment(
-            e_start=e_start,
-            e_pre=e_pre,
-            w_seg=w_seg,
-            q_seg=e_pre - e_post_switch,
-            s_start=s_start,
-            s_pre=s_pre,
+
+def _by_units(units) -> dict:
+    """Row positions grouped by their tracked unit dimensions."""
+    groups: dict = {}
+    for i, u in enumerate(units):
+        groups.setdefault(u, []).append(i)
+    return groups
+
+
+def _sandwich(a, x) -> np.ndarray:
+    """(a ⊗ 1) x (a ⊗ 1)† for (N, D, D) matrices ``x``; ``a`` acts on their leading factor."""
+    n, big, k = x.shape[0], x.shape[-1], a.shape[-1]
+    left = _matmul(a, x.reshape(n, k, -1)).reshape(x.shape)
+    cols = left.reshape(n, big, k, big // k).swapaxes(-1, -2)
+    return _matmul(cols, dag(a)).swapaxes(-1, -2).reshape(x.shape)
+
+
+def _apply_superop_factor0(superop: np.ndarray, joint: np.ndarray, d0: int) -> np.ndarray:
+    """The system step map ``superop`` on (N, D, D) joint states of system ⊗ units."""
+    n, big = joint.shape[0], joint.shape[-1]
+    rest = big // d0
+    t = joint.reshape(n, d0, rest, d0, rest).transpose(0, 2, 4, 1, 3)
+    out = np.multiply(superop, t.reshape(n, rest, rest, 1, d0 * d0), order="C").sum(-1)
+    return out.reshape(n, rest, rest, d0, d0).transpose(0, 3, 1, 4, 2).reshape(n, big, big)
+
+
+def _insert_unit(joint: np.ndarray, dims: list, unit_mat: np.ndarray):
+    """Tensor a fresh unit in right next to the system factor of (N, D, D) joint states."""
+    n = joint.shape[0]
+    nd = dims + [unit_mat.shape[0]]
+    k = len(nd)
+    perm = [0, k - 1] + list(range(1, k - 1))
+    t = np.kron(joint, unit_mat).reshape([n] + nd + nd)
+    t = t.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
+    out_dims = [nd[p] for p in perm]
+    total = int(np.prod(out_dims))
+    return np.ascontiguousarray(t).reshape(n, total, total), out_dims
+
+
+def _joint_stack(rows: _Rows, idx) -> np.ndarray:
+    return np.stack([rows.joint[i] for i in idx])
+
+
+def _propagate(run: _Run, rows: _Rows, dt: float):
+    if dt <= 0.0:
+        return
+    gen, sub = run.gen, dt / run.substeps
+    for units, idx in _by_units(rows.units).items():
+        if not units:
+            mat = rows.mat[idx]
+            for _ in range(run.substeps):
+                mat = _propagate_matrix(gen, mat, sub, run.method)
+            rows.mat[idx] = mat
+            continue
+        superop, joint = gen.superoperator(sub, run.method), _joint_stack(rows, idx)
+        for _ in range(run.substeps):
+            joint = _apply_superop_factor0(superop, joint, gen.dim)
+        for i, j in zip(idx, joint):
+            rows.joint[i] = j
+        rows.mat[idx] = hermitize(_partial_trace_matrix(joint, [gen.dim, *units], [0]))
+
+
+def _segment(run: _Run, rows: _Rows, k: int, dt: float):
+    """Switch and drift every row up to control ``k``, filling its segment columns."""
+    led = rows.ledger[:, k]
+    led["e_sys_start"] = _expectation(rows.h, rows.mat)
+    led["s_start"] = rows.s_prev
+    e_switch = led["e_sys_start"].copy()
+    switch = [i for i, h in enumerate(rows.pending) if h is not None]
+    if switch:
+        new_h = np.stack([rows.pending[i] for i in switch])
+        led["w_seg"][switch] = _expectation(new_h - rows.h[switch], rows.mat[switch])
+        rows.h[switch] = new_h
+        e_switch[switch] = _expectation(rows.h[switch], rows.mat[switch])
+        rows.pending = [None] * len(rows.pending)
+    _propagate(run, rows, dt)
+    led["e_sys_pre"] = _expectation(rows.h, rows.mat)
+    led["q_seg"] = led["e_sys_pre"] - e_switch
+    # one spectrum per state serves the positivity check and the stochastic entropy
+    s = shannon_entropy(density_spectrum(rows.mat))
+    for units, idx in _by_units(rows.units).items():
+        if units:
+            s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_joint_stack(rows, idx))))
+    led["s_pre"] = rows.log_prob + s
+
+
+def _branches(run: _Run, instr: Instrument, mat, raws, units: tuple):
+    """Each outcome's unnormalized post state of the tracked state, and the units tracked after.
+
+    ``raws`` are the system's own branch states, which are the answer while
+    nothing but the system is tracked and the instrument is efficient.
+    """
+    d = run.gen.dim
+    if instr.efficient and not run.retain:
+        if not units:
+            return raws, units
+        return np.stack([_sandwich(b.kraus[0], mat) for b in instr.outcomes], axis=1), units
+    if len(units) + 1 > run.max_units:
+        raise EngineError(f"joint tracking would exceed max_units={run.max_units}")
+    dilation = stinespring_dilate(instr)
+    extended, new_dims = _insert_unit(mat, [d, *units], dilation.unit_state.matrix)
+    # the dilation acts on system ⊗ new unit, the leading factors after insertion
+    correlated = _sandwich(dilation.joint_unitary, extended)
+    raws = [_sandwich(np.kron(np.eye(d), p_u), correlated) for _, p_u in dilation.projectors]
+    return np.stack(raws, axis=1), tuple(new_dims[1:])
+
+
+def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: list,
+                   step: int, select) -> dict:
+    """The continuing rows of a group that shares a plan and tracked units, as columns."""
+    instr, d = plan.instrument, run.gen.dim
+    dev = instr.completeness_deviation
+    if dev > COMPLETENESS_ATOL:
+        raise EngineError(f"instrument fails completeness by {dev:.3e}")
+    if instr.dim != d:
+        raise EngineError("instrument dimension does not match generator")
+    if rows.energetic[idx].any():
+        raise EngineError(
+            "a past inefficient unit carries energy; its conditional energy "
+            "updates are not tracked, so no further controls are allowed"
         )
+    mat, h = rows.mat[idx], rows.h[idx]
+    raws = []
+    for b in instr.outcomes:
+        raws.append(_sandwich(b.kraus[0], mat))
+        for a in b.kraus[1:]:
+            raws[-1] = raws[-1] + _sandwich(a, mat)
+    raws = np.stack(raws, axis=1)
+    _, w_sys, q_sys = system_energetics(h, mat, raws)
+    w_unit, q_unit, de_unit = np.zeros(len(idx)), np.zeros_like(q_sys), np.zeros_like(q_sys)
+    if plan.h_unit is not None:  # the unit's energetics, from the dilation, row by row
+        for j in range(len(idx)):
+            ce = control_energetics(instr, h[j], DensityOperator(mat[j]), h_unit=plan.h_unit)
+            w_unit[j] = ce.w_unit
+            q_unit[j] = [ce.q_unit.get(label, 0.0) for label in instr.labels]
+            de_unit[j] = [ce.de_unit.get(label, 0.0) for label in instr.labels]
+    tracked = _joint_stack(rows, idx) if units else mat
+    post_raws, new_units = _branches(run, instr, tracked, raws, units)
+    probs = _trace(post_raws)
+    at, branch = select(step, idx, instr.labels, probs)
+    p = probs[at, branch]
+    post = hermitize(post_raws[at, branch]) / p[:, None, None]
+    sys_post = post
+    if new_units:
+        sys_post = hermitize(_partial_trace_matrix(post, [d, *new_units], [0]))
+    logp_inc = -np.log(p) + 0.0  # avoid -0.0 for certain outcomes
+    n, parent = len(at), np.asarray(idx)[at]
+    return {
+        "parent": parent, "branch": branch, "p": p, "mat": sys_post,
+        "joint": list(post) if new_units else [None] * n, "units": [new_units] * n,
+        "kind": [plan.kind] * n, "pending": [plan.next_hamiltonian] * n,
+        "energetic": np.full(n, plan.h_unit is not None and not instr.efficient),
+        "outcome": np.asarray(instr.labels)[branch], "logp_increment": logp_inc,
+        "e_sys_end": _expectation(h[at], sys_post), "de_unit": de_unit[at, branch],
+        "w_ctrl_sys": w_sys[at], "w_ctrl_unit": w_unit[at],
+        "q_ctrl_sys": q_sys[at, branch], "q_ctrl_unit": q_unit[at, branch],
+        "s_end": (rows.log_prob[parent] + logp_inc
+                  + shannon_entropy(np.linalg.eigvalsh(hermitize(post)))),
+    }
 
-    def estimate(self, cur: _Cursor, step: int):
-        if self.policy.delay <= 0:
-            return cur.mat
-        return cur.estimates[max(0, step - self.policy.delay)]
 
-    def control_branches(self, cur: _Cursor, plan: StepPlan):
-        """Energetics plus, per possible outcome, the post states."""
-        instr = plan.instrument
-        self._check_instrument(instr)
-        if cur.energetic_units:
-            raise EngineError(
-                "a past inefficient unit carries energy; its conditional energy "
-                "updates are not tracked, so no further controls are allowed"
-            )
-        rho_pre = DensityOperator(hermitize(cur.mat))
-        needs_unit = (not instr.efficient) or self.retain
-        ce = control_energetics(instr, cur.h, rho_pre, h_unit=plan.h_unit)
-        branches = []
-        if not needs_unit:
-            base = cur.joint if cur.joint is not None else cur.mat
-            rest = int(np.prod(cur.unit_dims)) if cur.unit_dims else 1
-            for b in instr.outcomes:
-                a = b.kraus[0]
-                a_full = np.kron(a, np.eye(rest)) if rest > 1 else a
-                raw = a_full @ base @ dag(a_full)
-                p = float(np.trace(raw).real)
-                if p < PROB_FLOOR:
-                    branches.append((b.label, max(p, 0.0), None, None, None))
-                    continue
-                post = hermitize(raw) / p
-                if cur.joint is None:
-                    branches.append((b.label, p, post, None, None))
-                else:
-                    dims = [self.gen.dim] + cur.unit_dims
-                    sys_post = hermitize(_partial_trace_matrix(post, dims, [0]))
-                    branches.append((b.label, p, sys_post, post, list(cur.unit_dims)))
+def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
+    """Apply every row's planned control ``k``; returns the rows that continue.
+
+    Rows are grouped by their tracked units and by the plan their policy
+    returns, keyed by the plan's identity while this step holds every plan.
+    ``select(step, idx, labels, probs)`` picks, from the branch
+    probabilities of the group rows ``idx``, the (row in the group, branch)
+    pairs that continue: one per row when sampling, every viable one when
+    enumerating.
+    """
+    step, delay = k + 1, run.policy.delay
+    past = step - delay  # a delayed estimate is the state after control `past`; 0 is the start
+    groups: dict = {}
+    for i, units in enumerate(rows.units):
+        estimate = (rows.mat[i] if delay <= 0 else
+                    rows.states[i, past - 1] if past > 0 else run.rho0.matrix)
+        plan = run.policy.plan(step, estimate, rows.outcomes[i], rows.kinds[i])
+        groups.setdefault((id(plan), units), (plan, []))[1].append(i)
+    parts = [_control_group(run, rows, plan, units, idx, step, select)
+             for (_, units), (plan, idx) in groups.items()]
+    order = np.lexsort((np.concatenate([p["branch"] for p in parts]),
+                        np.concatenate([p["parent"] for p in parts])))
+    kids = {}
+    for key, first in parts[0].items():
+        if isinstance(first, list):
+            flat = [x for part in parts for x in part[key]]
+            kids[key] = [flat[i] for i in order]
         else:
-            if len(cur.unit_dims) + 1 > self.max_units:
-                raise EngineError(
-                    f"joint tracking would exceed max_units={self.max_units}"
-                )
-            dilation = stinespring_dilate(instr)
-            base = cur.joint if cur.joint is not None else cur.mat
-            dims = [self.gen.dim] + cur.unit_dims
-            extended, new_dims = _insert_unit(base, dims, dilation.unit_state.matrix)
-            rest = int(np.prod(new_dims[2:])) if len(new_dims) > 2 else 1
-            v_full = np.kron(dilation.joint_unitary, np.eye(rest)) if rest > 1 else dilation.joint_unitary
-            correlated = v_full @ extended @ dag(v_full)
-            for label, p, post_joint in dilation.readout(correlated):
-                if post_joint is None:
-                    branches.append((label, p, None, None, None))
-                    continue
-                sys_post = hermitize(_partial_trace_matrix(post_joint, new_dims, [0]))
-                branches.append((label, p, sys_post, post_joint, list(new_dims[1:])))
-        return ce, branches
+            kids[key] = np.concatenate([part[key] for part in parts])[order]
+    if not np.array_equal(kids["parent"], np.arange(len(rows.mat))):
+        rows = rows.take(kids["parent"])
+    rows.mat, rows.joint, rows.units, rows.pending, rows.s_prev = (
+        kids["mat"], kids["joint"], kids["units"], kids["pending"], kids["s_end"])
+    rows.log_prob = rows.log_prob + kids["logp_increment"]
+    rows.prob = rows.prob * kids["p"]
+    rows.energetic = rows.energetic | kids["energetic"]
+    led = rows.ledger[:, k]
+    for col in ("outcome", "logp_increment", "e_sys_end", "de_unit", "w_ctrl_sys",
+                "w_ctrl_unit", "q_ctrl_sys", "q_ctrl_unit", "s_end"):
+        led[col] = kids[col]
+    if rows.states.shape[1]:
+        rows.states[:, k] = rows.mat
+    rows.outcomes = [o + (int(x),) for o, x in zip(rows.outcomes, kids["outcome"])]
+    rows.kinds = [o + (x,) for o, x in zip(rows.kinds, kids["kind"])]
+    return rows
 
-    def commit(self, cur: _Cursor, step: int, seg: _Segment, plan: StepPlan, ce,
-               label: int, p: float, sys_post, joint_post, new_dims):
-        logp_inc = float(-np.log(p)) + 0.0  # avoid -0.0 for certain outcomes
-        cur.log_prob += logp_inc
-        cur.prob *= p
-        cur.mat = sys_post
-        if joint_post is not None:
-            cur.joint = joint_post
-            cur.unit_dims = list(new_dims)
-        else:
-            cur.joint = None
-            cur.unit_dims = []
-        if plan.h_unit is not None and not plan.instrument.efficient:
-            cur.energetic_units = True
-        e_end = float(np.trace(cur.h @ cur.mat).real)
-        s_end = self._stochastic_entropy(cur)
-        # LEDGER_DTYPE order; finish() fills the two sigma columns
-        cur.ledgers.append((
-            step, label, logp_inc, seg.e_start, seg.e_pre, e_end,
-            ce.de_unit.get(label, 0.0), seg.w_seg, seg.q_seg, ce.w_system, ce.w_unit,
-            ce.q_system[label], ce.q_unit.get(label, 0.0),
-            seg.s_start, seg.s_pre, s_end, np.nan, np.nan,
-        ))
-        cur.outcomes.append(label)
-        cur.kinds.append(plan.kind)
-        cur.estimates.append(cur.mat)
-        if self.store_states:
-            cur.states.append(cur.mat)
-        cur.s_prev = s_end
-        cur.pending_h = plan.next_hamiltonian
 
-    def finish(self, cur: _Cursor) -> TrajectoryRecord:
-        t_final = self.schedule.t_final
-        if t_final is not None and t_final > cur.t_prev:
-            self._propagate_tracked(cur, t_final - cur.t_prev)
-            cur.t_prev = t_final
-        return TrajectoryRecord(
-            outcomes=tuple(cur.outcomes),
-            kinds=tuple(cur.kinds),
-            log_prob=cur.log_prob,
-            ledgers=entropy_production_step(cur.ledgers, self.gen.beta),
-            states=np.array(cur.states),
-            final_state=cur.mat,
-            times=self.schedule.times,
+def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES) -> _Rows:
+    """``n`` rows from the initial state, stepped through the whole schedule."""
+    rows, t_prev = _Rows(run, n), run.schedule.t0
+    for k, t in enumerate(run.schedule.times):
+        _segment(run, rows, k, t - t_prev)
+        rows, t_prev = _control(run, rows, k, select), t
+        if len(rows.mat) > max_rows:
+            raise EngineError(f"outcome tree exceeds {max_rows} leaves")
+    t_final = run.schedule.t_final
+    if t_final is not None and t_final > t_prev:
+        _propagate(run, rows, t_final - t_prev)
+    return rows
+
+
+def _records(run: _Run, rows: _Rows, first_row: int = 0) -> list:
+    """Close the rows' ledgers in one call and wrap each row as a record."""
+    try:
+        ledger = entropy_production_step(rows.ledger, run.gen.beta)
+    except ThermoError as exc:
+        exc.row += first_row
+        raise
+    return [
+        TrajectoryRecord(
+            outcomes=rows.outcomes[j], kinds=rows.kinds[j], log_prob=float(rows.log_prob[j]),
+            ledgers=ledger[j], states=rows.states[j] if run.store_states else np.array([]),
+            final_state=rows.mat[j], times=run.schedule.times,
         )
+        for j in range(len(rows.mat))
+    ]
+
+
+def _sampled(uniforms: np.ndarray):
+    def select(step, idx, labels, probs):
+        return np.arange(len(idx)), choose_branch(np.maximum(probs, 0.0), uniforms[idx, step - 1])
+    return select
+
+
+def _replayed(forced):
+    def select(step, idx, labels, probs):
+        branch = labels.index(forced[step - 1])
+        if (probs[:, branch] < PROB_FLOOR).any():
+            raise EngineError(f"forced outcome {forced[step - 1]} is impossible")
+        return np.arange(len(idx)), np.full(len(idx), branch)
+    return select
+
+
+def _expanded(step, idx, labels, probs):
+    return np.nonzero(probs >= PROB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # Public entry points.
 
 
-def sample_trajectory(
-    gen: ThermalGenerator,
-    schedule: ControlSchedule,
-    policy: FeedbackPolicy,
-    rho0: DensityOperator,
-    seed: int,
-    *,
-    method: str = "exact",
-    substeps: int = 1,
-    retain_efficient_units: bool = False,
-    max_units: int = 4,
-    store_states: bool = True,
-    hamiltonian0=None,
-    forced_outcomes=None,
-) -> TrajectoryRecord:
+def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
+                    rho0: DensityOperator, seeds, *, forced_outcomes=None, **options):
+    """Sample one trajectory per seed, yielding the records in seed order.
+
+    Keywords: ``method`` ("exact" or "first_order"), ``substeps`` per drift
+    segment, ``retain_efficient_units``, ``max_units`` jointly tracked,
+    ``store_states``, ``hamiltonian0`` (the bookkeeping Hamiltonian in force
+    before the first control; the generator's by default) and
+    ``forced_outcomes``, one outcome sequence replayed on every row instead
+    of sampling, which is how causality is audited.
+
+    Trajectories are stepped together in blocks of ``BLOCK_ROWS``, so a
+    caller that only counts outcomes never holds more than one block.  A
+    seed fixes its trajectory bit-exactly: the record depends neither on
+    the other seeds nor on its block.  A ledger that breaks a law raises
+    ``ThermoError`` whose ``row`` is the trajectory's position in ``seeds``.
+    """
+    run = _Run(gen, schedule, policy, rho0, **options)
+    seeds = list(seeds)
+    for first in range(0, len(seeds), BLOCK_ROWS):
+        block = seeds[first:first + BLOCK_ROWS]
+        if forced_outcomes is None:
+            uniforms = np.array([stream_rng(s).random(schedule.n_steps) for s in block])
+            select = _sampled(uniforms.reshape(len(block), schedule.n_steps))
+        else:
+            select = _replayed(forced_outcomes)
+        yield from _records(run, _stepped(run, len(block), select), first)
+
+
+def sample_trajectory(gen, schedule, policy, rho0, seed: int, **options) -> TrajectoryRecord:
     """Sample one trajectory; the seed fixes the entire run bit-exactly.
 
-    ``hamiltonian0`` overrides the bookkeeping Hamiltonian in force before
-    the first control.  ``forced_outcomes`` replays a given outcome
-    sequence instead of sampling, which is how causality is audited.
+    The one-seed case of :func:`sample_ensemble`, with its keywords.
     """
-    eng = _Engine(
-        gen, schedule, policy, rho0,
-        method=method, substeps=substeps,
-        retain_efficient_units=retain_efficient_units,
-        max_units=max_units, store_states=store_states,
-        hamiltonian0=hamiltonian0,
-    )
-    rng = stream_rng(seed)
-    cur = eng.initial()
-    for step, t in enumerate(schedule.times, start=1):
-        seg = eng.advance_segment(cur, t)
-        est = eng.estimate(cur, step)
-        plan = eng.policy.plan(step, est, tuple(cur.outcomes), tuple(cur.kinds))
-        ce, branches = eng.control_branches(cur, plan)
-        probs = np.array([b[1] for b in branches])
-        if forced_outcomes is None:
-            idx = choose_branch(probs, rng.random())
-        else:
-            labels = [b[0] for b in branches]
-            idx = labels.index(forced_outcomes[step - 1])
-            if probs[idx] < PROB_FLOOR:
-                raise EngineError(f"forced outcome {forced_outcomes[step - 1]} is impossible")
-        label, p, sys_post, joint_post, new_dims = branches[idx]
-        eng.commit(cur, step, seg, plan, ce, label, p, sys_post, joint_post, new_dims)
-    return eng.finish(cur)
+    (record,) = sample_ensemble(gen, schedule, policy, rho0, [seed], **options)
+    return record
 
 
-def enumerate_tree(
-    gen: ThermalGenerator,
-    schedule: ControlSchedule,
-    policy: FeedbackPolicy,
-    rho0: DensityOperator,
-    *,
-    method: str = "exact",
-    substeps: int = 1,
-    retain_efficient_units: bool = False,
-    max_units: int = 4,
-    store_states: bool = True,
-    hamiltonian0=None,
-    max_leaves: int = MAX_TREE_LEAVES,
-) -> list:
+def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
+                   rho0: DensityOperator, *, max_leaves: int = MAX_TREE_LEAVES,
+                   **options) -> list:
     """Exact outcome-tree expansion: (outcome sequence, probability, record) leaves.
 
-    Probabilities across leaves sum to one up to the discarded sub-floor
-    branches; each record's ``log_prob`` is the exact -ln(probability).
+    Takes the keywords of :func:`sample_ensemble` but ``forced_outcomes``.
+    The frontier grows one level at a time through the sampling kernel,
+    every viable branch of a row becoming a row, so leaves come in
+    lexicographic outcome order.  Probabilities across leaves sum to one up
+    to the discarded sub-floor branches; each record's ``log_prob`` is the
+    exact -ln(probability).
     """
-    eng = _Engine(
-        gen, schedule, policy, rho0,
-        method=method, substeps=substeps,
-        retain_efficient_units=retain_efficient_units,
-        max_units=max_units, store_states=store_states,
-        hamiltonian0=hamiltonian0,
-    )
-    leaves: list = []
-    stack = [(eng.initial(), 1)]
-    while stack:
-        cur, step = stack.pop()
-        if step > schedule.n_steps:
-            record = eng.finish(cur)
-            leaves.append((record.outcomes, cur.prob, record))
-            if len(leaves) > max_leaves:
-                raise EngineError(f"outcome tree exceeds {max_leaves} leaves")
-            continue
-        seg = eng.advance_segment(cur, schedule.times[step - 1])
-        est = eng.estimate(cur, step)
-        plan = eng.policy.plan(step, est, tuple(cur.outcomes), tuple(cur.kinds))
-        ce, branches = eng.control_branches(cur, plan)
-        viable = [b for b in branches if b[1] >= PROB_FLOOR]
-        # Descend in reverse label order so the stack pops lower labels first.
-        for i, br in enumerate(reversed(viable)):
-            child = cur if i == len(viable) - 1 else cur.clone()
-            eng.commit(child, step, seg, plan, ce, *br)
-            stack.append((child, step + 1))
-    leaves.sort(key=lambda leaf: leaf[0])
-    return leaves
+    run = _Run(gen, schedule, policy, rho0, **options)
+    rows = _stepped(run, 1, _expanded, max_rows=max_leaves)
+    return [(rec.outcomes, float(p), rec) for rec, p in zip(_records(run, rows), rows.prob)]
 
 
 @dataclass(frozen=True)
@@ -553,12 +579,9 @@ class EnsembleReport:
     """Weighted per-step averages over a collection of records."""
 
     n_records: int
-    weights: str
-    total_weight: float
     column_means: dict
     column_se: dict
     mean_states: np.ndarray | None
-    mean_final_state: np.ndarray
 
 
 def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
@@ -581,8 +604,7 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
         w = np.array([r.probability for r in records], dtype=float)
     else:
         raise EngineError(f"unknown weights mode {weights!r}")
-    total = float(w.sum())
-    wn = w / total
+    wn = w / w.sum()
     batch = np.stack([r.ledgers for r in records])  # (N, steps)
     means: dict = {}
     ses: dict = {}
@@ -597,14 +619,9 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
     if n_steps and all(len(r.states) == n_steps for r in records):
         # record by record, so no (N, steps, ...) copy of every state is held
         mean_states = sum(wi * r.states for wi, r in zip(wn, records))
-    finals = np.array([r.final_state for r in records])
-    mean_final = np.tensordot(wn, finals, axes=1)
     return EnsembleReport(
         n_records=len(records),
-        weights=weights,
-        total_weight=total,
         column_means=means,
         column_se=ses,
         mean_states=mean_states,
-        mean_final_state=mean_final,
     )

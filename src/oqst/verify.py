@@ -7,6 +7,7 @@ suite is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .trajectory import (
     FixedPolicy,
     derive_stream_seed,
     enumerate_tree,
-    sample_trajectory,
+    sample_ensemble,
 )
 
 
@@ -229,12 +230,10 @@ def check_sampler_against_tree(seed: int, samples: int = 20000) -> CheckResult:
     sched = ControlSchedule.uniform(2, 1.0)
     rho0 = DensityOperator.pure([1, 1])
     probs = {o: p for o, p, _ in enumerate_tree(gen, sched, pol, rho0)}
-    counts: dict = {}
-    for i in range(samples):
-        rec = sample_trajectory(
-            gen, sched, pol, rho0, seed=derive_stream_seed(seed, i), store_states=False
-        )
-        counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
+    seeds = [derive_stream_seed(seed, i) for i in range(samples)]
+    counts = Counter(rec.outcomes for rec in sample_ensemble(
+        gen, sched, pol, rho0, seeds, store_states=False
+    ))
     worst = 0.0
     for outcome, p in probs.items():
         freq = counts.get(outcome, 0) / samples

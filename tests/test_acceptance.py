@@ -35,6 +35,7 @@ from oqst.trajectory import (
     FixedPolicy,
     derive_stream_seed,
     enumerate_tree,
+    sample_ensemble,
     sample_trajectory,
 )
 
@@ -267,11 +268,8 @@ def _frequency_check(gen, sched, pol, rho0, samples, seed_tag, **kwargs):
     leaves = enumerate_tree(gen, sched, pol, rho0, **kwargs)
     probs = {o: p for o, p, _ in leaves}
     counts: dict = {}
-    for i in range(samples):
-        rec = sample_trajectory(
-            gen, sched, pol, rho0, seed=derive_stream_seed(seed_tag, i),
-            store_states=False, **kwargs,
-        )
+    seeds = [derive_stream_seed(seed_tag, i) for i in range(samples)]
+    for rec in sample_ensemble(gen, sched, pol, rho0, seeds, store_states=False, **kwargs):
         counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
     worst = 0.0
     for outcome, p in probs.items():

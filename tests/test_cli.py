@@ -163,6 +163,14 @@ class TestExecution:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_classical_step_too_long_exit_code(self, tmp_path):
+        # dt times the largest rate of the thermal model exceeds the step-rate limit
+        code = main(["run", "classical", "--mode", "gillespie", "--dt", "0.05", "--beta", "0.7",
+                     "--steps", "20", "--traj", "300", "--seed", "11",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_mistyped_config_param_exit_code(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scenario": "cavity", "params": {"steps": "ten"}}))

@@ -4,7 +4,9 @@ Every generated case runs the exact outcome-tree expansion.  A case either
 stops with an ``EngineError`` (a configuration the engine refuses, such as
 a further control after an energetic inefficient unit) or returns leaves
 whose every ledger step closes the first law within ``FIRST_LAW_ATOL`` and
-has segment entropy production above ``SEGMENT_EP_FLOOR``.
+has segment entropy production above ``SEGMENT_EP_FLOOR``.  Trajectories
+sampled from the same case must each be a leaf of that tree, with the
+leaf's ledger.
 """
 
 import numpy as np
@@ -14,7 +16,10 @@ from oqst import qmath
 from oqst.channels import random_instrument
 from oqst.lindblad import ThermalGenerator
 from oqst.thermo import FIRST_LAW_ATOL, SEGMENT_EP_FLOOR, first_law_residual
-from oqst.trajectory import ControlSchedule, EngineError, FixedPolicy, StepPlan, enumerate_tree
+from oqst.trajectory import (
+    ControlSchedule, EngineError, FixedPolicy, StepPlan, derive_stream_seed, enumerate_tree,
+    sample_ensemble,
+)
 
 MAX_JOINT_DIM = 64
 
@@ -71,3 +76,10 @@ def test_every_ledger_step_keeps_both_laws(case):
     for _, _, rec in leaves:
         assert np.abs(first_law_residual(rec.ledgers)).max() <= FIRST_LAW_ATOL
         assert rec.ledgers.sigma_seg.min() >= SEGMENT_EP_FLOOR
+    by_outcomes = {outcomes: rec for outcomes, _, rec in leaves}
+    seeds = [derive_stream_seed(schedule.n_steps, i) for i in range(20)]
+    for rec in sample_ensemble(gen, schedule, FixedPolicy(plans), rho0, seeds,
+                               retain_efficient_units=retain, max_units=len(plans)):
+        leaf = by_outcomes[rec.outcomes]
+        for col in rec.ledgers.dtype.names:
+            assert np.abs(rec.ledgers[col] - leaf.ledgers[col]).max(initial=0.0) <= 1e-12

@@ -167,6 +167,17 @@ class TestEntropyProductionStep:
         with pytest.raises(ThermoError, match=re.escape(message)):
             entropy_production_step(ledger, beta=1.0)
 
+    def test_batch_violation_names_the_lowest_failing_row(self):
+        good = np.concatenate([make_ledger(step=1), make_ledger(step=2)])
+        bad = np.concatenate([make_ledger(step=1), make_ledger(step=2, e_sys_end=1.0)])
+        batch = np.stack([good, bad, bad])
+        with pytest.raises(ThermoError, match="on step 2$") as info:
+            entropy_production_step(batch, beta=1.0)
+        assert info.value.row == 1
+        with pytest.raises(ThermoError) as info:
+            entropy_production_step(bad, beta=1.0)
+        assert info.value.row is None
+
 
 def random_sqrt_family(rng, dim, n_ops):
     """Positive operators whose squares sum to the identity."""

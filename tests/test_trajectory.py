@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oqst import qmath
+from oqst import qmath, trajectory
 from oqst.channels import (
     average_map,
     projective_instrument,
@@ -23,6 +23,7 @@ from oqst.trajectory import (
     derive_stream_seed,
     ensemble_statistics,
     enumerate_tree,
+    sample_ensemble,
     sample_trajectory,
 )
 
@@ -120,10 +121,8 @@ class TestSampling:
         probs = {o: p for o, p, _ in leaves}
         n = 100_000
         counts = {}
-        for i in range(n):
-            rec = sample_trajectory(
-                gen, sched, pol, rho0, seed=derive_stream_seed(42, i), store_states=False
-            )
+        seeds = [derive_stream_seed(42, i) for i in range(n)]
+        for rec in sample_ensemble(gen, sched, pol, rho0, seeds, store_states=False):
             counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
         for outcome, p in probs.items():
             freq = counts.get(outcome, 0) / n
@@ -401,6 +400,79 @@ class TestFreshInstruments:
             assert [leaf[0] for leaf in fresh] == [leaf[0] for leaf in kept]
             for (_, _, a), (_, _, b) in zip(fresh, kept):
                 assert np.array_equal(a.ledgers, b.ledgers)
+
+
+class _MixedPolicy(FeedbackPolicy):
+    """Row-dependent plans from a delayed estimate, with an inefficient step.
+
+    Step 2 applies an inefficient instrument, so its unit is tracked jointly
+    from then on; later steps measure in z (an energetic unit) or in x (a
+    switch of the Hamiltonian after the control), depending on the estimate.
+    """
+
+    delay = 1
+
+    def __init__(self):
+        rng = np.random.default_rng(12)
+        self.noisy = StepPlan(random_instrument(rng, 2, 2, 2), kind="noisy")
+        self.z = StepPlan(Z_INSTR, kind="z", h_unit=np.diag([0.0, 0.7]).astype(complex))
+        self.x = StepPlan(X_INSTR, kind="x", next_hamiltonian=np.diag([0.0, 1.3]).astype(complex))
+
+    def plan(self, step, estimate, outcomes, kinds):
+        if step == 2:
+            return self.noisy
+        return self.z if np.real(estimate[1, 1]) <= 0.5 else self.x
+
+
+class TestBatchInvariance:
+    GEN = ThermalGenerator(
+        dim=2, hamiltonian=np.diag([0.0, 1.0]).astype(complex),
+        dissipators=((np.array([[0, 1], [0, 0]]), 0.6), (np.array([[0, 0], [1, 0]]), 0.2)),
+        beta=float(np.log(3.0)),
+    )
+    SCHED = ControlSchedule.uniform(5, 0.3)
+    RHO0 = DensityOperator.pure([1, 1j])
+    OPTIONS = dict(method="first_order", substeps=3)
+
+    def run(self, seeds, **options):
+        return list(sample_ensemble(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, seeds,
+                                    **self.OPTIONS, **options))
+
+    def one(self, seed, **options):
+        return sample_trajectory(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, seed,
+                                 **self.OPTIONS, **options)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.outcomes == b.outcomes
+        assert a.kinds == b.kinds
+        assert np.array_equal(a.ledgers, b.ledgers)
+        assert np.array_equal(a.states, b.states)
+        assert a.log_prob == b.log_prob
+
+    def test_records_do_not_depend_on_batch_mates(self, monkeypatch):
+        seeds = [derive_stream_seed(77, i) for i in range(64)]
+        batch = self.run(seeds)
+        perm = np.random.default_rng(0).permutation(64)
+        shuffled = self.run([seeds[i] for i in perm])
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 7)
+        blocked = self.run(seeds)
+        for j, seed in enumerate(seeds):
+            single = self.one(seed)
+            self.assert_same(batch[j], single)
+            self.assert_same(shuffled[int(np.flatnonzero(perm == j)[0])], single)
+            self.assert_same(blocked[j], single)
+        # the case mix this test is meant to cover
+        assert {k for r in batch for k in r.kinds} == {"noisy", "z", "x"}
+        assert len({r.kinds for r in batch}) > 1
+
+    def test_forced_outcomes_replay_on_every_row(self):
+        seeds = [derive_stream_seed(78, i) for i in range(16)]
+        target = self.one(seeds[3])
+        for rec in self.run(seeds, forced_outcomes=target.outcomes):
+            self.assert_same(rec, self.one(seeds[0], forced_outcomes=target.outcomes))
+            assert rec.outcomes == target.outcomes
+            assert np.array_equal(rec.ledgers, target.ledgers)
 
 
 class TestScheduleValidation:
