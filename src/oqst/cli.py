@@ -386,7 +386,7 @@ def _prepare_run(config: RunConfig):
             exact_propagator=bool(p["exact_propagator"]), dense=bool(p["dense"]),
             seed=config.seed, workers=config.workers,
         )
-        return lambda: run_cavity(cavity)
+        return lambda: run_cavity(cavity, keep_records=False)
     if config.scenario == "projective":
         h = 0.5 * p["omega"] * np.diag([1.0, -1.0]).astype(complex)
         return lambda: run_projective_example(h, DensityOperator.pure([1, 1]), np.eye(2))

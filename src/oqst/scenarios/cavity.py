@@ -15,8 +15,8 @@ the same outcome sequences from the same seeds.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,28 +30,31 @@ from ..thermo import (
     FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
 )
 from ..trajectory import (
+    BLOCK_ROWS,
     ControlSchedule,
     EnsembleReport,
     FeedbackPolicy,
+    Moments,
     StepPlan,
     TrajectoryRecord,
     choose_branch,
     derive_stream_seed,
-    ensemble_statistics,
     sample_ensemble,
-    stream_rng,
+    stream_uniforms,
 )
 
+# Atom kinds are their positions in ATOM_KINDS inside the samplers; the
+# names appear only in records and output files.
 ATOM_KINDS = ("sensor", "emitter", "absorber")
-FEEDBACK_KINDS = ("emitter", "absorber")
+SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
 TRUNCATION_LEAK = 1e-6
 # Rounding allowances of the reported law flags (see ``law_flags``).
 SIGMA_SEG_REPORT_FLOOR = -1e-10
 EFFICIENCY_CEILING = 1.0 + 1e-9
 # Ramsey preparation puts sensor atoms in an equal superposition (half a
 # quantum), emitters are prepared excited, absorbers stay in the ground
-# state; informational only, never part of the efficiency.
-ATOM_PREP_WORK = {"sensor": 0.5, "emitter": 1.0, "absorber": 0.0}
+# state; informational only, never part of the efficiency.  By kind code.
+ATOM_PREP_WORK = np.array([0.5, 1.0, 0.0])
 
 
 class TruncationLeakError(RuntimeError):
@@ -166,11 +169,19 @@ def atom_instrument(kind: str, target_nt: int, cutoff: int) -> Instrument:
 
 
 def feedback_decision(estimate, target_nt: int) -> np.ndarray:
-    """Steering rule on population estimates over the last axis; ties keep measuring."""
+    """Kind code(s) of the steering rule on population estimates over the last axis.
+
+    Ties keep measuring.
+    """
     p = np.asarray(estimate, dtype=float)
     p_target = p[..., target_nt]
-    return np.where(p[..., target_nt + 1 :].sum(axis=-1) > p_target, "absorber",
-                    np.where(p[..., :target_nt].sum(axis=-1) > p_target, "emitter", "sensor"))
+    return np.where(p[..., target_nt + 1 :].sum(axis=-1) > p_target, ABSORBER,
+                    np.where(p[..., :target_nt].sum(axis=-1) > p_target, EMITTER, SENSOR))
+
+
+def kind_codes(kinds) -> np.ndarray:
+    """Codes of a sequence of atom-kind names."""
+    return np.array([ATOM_KINDS.index(k) for k in kinds], dtype=np.int8)
 
 
 def number_populations(states) -> np.ndarray:
@@ -191,20 +202,23 @@ class CavityPolicy(FeedbackPolicy):
                       for kind, instr in (instruments or {}).items()}
 
     def decide(self, step: int, populations, kinds) -> np.ndarray:
-        """Atom kind(s) for ``step`` from ``(..., dim)`` population estimates.
+        """Atom kind code(s) for ``step`` from ``(..., dim)`` population estimates.
 
-        ``kinds`` lists the kinds sent so far, step first: a tuple for one
-        trajectory, a ``(step - 1, ...)`` array for a batch.
+        ``kinds`` lists the codes of the kinds sent so far, step first: a
+        sequence for one trajectory, a ``(step - 1, ...)`` array for a batch.
         """
         # hold off iff a feedback atom went out within the last `delay` steps
-        recent = np.asarray(kinds[max(0, step - self.delay - 1) : step - 1], dtype=str)
-        held = (recent[..., None] == FEEDBACK_KINDS).any(axis=-1).any(axis=0)
-        return np.where(held, "sensor", feedback_decision(populations, self.target_nt))
+        recent = np.asarray(kinds[max(0, step - self.delay - 1) : step - 1], dtype=np.int8)
+        held = (recent != SENSOR).any(axis=0)
+        return np.where(held, SENSOR, feedback_decision(populations, self.target_nt))
 
     def plan(self, step, estimate, outcomes, kinds):
         if self.instruments is None:
             raise RuntimeError("policy was built without instrument operators")
-        return self.plans[str(self.decide(step, np.real(np.diagonal(estimate)), kinds))]
+        # decide reads only the kinds sent after step `first`, so only those are coded
+        first = max(0, step - self.delay - 1)
+        code = self.decide(step - first, np.real(np.diagonal(estimate)), kind_codes(kinds[first:]))
+        return self.plans[ATOM_KINDS[code]]
 
 
 def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
@@ -248,12 +262,98 @@ def _close_chunk(ledger, pops, indices, beta: float):
         _check_leak(pops[leaks[0]], indices[leaks[0]])
 
 
-def _diagonal_chunk(config: CavityConfig, indices) -> list:
+def _diagonals(m) -> tuple:
+    """Offsets ``k`` of the nonzero diagonals of (..., d, d) matrices ``m``, in ascending
+    order, and their bands ``b[..., j, i] = m[..., i, i + k[j]]`` (zero off the matrix)."""
+    d = m.shape[-1]
+    offsets = [k for k in range(1 - d, d) if np.diagonal(m, k, -2, -1).any()]
+    bands = np.zeros(m.shape[:-2] + (len(offsets), d))
+    for j, k in enumerate(offsets):
+        bands[..., j, max(0, -k) : d - max(0, k)] = np.diagonal(m, k, -2, -1)
+    return offsets, bands
+
+
+def _diagonal_product(offsets, bands, p) -> np.ndarray:
+    """``m @ p`` over the last axis of ``p`` for ``offsets, bands = _diagonals(m)``.
+
+    A shifted elementwise product per diagonal, summed in offset order, so
+    each row's result depends on that row alone.
+    """
+    d = p.shape[-1]
+    lo = max(0, -offsets[0])
+    padded = np.zeros(p.shape[:-1] + (lo + d + max(0, offsets[-1]),))
+    padded[..., lo : lo + d] = p
+    out = bands[..., 0, :] * padded[..., lo + offsets[0] : lo + offsets[0] + d]
+    for j, k in enumerate(offsets[1:], 1):
+        out += bands[..., j, :] * padded[..., lo + k : lo + k + d]
+    return out
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """What the report needs of a block of trajectories; blocks merge in order."""
+
+    columns: dict            # ledger column -> Moments over trajectories, per step
+    populations: np.ndarray  # (steps, dim) number populations summed over trajectories
+    narrow: np.ndarray       # (steps,) trajectories with var(n) < 0.1
+    sensors: int             # sensor atoms sent
+    prep_work: float         # atom preparation work summed over trajectories
+    first_law_max: float     # largest |first-law residual|
+    sigma_seg_min: float
+    truncation_max: float    # largest population at the cutoff level
+    records: list
+
+    @classmethod
+    def of(cls, ledger, pops, kinds, records) -> "_Tally":
+        """A block's tally from its closed (n, steps) ledgers, (n, steps, dim) number
+        populations and (n, steps) kind codes, keeping ``records``."""
+        n_vec = np.arange(pops.shape[-1], dtype=float)
+        mean_n = pops @ n_vec
+        var_n = pops @ (n_vec**2) - mean_n**2
+        return cls(
+            columns={col: Moments.of(ledger[col]) for col in LEDGER_DTYPE.names},
+            populations=pops.sum(axis=0),
+            narrow=(var_n < 0.1).sum(axis=0),
+            sensors=int((kinds == SENSOR).sum()),
+            prep_work=float(ATOM_PREP_WORK[kinds].sum()),
+            first_law_max=float(np.abs(first_law_residual(ledger)).max()),
+            sigma_seg_min=float(ledger["sigma_seg"].min()),
+            truncation_max=float(pops[:, :, -1].max()),
+            records=list(records),
+        )
+
+    def merge(self, other: "_Tally") -> "_Tally":
+        return _Tally(
+            columns={col: m.merge(other.columns[col]) for col, m in self.columns.items()},
+            populations=self.populations + other.populations,
+            narrow=self.narrow + other.narrow,
+            sensors=self.sensors + other.sensors,
+            prep_work=self.prep_work + other.prep_work,
+            first_law_max=max(self.first_law_max, other.first_law_max),
+            sigma_seg_min=min(self.sigma_seg_min, other.sigma_seg_min),
+            truncation_max=max(self.truncation_max, other.truncation_max),
+            records=self.records + other.records,
+        )
+
+
+def _kept(records: list, indices, keep_records: bool) -> list:
+    """A block's records to keep: all of them, or trajectory 0's alone, which
+    ``trajectory.csv`` needs, copied so that it does not pin the block's arrays."""
+    if keep_records:
+        return records
+    return [replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
+                    final_state=rec.final_state.copy()) for rec in records[: int(indices[0] == 0)]]
+
+
+def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
     """Sample the population path of trajectories ``indices`` in one pass over the steps.
 
     Each trajectory draws its uniforms from its own stream, and every
     per-trajectory number comes from elementwise products and last-axis
-    sums, so a record does not depend on the chunk it was sampled in.
+    sums, so a trajectory does not depend on the block it was sampled in.
+    The drift map and the atom transfers act through their nonzero
+    diagonals: the first-order map is tridiagonal, each transfer has at
+    most one off-diagonal, and the dense exact map takes the same route.
     """
     gen = config.generator()
     rates = classical_rate_matrix(gen)
@@ -261,32 +361,32 @@ def _diagonal_chunk(config: CavityConfig, indices) -> list:
         step_map = expm(rates * config.step_ta)
     else:
         step_map = np.eye(config.dim) + rates * config.step_ta
-    transfer = {kind: atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS}
+    drift = _diagonals(step_map)
+    # bands of every kind's (2, dim, dim) transfer, indexed by kind code
+    offsets, transfers = _diagonals(np.stack([
+        atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
+    ]))
     policy = CavityPolicy(config.target_nt, config.delay_d)
     n, steps, delay = len(indices), config.steps, config.delay_d
-    uniforms = np.array([
-        stream_rng(derive_stream_seed(config.seed, i)).random(steps) for i in indices
-    ])
+    uniforms = stream_uniforms([derive_stream_seed(config.seed, i) for i in indices], steps)
     n_vec = np.arange(config.dim, dtype=float)
     p0 = thermal_populations(gen.beta, config.dim)
     p = np.tile(p0, (n, 1))
     states = np.empty((n, steps, config.dim))
-    kinds = np.empty((steps, n), dtype="<U8")
+    kinds = np.empty((steps, n), dtype=np.int8)
     ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
     ledger["step"] = np.arange(1, steps + 1)
-    weights = np.empty((n, 2, config.dim))  # joint (outcome, post level) weights of a step
     rows = np.arange(n)
     log_prob = np.zeros(n)
     e_start, s_start = (n_vec * p).sum(axis=-1), shannon_entropy(p)
     for k in range(steps):
-        p_mid = (step_map * p[:, None, :]).sum(axis=-1)
+        p_mid = _diagonal_product(*drift, p)
         e_pre = (n_vec * p_mid).sum(axis=-1)
         s_pre = log_prob + shannon_entropy(p_mid)
         estimate = p_mid if delay == 0 else (states[:, k - delay] if k >= delay else p0)
         kind = policy.decide(k + 1, estimate, kinds[:k])
-        for name, t in transfer.items():
-            sel = kind == name
-            weights[sel] = (t * p_mid[sel, None, None, :]).sum(axis=-1)
+        # joint (outcome, post level) weights of the step
+        weights = _diagonal_product(offsets, transfers[kind], p_mid[:, None, :])
         probs = weights.sum(axis=-1)
         e_avg_post = (n_vec * (weights[:, 0] + weights[:, 1])).sum(axis=-1)
         label = choose_branch(probs, uniforms[:, k])
@@ -307,24 +407,27 @@ def _diagonal_chunk(config: CavityConfig, indices) -> list:
         kinds[k] = kind
         p, e_start, s_start = post, e_end, s_end
 
-    times = tuple((i + 1) * config.step_ta for i in range(steps))
     _close_chunk(ledger, states, indices, gen.beta)
     ledger = ledger.view(np.recarray)
-    return [
+    times = tuple((i + 1) * config.step_ta for i in range(steps))
+    n_records = n if keep_records else 1
+    names = np.array(ATOM_KINDS, dtype=object)[kinds[:, :n_records].T]  # one str per kind
+    records = [
         TrajectoryRecord(
             outcomes=tuple(ledger[j].outcome.tolist()),
-            kinds=tuple(map(sys.intern, kinds[:, j].tolist())),  # one str object per kind
+            kinds=tuple(names[j]),
             log_prob=float(log_prob[j]),
             ledgers=ledger[j],
             states=states[j],
             final_state=states[j, -1],
             times=times,
         )
-        for j in range(n)
+        for j in range(n_records)
     ]
+    return _Tally.of(ledger, states, kinds.T, _kept(records, indices, keep_records))
 
 
-def _dense_chunk(config: CavityConfig, indices) -> list:
+def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
     gen = config.generator()
     instruments = {
         kind: atom_instrument(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
@@ -343,16 +446,22 @@ def _dense_chunk(config: CavityConfig, indices) -> list:
         if exc.row is None:
             raise
         raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
-    return records
+    return _Tally.of(
+        np.stack([r.ledgers for r in records]),
+        np.stack([number_populations(r.states) for r in records]),
+        np.array([kind_codes(r.kinds) for r in records]),
+        _kept(records, indices, keep_records),
+    )
 
 
 @dataclass(frozen=True)
 class CavityReport:
-    """Per-step ensemble view of a stabilization run plus the raw records.
+    """Per-step ensemble view of a stabilization run plus raw records.
 
     ``stats`` holds the per-step means and standard errors of every ledger
     column, e.g. ``stats.column_means["sigma_ctrl"]``; the other arrays are
-    the cavity quantities no ledger column gives.
+    the cavity quantities no ledger column gives.  ``records`` holds every
+    trajectory in order, or trajectory 0 alone (see ``run_cavity``).
     """
 
     config: CavityConfig
@@ -396,21 +505,24 @@ def cavity_efficiency(report: CavityReport) -> np.ndarray:
     return eta
 
 
-def _build_report(config: CavityConfig, records: list) -> CavityReport:
-    stats = ensemble_statistics(records)
-    populations = number_populations(stats.mean_states)
-    pops = np.stack([number_populations(r.states) for r in records])  # (N, steps, dim)
+def _build_report(config: CavityConfig, tally: _Tally) -> CavityReport:
+    n = tally.columns["step"].n
+    populations = tally.populations / n
+    stats = EnsembleReport(
+        n_records=n,
+        column_means={col: m.mean for col, m in tally.columns.items()},
+        column_se={col: m.se for col, m in tally.columns.items()},
+        mean_states=None,  # the report's `populations` are the diagonal of the mean state
+    )
     n_vec = np.arange(config.dim, dtype=float)
-    mean_n = pops @ n_vec
-    var_n = pops @ (n_vec**2) - mean_n**2
     means = stats.column_means
     report = CavityReport(
         config=config,
-        records=tuple(records),
-        times=np.asarray(records[0].times),
+        records=tuple(tally.records),
+        times=np.asarray(tally.records[0].times),
         populations=populations,
         mean_n_avg=populations @ n_vec,
-        var_below_fraction=(var_n < 0.1).mean(axis=0),
+        var_below_fraction=tally.narrow / n,
         stats=stats,
         efficiency=None,
         beta=config.generator().beta,
@@ -418,23 +530,17 @@ def _build_report(config: CavityConfig, records: list) -> CavityReport:
         totals={
             "work_cavity_total": float(means["w_ctrl_sys"].sum()),
             "information_total_nats": float(means["logp_increment"].sum()),
-            "atom_prep_work_total": float(
-                np.mean([sum(ATOM_PREP_WORK[k] for k in r.kinds) for r in records])
-            ),
+            "atom_prep_work_total": tally.prep_work / n,
             "p_target_final": float(populations[-1, config.target_nt]),
-            "sensor_fraction": float(
-                np.mean([[k == "sensor" for k in r.kinds] for r in records])
-            ),
+            "sensor_fraction": tally.sensors / (n * config.steps),
         },
     )
     eff = cavity_efficiency(report)  # reads only stats, beta and config
     law_checks = {
-        "first_law_max_residual": max(
-            float(np.abs(first_law_residual(r.ledgers)).max()) for r in records
-        ),
-        "sigma_seg_min": min(float(r.ledgers["sigma_seg"].min()) for r in records),
+        "first_law_max_residual": tally.first_law_max,
+        "sigma_seg_min": tally.sigma_seg_min,
         "sigma_ctrl_avg_min": float(means["sigma_ctrl"].min()),
-        "truncation_max": float(pops[:, :, config.cutoff].max()),
+        "truncation_max": tally.truncation_max,
         "efficiency_max": float(eff.max()),
     }
     return replace(report, efficiency=eff, law_checks=law_checks)
@@ -450,18 +556,24 @@ def law_flags(law_checks: dict) -> dict:
     }
 
 
-def run_cavity(config: CavityConfig) -> CavityReport:
-    """Run the stabilization experiment and reduce it to an ensemble report."""
-    chunk_fn = _dense_chunk if config.dense else _diagonal_chunk
+def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityReport:
+    """Run the stabilization experiment and reduce it to an ensemble report.
+
+    Trajectories are sampled in blocks of ``BLOCK_ROWS``, and each block is
+    reduced to a tally as soon as it is sampled.  Tallies merge in block
+    order, so the report is bit-identical for any ``workers``, which only
+    spreads runs of two blocks or more over processes.  The report's
+    records are every trajectory's with ``keep_records``, else trajectory
+    0's alone.
+    """
     n = config.trajectories
-    if config.workers <= 1 or n < 4:
-        records = chunk_fn(config, range(n))
-    else:
-        workers = min(config.workers, n)
-        # contiguous index ranges, so the chunks concatenate in trajectory order
-        bounds = [n * w // workers for w in range(workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [rec for part in pool.map(chunk_fn, [config] * workers, chunks)
-                       for rec in part]
-    return _build_report(config, records)
+    bounds = [*range(0, n, BLOCK_ROWS), n]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    sample = functools.partial(_dense_chunk if config.dense else _diagonal_chunk,
+                               keep_records=keep_records)
+    configs = [config] * len(blocks)
+    if config.workers <= 1 or len(blocks) == 1:
+        return _build_report(config, functools.reduce(_Tally.merge, map(sample, configs, blocks)))
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
+        tally = functools.reduce(_Tally.merge, pool.map(sample, configs, blocks))
+    return _build_report(config, tally)

@@ -74,9 +74,34 @@ def derive_stream_seed(master_seed: int, index: int) -> int:
     return _splitmix64((master_seed & _M64) + ((index + 1) * _GOLDEN & _M64))
 
 
+_M128 = (1 << 128) - 1
+
+
 def stream_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one trajectory."""
-    return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+    return np.random.Generator(np.random.Philox(key=seed & _M128))
+
+
+def stream_uniforms(seeds, steps: int) -> np.ndarray:
+    """``stream_rng(seed).random(steps)`` for each seed, as the rows of an (N, steps) array.
+
+    One Philox bit generator is re-keyed for every seed (counter 0, empty
+    buffer), which draws the same numbers as a fresh ``stream_rng`` without
+    the OS entropy a fresh generator gathers for its unused seed sequence.
+    """
+    bits = np.random.Philox(key=0)
+    draw = np.random.Generator(bits)
+    zero = np.zeros(4, dtype=np.uint64)
+    out = np.empty((len(seeds), steps))
+    for row, seed in zip(out, seeds):
+        key = seed & _M128
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": np.array([key & _M64, key >> 64], dtype=np.uint64)},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        draw.random(out=row)
+    return out
 
 
 def choose_branch(probs, u):
@@ -541,8 +566,7 @@ def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fe
     for first in range(0, len(seeds), BLOCK_ROWS):
         block = seeds[first:first + BLOCK_ROWS]
         if forced_outcomes is None:
-            uniforms = np.array([stream_rng(s).random(schedule.n_steps) for s in block])
-            select = _sampled(uniforms.reshape(len(block), schedule.n_steps))
+            select = _sampled(stream_uniforms(block, schedule.n_steps))
         else:
             select = _replayed(forced_outcomes)
         yield from _records(run, _stepped(run, len(block), select), first)
@@ -572,6 +596,45 @@ def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fee
     run = _Run(gen, schedule, policy, rho0, **options)
     rows = _stepped(run, 1, _expanded, max_rows=max_leaves)
     return [(rec.outcomes, float(p), rec) for rec, p in zip(_records(run, rows), rows.prob)]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, per-index sums and summed squared deviations (M2) of a batch's rows.
+
+    A batch reduced block by block merges its blocks' moments pairwise
+    (Chan, Golub & LeVeque, "Algorithms for computing the sample variance",
+    Am. Stat. 1983); merged in a fixed block order, the numbers do not
+    depend on where each block was reduced.
+    """
+
+    n: int
+    sums: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "Moments":
+        """Two-pass moments over the leading axis of ``rows``."""
+        rows = np.asarray(rows, dtype=float)
+        sums = rows.sum(axis=0)
+        return cls(len(rows), sums, ((rows - sums / len(rows)) ** 2).sum(axis=0))
+
+    def merge(self, other: "Moments") -> "Moments":
+        n = self.n + other.n
+        delta = other.sums / other.n - self.sums / self.n
+        return Moments(n, self.sums + other.sums,
+                       self.m2 + other.m2 + delta**2 * (self.n * other.n / n))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.sums / self.n
+
+    @property
+    def se(self) -> np.ndarray:
+        """Standard error of the mean; zero for a single row."""
+        if self.n < 2:
+            return np.zeros_like(self.sums)
+        return np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)
 
 
 @dataclass(frozen=True)
@@ -609,12 +672,11 @@ def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
     means: dict = {}
     ses: dict = {}
     for col in LEDGER_DTYPE.names:
-        data = batch[col]
-        means[col] = wn @ data if n_steps else np.zeros(0)
-        if weights == "equal" and len(records) > 1 and n_steps:
-            ses[col] = data.std(axis=0, ddof=1) / np.sqrt(len(records))
+        if weights == "equal":
+            moments = Moments.of(batch[col])
+            means[col], ses[col] = moments.mean, moments.se
         else:
-            ses[col] = np.zeros(n_steps)
+            means[col], ses[col] = wn @ batch[col], np.zeros(n_steps)
     mean_states = None
     if n_steps and all(len(r.states) == n_steps for r in records):
         # record by record, so no (N, steps, ...) copy of every state is held

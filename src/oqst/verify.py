@@ -188,7 +188,7 @@ def check_segment_second_law(seed: int, samples: int = 200) -> CheckResult:
 
 
 def check_cavity_laws(seed: int) -> CheckResult:
-    report = run_cavity(CavityConfig(steps=60, trajectories=100, seed=seed))
+    report = run_cavity(CavityConfig(steps=60, trajectories=100, seed=seed), keep_records=False)
     return CheckResult(
         "stabilization run obeys both laws", all(law_flags(report.law_checks).values()),
         f"first-law residual {report.law_checks['first_law_max_residual']:.2e}, "

@@ -1,5 +1,7 @@
 """Stabilization-scenario checks below acceptance scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,13 @@ from oqst.scenarios import (
     feedback_decision,
     run_cavity,
 )
+from scipy.linalg import expm
+
+from oqst.scenarios import cavity
 from oqst.scenarios.cavity import (
+    ATOM_KINDS,
     classical_rate_matrix,
+    kind_codes,
     sensor_weights,
     thermal_populations,
 )
@@ -82,31 +89,31 @@ class TestFeedbackDecision:
     def test_below_target_fires_emitter(self):
         est = np.zeros(9)
         est[1] = 1.0
-        assert feedback_decision(est, NT) == "emitter"
+        assert ATOM_KINDS[feedback_decision(est, NT)] == "emitter"
 
     def test_above_target_fires_absorber(self):
         est = np.zeros(9)
         est[3] = 1.0
-        assert feedback_decision(est, NT) == "absorber"
+        assert ATOM_KINDS[feedback_decision(est, NT)] == "absorber"
 
     def test_on_target_keeps_measuring(self):
         est = np.zeros(9)
         est[2] = 1.0
-        assert feedback_decision(est, NT) == "sensor"
+        assert ATOM_KINDS[feedback_decision(est, NT)] == "sensor"
 
     def test_tie_resolves_to_sensor(self):
         est = np.zeros(9)
         est[1] = est[2] = 0.5
-        assert feedback_decision(est, NT) == "sensor"
+        assert ATOM_KINDS[feedback_decision(est, NT)] == "sensor"
 
     def test_cooldown_forces_sensor(self):
         pol = CavityPolicy(target_nt=NT, delay=5)
         est = np.zeros(9)
         est[1] = 1.0
-        kinds = ("sensor", "emitter", "sensor", "sensor")
-        assert pol.decide(5, est, kinds) == "sensor"      # inside hold-off
-        assert pol.decide(7, est, kinds) == "sensor"      # still inside
-        assert pol.decide(8, est, kinds) == "emitter"     # window expired
+        kinds = kind_codes(("sensor", "emitter", "sensor", "sensor"))
+        assert ATOM_KINDS[pol.decide(5, est, kinds)] == "sensor"      # inside hold-off
+        assert ATOM_KINDS[pol.decide(7, est, kinds)] == "sensor"      # still inside
+        assert ATOM_KINDS[pol.decide(8, est, kinds)] == "emitter"     # window expired
 
 
 class TestClassicalRateMatrix:
@@ -193,6 +200,116 @@ class TestCavityRun:
         # fluctuates around the target with mostly tiny conditional variance
         assert abs(mean_n[100:].mean() - 2.0) < 0.2
         assert (var_n[100:] < 0.1).mean() > 0.75
+
+
+class TestDiagonalProduct:
+    @staticmethod
+    def assert_matches_dense(m, p):
+        dense = (m * p[..., None, :]).sum(-1)
+        banded = cavity._diagonal_product(*cavity._diagonals(m), p)
+        assert banded.shape == dense.shape
+        assert np.abs(banded - dense).max() <= 1e-15
+
+    def rows(self, n=50, dim=CUTOFF + 1):
+        p = np.random.default_rng(3).random((n, dim))
+        return p / p.sum(axis=-1, keepdims=True)
+
+    def test_step_maps(self):
+        config = CavityConfig()
+        rates = classical_rate_matrix(config.generator())
+        first_order = np.eye(config.dim) + rates * config.step_ta
+        exact = expm(rates * config.step_ta)
+        assert len(cavity._diagonals(first_order)[0]) == 3
+        assert len(cavity._diagonals(exact)[0]) == 2 * config.dim - 1
+        for m in (first_order, exact):
+            self.assert_matches_dense(m, self.rows())
+
+    def test_atom_transfers(self):
+        offsets = {"sensor": [0], "emitter": [-1, 0], "absorber": [0, 1]}
+        for kind in ATOM_KINDS:
+            m = atom_transfer(kind, NT, CUTOFF)
+            assert cavity._diagonals(m)[0] == offsets[kind]
+            self.assert_matches_dense(m, self.rows()[:, None, :])
+
+    def test_per_row_kinds_and_random_dense_matrix(self):
+        stack = np.stack([atom_transfer(kind, NT, CUTOFF) for kind in ATOM_KINDS])
+        offsets, bands = cavity._diagonals(stack)
+        codes = np.random.default_rng(4).integers(0, 3, 50)
+        p = self.rows()
+        dense = (stack[codes] * p[:, None, None, :]).sum(-1)
+        assert np.abs(cavity._diagonal_product(offsets, bands[codes], p[:, None, :])
+                      - dense).max() <= 1e-15
+        self.assert_matches_dense(np.random.default_rng(5).random((7, 7)), self.rows(dim=7))
+
+
+def _same_records(a, b):
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert ra.outcomes == rb.outcomes
+        assert ra.kinds == rb.kinds
+        assert np.array_equal(ra.ledgers, rb.ledgers)
+        assert np.array_equal(ra.states, rb.states)
+
+
+def _reduction(report) -> dict:
+    """Everything a report reduces from its trajectories, flattened to named arrays."""
+    out = {"populations": report.populations, "var_below": report.var_below_fraction,
+           "efficiency": report.efficiency}
+    for col, mean in report.stats.column_means.items():
+        out[f"mean {col}"], out[f"se {col}"] = mean, report.stats.column_se[col]
+    for key, value in {**report.law_checks, **report.totals}.items():
+        out[key] = np.asarray(value)
+    return out
+
+
+class TestBlockInvariance:
+    """Blocks of ``BLOCK_ROWS`` fix the reduction, whatever the worker count."""
+
+    CONFIG = CavityConfig(steps=30, trajectories=40, seed=8, delay_d=3)
+
+    @pytest.fixture(scope="class")
+    def default_blocks(self):
+        return run_cavity(self.CONFIG)
+
+    @pytest.fixture(scope="class")
+    def small_blocks(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cavity, "BLOCK_ROWS", 7)
+            return [run_cavity(replace(self.CONFIG, workers=w)) for w in (1, 2, 3)]
+
+    def test_records_match(self, default_blocks, small_blocks):
+        assert len(default_blocks.records) == 40
+        for report in small_blocks:
+            _same_records(report, default_blocks)
+
+    def test_reduction_bit_equal_across_workers(self, small_blocks):
+        first = _reduction(small_blocks[0])
+        for report in small_blocks[1:]:
+            for key, value in _reduction(report).items():
+                assert np.array_equal(value, first[key]), key
+
+    def test_reduction_close_across_block_sizes(self, default_blocks, small_blocks):
+        ref = _reduction(default_blocks)
+        for key, value in _reduction(small_blocks[0]).items():
+            assert np.abs(value - ref[key]).max() <= 1e-13, key
+
+    def test_one_block_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block run built a process pool")
+
+        monkeypatch.setattr(cavity, "ProcessPoolExecutor", no_pool)
+        report = run_cavity(CavityConfig(steps=10, trajectories=20, seed=2, workers=2))
+        assert len(report.records) == 20
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_records_kept_on_request(self, dense):
+        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=dense)
+        full, lean = run_cavity(config), run_cavity(config, keep_records=False)
+        assert len(full.records) == 5
+        assert len(lean.records) == 1
+        assert lean.records[0].outcomes == full.records[0].outcomes
+        for key, value in _reduction(lean).items():
+            assert np.array_equal(value, _reduction(full)[key]), key
 
 
 class TestDiagonalDenseEquivalence:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oqst import cli
 from oqst.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -138,6 +139,33 @@ class TestExecution:
               "--out", str(b), "--workers", "3"])
         assert (a / "ensemble.csv").read_bytes() == (b / "ensemble.csv").read_bytes()
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+        # three blocks of 256 trajectories, spread over one, two and three processes
+        outs = [tmp_path / f"blocks-w{w}" for w in (1, 2, 3)]
+        for w, out in zip((1, 2, 3), outs):
+            assert main(["run", "cavity", "--steps", "20", "--traj", "600", "--seed", "3",
+                         "--out", str(out), "--workers", str(w)]) == EXIT_OK
+        summaries = []
+        for out in outs:
+            for name in ("ensemble.csv", "trajectory.csv"):
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["config"]["out"], summary["config"]["workers"]
+            summaries.append(summary)
+        assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+
+    def test_cavity_run_keeps_one_record(self, tmp_path, monkeypatch):
+        reports = []
+
+        def run_and_keep(*args, **kwargs):
+            reports.append(run_cavity(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_cavity", run_and_keep)
+        assert main(["run", "cavity", "--steps", "20", "--traj", "600", "--seed", "3",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        (report,) = reports
+        assert report.stats.n_records == 600
+        assert len(report.records) == 1
 
     def test_classical_outputs(self, tmp_path):
         code = main(["run", "classical", "--dt", "0.02", "--steps", "5",

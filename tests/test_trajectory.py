@@ -18,6 +18,7 @@ from oqst.trajectory import (
     EngineError,
     FeedbackPolicy,
     FixedPolicy,
+    Moments,
     StepPlan,
     choose_branch,
     derive_stream_seed,
@@ -25,6 +26,8 @@ from oqst.trajectory import (
     enumerate_tree,
     sample_ensemble,
     sample_trajectory,
+    stream_rng,
+    stream_uniforms,
 )
 
 
@@ -76,6 +79,42 @@ class TestChooseBranch:
             choose_branch(np.array(bad_row), u)
         with pytest.raises(EngineError, match=match):
             choose_branch(np.array([[0.5, 0.5], bad_row]), np.array([0.3, u]))
+
+
+class TestStreams:
+    def test_uniforms_match_fresh_generators(self):
+        rng = np.random.default_rng(9)
+        seeds = [0, 2**64 - 1, 2**128 - 1, 2**128 + 5, *map(int, rng.integers(0, 2**63, 20)),
+                 *(derive_stream_seed(3, i) for i in range(5))]
+        draws = stream_uniforms(seeds, 37)
+        assert draws.shape == (len(seeds), 37)
+        for row, seed in zip(draws, seeds):
+            assert np.array_equal(row, stream_rng(seed).random(37))
+        assert stream_uniforms(seeds[:2], 0).shape == (2, 0)
+
+
+class TestMoments:
+    def test_chan_merge_matches_whole_batch(self):
+        rng = np.random.default_rng(12)
+        data = rng.normal(3.0, 2.0, size=(97, 5)) * rng.random(5) * 10
+        for _ in range(20):
+            cuts = np.sort(rng.choice(np.arange(1, 97), size=rng.integers(1, 8), replace=False))
+            cuts = np.unique(np.append(cuts, [cuts[0] + 1, 97]))  # at least one one-row block
+            blocks = np.split(data, cuts[:-1])
+            assert min(map(len, blocks)) == 1
+            merged = Moments.of(blocks[0])
+            for block in blocks[1:]:
+                merged = merged.merge(Moments.of(block))
+            assert merged.n == len(data)
+            mean, std = data.mean(axis=0), data.std(axis=0, ddof=1)
+            assert np.all(np.abs(merged.mean - mean) <= 1e-13 * np.abs(mean))
+            assert np.all(np.abs(np.sqrt(merged.m2 / (merged.n - 1)) - std) <= 1e-13 * std)
+            assert np.allclose(merged.se, std / np.sqrt(len(data)), rtol=1e-13, atol=0)
+
+    def test_single_row_has_zero_error(self):
+        m = Moments.of(np.array([[1.0, 2.0]]))
+        assert np.array_equal(m.mean, [1.0, 2.0])
+        assert np.array_equal(m.se, [0.0, 0.0])
 
 
 class TestSampling:
