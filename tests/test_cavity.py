@@ -263,47 +263,64 @@ def _reduction(report) -> dict:
 
 
 class TestBlockInvariance:
-    """Blocks of ``BLOCK_ROWS`` fix the reduction, whatever the worker count."""
+    """Blocks of ``BLOCK_ROWS`` and their leaves fix the reduction, whatever the worker count."""
 
     CONFIG = CavityConfig(steps=30, trajectories=40, seed=8, delay_d=3)
 
     @pytest.fixture(scope="class")
     def default_blocks(self):
-        return run_cavity(self.CONFIG)
+        # one block: cut into one, two and three chunks
+        return [run_cavity(replace(self.CONFIG, workers=w)) for w in (1, 2, 3)]
 
     @pytest.fixture(scope="class")
     def small_blocks(self):
+        # six blocks: whole blocks over one, two and three processes
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cavity, "BLOCK_ROWS", 7)
             return [run_cavity(replace(self.CONFIG, workers=w)) for w in (1, 2, 3)]
 
     def test_records_match(self, default_blocks, small_blocks):
-        assert len(default_blocks.records) == 40
-        for report in small_blocks:
-            _same_records(report, default_blocks)
+        assert len(default_blocks[0].records) == 40
+        for report in default_blocks[1:] + small_blocks:
+            _same_records(report, default_blocks[0])
 
-    def test_reduction_bit_equal_across_workers(self, small_blocks):
-        first = _reduction(small_blocks[0])
-        for report in small_blocks[1:]:
+    @pytest.mark.parametrize("layout", ["default_blocks", "small_blocks"])
+    def test_reduction_bit_equal_across_workers(self, layout, request):
+        reports = request.getfixturevalue(layout)
+        first = _reduction(reports[0])
+        for report in reports[1:]:
             for key, value in _reduction(report).items():
                 assert np.array_equal(value, first[key]), key
 
     def test_reduction_close_across_block_sizes(self, default_blocks, small_blocks):
-        ref = _reduction(default_blocks)
+        ref = _reduction(default_blocks[0])
         for key, value in _reduction(small_blocks[0]).items():
             assert np.abs(value - ref[key]).max() <= 1e-13, key
 
-    def test_one_block_runs_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block run built a process pool")
+    def test_chunks(self):
+        def layout(n, workers):
+            ranges, leaf = cavity._chunks(n, workers)
+            return leaf, [(r.start, r.stop) for r in ranges]
 
-        monkeypatch.setattr(cavity, "ProcessPoolExecutor", no_pool)
-        report = run_cavity(CavityConfig(steps=10, trajectories=20, seed=2, workers=2))
-        assert len(report.records) == 20
+        assert layout(4, 2) == (1, [(0, 2), (2, 4)])
+        assert layout(1, 3) == (1, [(0, 1)])
+        assert layout(100, 1) == (13, [(0, 100)])
+        assert layout(100, 2) == (13, [(0, 52), (52, 100)])
+        assert layout(300, 4) == (32, [(0, 128), (128, 256), (256, 288), (288, 300)])
+        assert layout(600, 2) == layout(600, 1) == (32, [(0, 256), (256, 512), (512, 600)])
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_leak_reported_first_across_cut_chunks(self, workers):
+        # trajectory 1 leaks; with two and three chunks it sits in the second one
+        config = CavityConfig(steps=12, trajectories=3, seed=83, cutoff=5, target_nt=1,
+                              delay_d=3, workers=workers)
+        with pytest.raises(TruncationLeakError, match=r"^trajectory 1: .* on step 11$"):
+            run_cavity(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dense", [False, True])
-    def test_records_kept_on_request(self, dense):
-        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=dense)
+    def test_records_kept_on_request(self, dense, workers):
+        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=dense, workers=workers)
         full, lean = run_cavity(config), run_cavity(config, keep_records=False)
         assert len(full.records) == 5
         assert len(lean.records) == 1
