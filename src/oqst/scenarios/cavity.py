@@ -16,7 +16,6 @@ the same outcome sequences from the same seeds.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -49,10 +48,6 @@ from ..trajectory import (
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
 TRUNCATION_LEAK = 1e-6
-# The run is reduced in leaves of ceil(min(N, BLOCK_ROWS) / REDUCTION_LEAVES)
-# trajectories, REDUCTION_LEAVES per block, whatever the worker count; a block
-# is cut into at most that many chunks.
-REDUCTION_LEAVES = 8
 # Rounding allowances of the reported law flags (see ``law_flags``).
 SIGMA_SEG_REPORT_FLOOR = -1e-10
 EFFICIENCY_CEILING = 1.0 + 1e-9
@@ -296,7 +291,7 @@ def _diagonal_product(offsets, bands, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Tally:
-    """What the report needs of a leaf of trajectories; leaves merge in order."""
+    """What the report needs of a block of trajectories; blocks merge in order."""
 
     columns: dict            # ledger column -> Moments over trajectories, per step
     populations: np.ndarray  # (steps, dim) number populations summed over trajectories
@@ -310,7 +305,7 @@ class _Tally:
 
     @classmethod
     def of(cls, ledger, pops, kinds, records) -> "_Tally":
-        """A leaf's tally from its closed (n, steps) ledgers, (n, steps, dim) number
+        """A block's tally from its closed (n, steps) ledgers, (n, steps, dim) number
         populations and (n, steps) kind codes, keeping ``records``."""
         n_vec = np.arange(pops.shape[-1], dtype=float)
         mean_n = pops @ n_vec
@@ -341,39 +336,23 @@ class _Tally:
         )
 
 
-def _leaf_tallies(indices, ledger, pops, kinds, record, *, keep_records: bool,
-                  leaf_rows: int | None) -> list:
-    """A chunk's tallies, one per leaf of ``leaf_rows`` trajectories from its start
-    (one leaf by default), from its closed ledgers, number populations and kind
-    codes, and ``record(j)``, which builds row ``j``'s record.  Only the kept
-    records are built: every row's, or trajectory 0's alone, which
-    ``trajectory.csv`` needs, copied so that it does not pin the chunk's arrays.
-    """
-    n = len(indices)
+def _kept(record, indices, keep_records: bool) -> list:
+    """A block's records to keep, built by ``record(j)`` for row ``j``: every row's,
+    or trajectory 0's alone, which ``trajectory.csv`` needs, copied so that it
+    does not pin the block's arrays."""
     if keep_records:
-        records = [record(j) for j in range(n)]
-    else:
-        records = [
-            replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
+        return [record(j) for j in range(len(indices))]
+    return [replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
                     final_state=rec.final_state.copy())
-            for rec in map(record, range(int(indices[0] == 0)))
-        ]
-    size = leaf_rows or n
-    return [
-        _Tally.of(ledger[a : a + size], pops[a : a + size], kinds[a : a + size],
-                  records[a : a + size])
-        for a in range(0, n, size)
-    ]
+            for rec in map(record, range(int(indices[0] == 0)))]
 
 
-def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True,
-                    leaf_rows: int | None = None) -> list:
-    """Sample the population path of trajectories ``indices`` in one pass over the steps,
-    returning their leaf tallies (see ``_leaf_tallies``).
+def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
+    """Sample the population path of trajectories ``indices`` in one pass over the steps.
 
     Each trajectory draws its uniforms from its own stream, and every
     per-trajectory number comes from elementwise products and last-axis
-    sums, so a trajectory does not depend on the chunk it was sampled in.
+    sums, so a trajectory does not depend on the block it was sampled in.
     The drift map and the atom transfers act through their nonzero
     diagonals: the first-order map is tridiagonal, each transfer has at
     most one off-diagonal, and the dense exact map takes the same route.
@@ -446,12 +425,10 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True,
             times=times,
         )
 
-    return _leaf_tallies(indices, ledger, states, kinds.T, record,
-                         keep_records=keep_records, leaf_rows=leaf_rows)
+    return _Tally.of(ledger, states, kinds.T, _kept(record, indices, keep_records))
 
 
-def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True,
-                 leaf_rows: int | None = None) -> list:
+def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
     """``_diagonal_chunk`` on the density-matrix path of the generic engine."""
     gen = config.generator()
     instruments = {
@@ -471,13 +448,11 @@ def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True,
         if exc.row is None:
             raise
         raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
-    return _leaf_tallies(
-        indices,
+    return _Tally.of(
         np.stack([r.ledgers for r in records]),
         np.stack([number_populations(r.states) for r in records]),
         np.array([kind_codes(r.kinds) for r in records]),
-        records.__getitem__,
-        keep_records=keep_records, leaf_rows=leaf_rows,
+        _kept(records.__getitem__, indices, keep_records),
     )
 
 
@@ -585,45 +560,24 @@ def law_flags(law_checks: dict) -> dict:
     }
 
 
-def _chunks(n: int, workers: int) -> tuple:
-    """The trajectory ranges of a run's chunks, in order, and its leaf size.
-
-    Blocks of ``BLOCK_ROWS`` trajectories are sampled together, and each
-    block is reduced in leaves of ``leaf`` trajectories from its start.
-    With fewer blocks than workers, each block is cut at leaf boundaries
-    into ``ceil(workers / blocks)`` chunks (at most one per leaf), so that
-    every worker samples.
-    """
-    leaf = -(-min(n, BLOCK_ROWS) // REDUCTION_LEAVES)
-    bounds = [*range(0, n, BLOCK_ROWS), n]
-    cuts = -(-max(workers, 1) // (len(bounds) - 1))
-    ranges = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        leaves = -(-(hi - lo) // leaf)
-        c = min(cuts, leaves)
-        edges = [min(hi, lo + leaf * (leaves * j // c)) for j in range(c + 1)]
-        ranges += [range(a, b) for a, b in zip(edges, edges[1:])]
-    return ranges, leaf
-
-
 def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityReport:
     """Run the stabilization experiment and reduce it to an ensemble report.
 
-    Trajectories are sampled in chunks (see ``_chunks``) and reduced in
-    leaves whose bounds do not depend on ``workers``; each chunk returns its
-    leaves' tallies, which merge in trajectory order, so the report is
-    bit-identical for any ``workers``.  With ``workers > 1`` the chunks run
-    on a process pool.  The report's records are every trajectory's with
-    ``keep_records``, else trajectory 0's alone.
+    Trajectories are sampled in blocks of ``BLOCK_ROWS``, and each block is
+    reduced to a tally as soon as it is sampled.  Tallies merge in block
+    order, so the report is bit-identical for any ``workers``, which only
+    spreads runs of two blocks or more over processes: a block is never cut,
+    and a one-block run stays in-process.  The report's records are every
+    trajectory's with ``keep_records``, else trajectory 0's alone.
     """
-    ranges, leaf = _chunks(config.trajectories, config.workers)
+    n = config.trajectories
+    bounds = [*range(0, n, BLOCK_ROWS), n]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     sample = functools.partial(_dense_chunk if config.dense else _diagonal_chunk,
-                               keep_records=keep_records, leaf_rows=leaf)
-    configs = [config] * len(ranges)
-    if config.workers <= 1 or len(ranges) == 1:
-        leaves = itertools.chain.from_iterable(map(sample, configs, ranges))
-        return _build_report(config, functools.reduce(_Tally.merge, leaves))
-    with ProcessPoolExecutor(max_workers=min(config.workers, len(ranges))) as pool:
-        leaves = itertools.chain.from_iterable(pool.map(sample, configs, ranges))
-        tally = functools.reduce(_Tally.merge, leaves)
+                               keep_records=keep_records)
+    configs = [config] * len(blocks)
+    if config.workers <= 1 or len(blocks) == 1:
+        return _build_report(config, functools.reduce(_Tally.merge, map(sample, configs, blocks)))
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
+        tally = functools.reduce(_Tally.merge, pool.map(sample, configs, blocks))
     return _build_report(config, tally)

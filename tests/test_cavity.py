@@ -263,13 +263,13 @@ def _reduction(report) -> dict:
 
 
 class TestBlockInvariance:
-    """Blocks of ``BLOCK_ROWS`` and their leaves fix the reduction, whatever the worker count."""
+    """Blocks of ``BLOCK_ROWS`` fix the reduction, whatever the worker count."""
 
     CONFIG = CavityConfig(steps=30, trajectories=40, seed=8, delay_d=3)
 
     @pytest.fixture(scope="class")
     def default_blocks(self):
-        # one block: cut into one, two and three chunks
+        # one block, in-process at every worker count
         return [run_cavity(replace(self.CONFIG, workers=w)) for w in (1, 2, 3)]
 
     @pytest.fixture(scope="class")
@@ -297,30 +297,26 @@ class TestBlockInvariance:
         for key, value in _reduction(small_blocks[0]).items():
             assert np.abs(value - ref[key]).max() <= 1e-13, key
 
-    def test_chunks(self):
-        def layout(n, workers):
-            ranges, leaf = cavity._chunks(n, workers)
-            return leaf, [(r.start, r.stop) for r in ranges]
+    def test_one_block_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block run built a process pool")
 
-        assert layout(4, 2) == (1, [(0, 2), (2, 4)])
-        assert layout(1, 3) == (1, [(0, 1)])
-        assert layout(100, 1) == (13, [(0, 100)])
-        assert layout(100, 2) == (13, [(0, 52), (52, 100)])
-        assert layout(300, 4) == (32, [(0, 128), (128, 256), (256, 288), (288, 300)])
-        assert layout(600, 2) == layout(600, 1) == (32, [(0, 256), (256, 512), (512, 600)])
+        monkeypatch.setattr(cavity, "ProcessPoolExecutor", no_pool)
+        report = run_cavity(CavityConfig(steps=10, trajectories=20, seed=2, workers=2))
+        assert len(report.records) == 20
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_leak_reported_first_across_cut_chunks(self, workers):
-        # trajectory 1 leaks; with two and three chunks it sits in the second one
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_leak_reported_first_across_blocks(self, workers, monkeypatch):
+        # trajectory 1 leaks; in blocks of one it is the second block
+        monkeypatch.setattr(cavity, "BLOCK_ROWS", 1)
         config = CavityConfig(steps=12, trajectories=3, seed=83, cutoff=5, target_nt=1,
                               delay_d=3, workers=workers)
         with pytest.raises(TruncationLeakError, match=r"^trajectory 1: .* on step 11$"):
             run_cavity(config)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("dense", [False, True])
-    def test_records_kept_on_request(self, dense, workers):
-        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=dense, workers=workers)
+    def test_records_kept_on_request(self, dense):
+        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=dense)
         full, lean = run_cavity(config), run_cavity(config, keep_records=False)
         assert len(full.records) == 5
         assert len(lean.records) == 1
