@@ -6,14 +6,19 @@ preserving map.  :func:`stinespring_dilate` rewrites any instrument as a
 fresh ancilla ("unit") in a pure state, a joint unitary, and a projective
 readout of the unit; that form is what fixes the work/heat split of a
 control operation in the thermodynamics layer.  An instrument is
-immutable, so it computes its completeness deviation and its dilation at
-most once and keeps them.
+immutable, so it computes its stacked Kraus operators, its completeness
+deviation and its dilation at most once and keeps them.
+
+Both forms act through one batched kernel each, on stacks of states:
+:meth:`Instrument.branch_states` and :meth:`StinespringDilation.unitary_readout`.
+The one-state functions here are their N = 1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,8 +26,10 @@ from .qmath import (
     DensityOperator,
     dag,
     hermitize,
-    tensor_product,
+    _insert_unit,
     _partial_trace_matrix,
+    _sandwich,
+    _trace,
 )
 
 COMPLETENESS_ATOL = 1e-10
@@ -55,10 +62,8 @@ class OutcomeBranch:
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Unnormalized branch action sum_a A_a mat A_a†."""
-        out = np.zeros_like(mat)
-        for k in self.kraus:
-            out += k @ mat @ dag(k)
-        return out
+        instr = Instrument(dim=self.kraus[0].shape[0], outcomes=(self,))
+        return instr.branch_states(mat)[..., 0, :, :]
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,34 @@ class Instrument:
     @cached_property
     def completeness_deviation(self) -> float:
         """max |sum_{r,a} A_a(r)† A_a(r) - 1| over the matrix entries."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self.outcomes:
-            for k in b.kraus:
-                total += dag(k) @ k
+        total = (dag(self._kraus) @ self._kraus).sum(axis=0)
         return float(np.max(np.abs(total - np.eye(self.dim))))
 
     @cached_property
     def _dilation(self) -> "StinespringDilation":
         return _dilate(self)
+
+    @cached_property
+    def _kraus(self) -> np.ndarray:
+        """Every Kraus operator, (A, dim, dim), in outcome order."""
+        return np.array([k for b in self.outcomes for k in b.kraus])
+
+    @cached_property
+    def _starts(self) -> list:
+        """Index in ``_kraus`` of each outcome's first Kraus operator."""
+        return list(accumulate((len(b.kraus) for b in self.outcomes[:-1]), initial=0))
+
+    def branch_states(self, mat) -> np.ndarray:
+        """Each outcome's unnormalized post state, ``(..., D, D)`` -> ``(..., K, D, D)``.
+
+        Outcome r gives sum_a (A_a(r) ⊗ 1) mat (A_a(r) ⊗ 1)†, the Kraus
+        operators acting on the leading (system) factor of ``mat``.  Each
+        matrix's result comes from its own elementwise products and sums.
+        """
+        per_kraus = _sandwich(self._kraus, np.asarray(mat)[..., None, :, :])
+        if self.efficient:
+            return per_kraus
+        return np.add.reduceat(per_kraus, self._starts, axis=-3)
 
     def branch(self, label: int) -> OutcomeBranch:
         for b in self.outcomes:
@@ -151,25 +175,27 @@ def apply_instrument(instr: Instrument, rho: DensityOperator) -> list[BranchResu
     """
     if instr.dim != rho.dim:
         raise ChannelError(f"instrument dim {instr.dim} != state dim {rho.dim}")
-    results = []
-    for b in instr.outcomes:
-        raw = b.apply_matrix(rho.matrix)
-        p = float(np.trace(raw).real)
+    return [
+        BranchResult(label, p, None if post is None else DensityOperator(post))
+        for label, p, post in _normalized(instr.labels, instr.branch_states(rho.matrix))
+    ]
+
+
+def _normalized(labels, raws):
+    """``(label, probability, normalized state)`` per outcome of unnormalized ``raws``
+    (K, D, D); the state is None for branches below ``IMPOSSIBLE_BRANCH``."""
+    for label, raw, p in zip(labels, raws, _trace(raws).tolist()):
         if p < IMPOSSIBLE_BRANCH:
-            results.append(BranchResult(b.label, max(p, 0.0), None))
+            yield label, max(p, 0.0), None
         else:
-            results.append(BranchResult(b.label, p, DensityOperator(hermitize(raw) / p)))
-    return results
+            yield label, p, hermitize(raw) / p
 
 
 def average_map(instr: Instrument, rho: DensityOperator) -> DensityOperator:
     """The outcome-averaged CPTP map applied to ``rho``."""
     if instr.dim != rho.dim:
         raise ChannelError(f"instrument dim {instr.dim} != state dim {rho.dim}")
-    out = np.zeros((instr.dim, instr.dim), dtype=complex)
-    for b in instr.outcomes:
-        out += b.apply_matrix(rho.matrix)
-    return DensityOperator(hermitize(out))
+    return DensityOperator(hermitize(instr.branch_states(rho.matrix).sum(axis=0)))
 
 
 def projective_instrument(basis) -> Instrument:
@@ -214,23 +240,43 @@ class StinespringDilation:
             raise ChannelError("joint unitary has the wrong shape")
         if np.max(np.abs(dag(v) @ v - np.eye(d))) > COMPLETENESS_ATOL:
             raise ChannelError("joint unitary is not unitary within 1e-10")
-        total = np.zeros((self.unit_dim, self.unit_dim), dtype=complex)
-        projs = []
-        for label, p in self.projectors:
-            p = np.array(p, dtype=complex)
-            p.setflags(write=False)
-            projs.append((int(label), p))
-            total += p @ p
-        if np.max(np.abs(total - np.eye(self.unit_dim))) > COMPLETENESS_ATOL:
+        stack = np.array([p for _, p in self.projectors], dtype=complex)
+        if np.max(np.abs((stack @ stack).sum(axis=0) - np.eye(self.unit_dim))) > COMPLETENESS_ATOL:
             raise ChannelError("unit projectors do not square-sum to the identity")
         v.setflags(write=False)
+        stack.setflags(write=False)
         object.__setattr__(self, "joint_unitary", v)
-        object.__setattr__(self, "projectors", tuple(projs))
+        object.__setattr__(self, "_projector_stack", stack)
+        object.__setattr__(self, "projectors", tuple(
+            (int(label), p) for (label, _), p in zip(self.projectors, stack)))
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(label for label, _ in self.projectors)
+
+    def _read_unit(self, correlated: np.ndarray) -> np.ndarray:
+        """P_r x P_r† on the unit factor of (N, D, D) states: (N, K, D, D)."""
+        return _sandwich(self._projector_stack, correlated[:, None], outer=self.system_dim)
+
+    def unitary_readout(self, states: np.ndarray, rest: tuple = ()):
+        """Add the unit, run the joint unitary and read the unit out, on (N, D, D) states.
+
+        ``states`` live on the system followed by factors of dimensions
+        ``rest``, which no step touches; the fresh unit goes right after the
+        system.  Returns the joint states after the unitary and each
+        outcome's unnormalized joint state after the readout, shapes
+        (N, D', D') and (N, K, D', D'), on system ⊗ unit ⊗ rest.
+        """
+        correlated = self._unitary(states, rest)
+        return correlated, self._read_unit(correlated)
+
+    def _unitary(self, states: np.ndarray, rest: tuple = ()) -> np.ndarray:
+        extended = _insert_unit(states, [self.system_dim, *rest], self.unit_state.matrix)
+        return _sandwich(self.joint_unitary, extended)
 
     def joint_after_unitary(self, rho: DensityOperator) -> np.ndarray:
         """V (rho ⊗ unit_state) V† as a matrix on system ⊗ unit."""
-        joint = tensor_product(rho.matrix, self.unit_state.matrix)
-        return self.joint_unitary @ joint @ dag(self.joint_unitary)
+        return self._unitary(rho.matrix[None])[0]
 
     def readout(self, correlated: np.ndarray):
         """Read the unit out of a joint matrix taken after the joint unitary.
@@ -240,33 +286,16 @@ class StinespringDilation:
         ``(label, probability, normalized joint state)`` in label order; the
         state is None for branches below ``IMPOSSIBLE_BRANCH``.
         """
-        rest = correlated.shape[0] // (self.system_dim * self.unit_dim)
-        for label, p_u in self.projectors:
-            p_full = np.kron(np.eye(self.system_dim), p_u)
-            if rest > 1:
-                p_full = np.kron(p_full, np.eye(rest))
-            raw = p_full @ correlated @ dag(p_full)
-            p = float(np.trace(raw).real)
-            if p < IMPOSSIBLE_BRANCH:
-                yield label, max(p, 0.0), None
-            else:
-                yield label, p, hermitize(raw) / p
+        yield from _normalized(self.labels, self._read_unit(np.asarray(correlated)[None])[0])
 
     def apply(self, rho: DensityOperator) -> list[BranchResult]:
         """Reduced branch action; should match :func:`apply_instrument`."""
-        dims = [self.system_dim, self.unit_dim]
+        dims, raws = [self.system_dim, self.unit_dim], self.unitary_readout(rho.matrix[None])[1]
         return [
             BranchResult(label, p, None if post is None
                          else DensityOperator(_partial_trace_matrix(post, dims, [0])))
-            for label, p, post in self.readout(self.joint_after_unitary(rho))
+            for label, p, post in _normalized(self.labels, raws[0])
         ]
-
-
-def _complete_to_unitary(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Complete orthonormal columns to a full unitary via the SVD complement."""
-    u_full, _, _ = np.linalg.svd(columns, full_matrices=True)
-    complement = u_full[:, columns.shape[1] :]
-    return np.column_stack([columns, complement])
 
 
 def stinespring_dilate(instr: Instrument) -> StinespringDilation:
@@ -288,49 +317,27 @@ def _dilate(instr: Instrument) -> StinespringDilation:
         raise ChannelError(
             f"cannot dilate: completeness deviation {report.max_deviation:.3e}"
         )
-    d = instr.dim
-    unit_dim = max(instr.kraus_count, 2)
-    # Isometry columns: stacked Kraus blocks indexed by (outcome, kraus).
-    iso = np.zeros((d * unit_dim, d), dtype=complex)
-    index_of = {}
-    idx = 0
-    for b in instr.outcomes:
-        for k in b.kraus:
-            # Row block for unit level `idx`: component <s, idx|W|s'> = A[s, s'].
-            for s in range(d):
-                iso[s * unit_dim + idx, :] = k[s, :]
-            index_of.setdefault(b.label, []).append(idx)
-            idx += 1
-    # Column of V for input |s, 0> is iso[:, s]; other inputs are free.
-    v = np.zeros((d * unit_dim, d * unit_dim), dtype=complex)
-    constrained = np.zeros((d * unit_dim, d), dtype=complex)
-    for s in range(d):
-        constrained[:, s] = iso[:, s]
-    full = _complete_to_unitary(constrained, d * unit_dim)
-    free_cols = iter(range(d, d * unit_dim))
-    for s in range(d):
-        for u in range(unit_dim):
-            col = s * unit_dim + u
-            if u == 0:
-                v[:, col] = full[:, s]
-            else:
-                v[:, col] = full[:, next(free_cols)]
-    projectors = []
-    pad_levels = list(range(idx, unit_dim))
-    for i, b in enumerate(instr.outcomes):
-        levels = list(index_of[b.label])
-        if i == len(instr.outcomes) - 1:
-            levels += pad_levels
-        p = np.zeros((unit_dim, unit_dim), dtype=complex)
-        for lv in levels:
-            p[lv, lv] = 1.0
-        projectors.append((b.label, p))
+    d, count = instr.dim, instr.kraus_count
+    unit_dim = max(count, 2)
+    # Isometry |s>|0> -> sum_(r,a) A_a(r)|s>|index(r,a)>: row (s', index) holds A[s', :].
+    iso = np.zeros((d, unit_dim, d), dtype=complex)
+    iso[:, :count] = instr._kraus.transpose(1, 0, 2)
+    iso = iso.reshape(d * unit_dim, d)
+    # Inputs |s, 0> take the isometry's columns, the others the SVD complement in order.
+    complement = np.linalg.svd(iso, full_matrices=True)[0][:, d:]
+    fresh = np.arange(d * unit_dim) % unit_dim == 0
+    v = np.empty((d * unit_dim, d * unit_dim), dtype=complex)
+    v[:, fresh], v[:, ~fresh] = iso, complement
+    # Outcome r's unit levels are its Kraus indices; pad levels go to the last outcome.
+    owner = np.searchsorted(instr._starts, np.arange(unit_dim), side="right") - 1
+    projectors = tuple((b.label, np.diag((owner == r).astype(complex)))
+                       for r, b in enumerate(instr.outcomes))
     return StinespringDilation(
         system_dim=d,
         unit_dim=unit_dim,
         unit_state=DensityOperator.basis_state(unit_dim, 0),
         joint_unitary=v,
-        projectors=tuple(projectors),
+        projectors=projectors,
     )
 
 

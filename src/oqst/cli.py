@@ -118,7 +118,7 @@ class RunConfig:
 def _default_workers() -> int:
     env = os.environ.get("OQST_WORKERS", "")
     try:
-        return max(1, int(env)) if env else 1
+        return int(env) if env else 1
     except ValueError:
         raise CliError(f"OQST_WORKERS must be an integer, got {env!r}")
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import constants
 from scipy.linalg import expm
 
-from .qmath import DensityOperator, _matmul, _trace, dag, hermitize
+from .qmath import DensityOperator, _expectation, _matmul, _trace, dag, hermitize
 
 # First-order steps may leak positivity at this scale before it is a bug.
 FIRST_ORDER_LEAK = 1e-9
@@ -303,8 +303,8 @@ def heat_work_segment(
     for k in range(1, substeps + 1):
         h_k = protocol.hamiltonian(taus[k - 1])
         if h_k is not h_prev:
-            work += float(np.trace((h_k - h_prev) @ mat).real)
+            work += float(_expectation(h_k - h_prev, mat))
         nxt = _propagate_matrix(gen, mat, taus[k] - taus[k - 1], method)
-        heat += float(np.trace(h_k @ (nxt - mat)).real)
+        heat += float(_expectation(h_k, nxt - mat))
         mat, h_prev = nxt, h_k
     return work, heat, DensityOperator(mat)

@@ -58,6 +58,35 @@ def _matmul(a, b) -> np.ndarray:
     return np.multiply(a[..., :, None, :], b_cols, order="C").sum(-1)
 
 
+def _sandwich(a, x, outer: int = 1) -> np.ndarray:
+    """(1 ⊗ a ⊗ 1) x (1 ⊗ a ⊗ 1)† for (..., D, D) matrices ``x``, by ``_matmul``.
+
+    ``a`` (..., k, k) acts on the factor after leading factors of total
+    dimension ``outer``; the leading axes of ``a`` and ``x`` broadcast.
+    """
+    big, k = x.shape[-1], a.shape[-1]
+    if k == big:  # a acts on the whole space
+        return _matmul(_matmul(a, x), dag(a))
+    inner = big // (outer * k)
+    left = _matmul(a[..., None, :, :], x.reshape(x.shape[:-2] + (outer, k, inner * big)))
+    lead = left.shape[:-3]
+    cols = left.reshape(lead + (big, outer, k, inner)).swapaxes(-1, -2)
+    out = _matmul(cols, dag(a)[..., None, None, :, :]).swapaxes(-1, -2)
+    return out.reshape(lead + (big, big))
+
+
+def _insert_unit(joint: np.ndarray, dims: list, unit_mat: np.ndarray) -> np.ndarray:
+    """Tensor a fresh unit in right next to the system factor of (N, D, D) joint
+    states whose factors are ``dims``, system first."""
+    n, nd = joint.shape[0], dims + [unit_mat.shape[0]]
+    k = len(nd)
+    perm = [0, k - 1] + list(range(1, k - 1))
+    t = np.kron(joint, unit_mat).reshape([n] + nd + nd)
+    t = t.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
+    total = int(np.prod(nd))
+    return np.ascontiguousarray(t).reshape(n, total, total)
+
+
 def _expectation(h, mat) -> np.ndarray:
     """Re tr(h mat) over leading batch axes: the diagonal of h mat, then its trace."""
     return np.multiply(h, np.swapaxes(mat, -1, -2), order="C").sum(-1).sum(-1).real
@@ -140,7 +169,7 @@ class DensityOperator:
 
     def expectation(self, op) -> float:
         """Real expectation value of a Hermitian observable."""
-        return float(np.trace(as_matrix(op) @ self.matrix).real)
+        return float(_expectation(as_matrix(op), self.matrix))
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

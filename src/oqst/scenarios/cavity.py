@@ -365,13 +365,14 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
         step_map = np.eye(config.dim) + rates * config.step_ta
     drift = _diagonals(step_map)
     # bands of every kind's (2, dim, dim) transfer, indexed by kind code
-    offsets, transfers = _diagonals(np.stack([
-        atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
-    ]))
+    dense = np.stack([atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS])
+    offsets, transfers = _diagonals(dense)
+    n_vec = np.arange(config.dim, dtype=float)
+    # each kind's work from level m, sum_i (n_i - n_m) (M0 + M1)[i, m]; exactly 0 for sensors
+    shift = ((n_vec[:, None] - n_vec) * dense.sum(axis=1)).sum(axis=-2)
     policy = CavityPolicy(config.target_nt, config.delay_d)
     n, steps, delay = len(indices), config.steps, config.delay_d
     uniforms = stream_uniforms([derive_stream_seed(config.seed, i) for i in indices], steps)
-    n_vec = np.arange(config.dim, dtype=float)
     p0 = thermal_populations(gen.beta, config.dim)
     p = np.tile(p0, (n, 1))
     states = np.empty((n, steps, config.dim))
@@ -390,7 +391,8 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
         # joint (outcome, post level) weights of the step
         weights = _diagonal_product(offsets, transfers[kind], p_mid[:, None, :])
         probs = weights.sum(axis=-1)
-        e_avg_post = (n_vec * (weights[:, 0] + weights[:, 1])).sum(axis=-1)
+        w_ctrl = (shift[kind] * p_mid).sum(axis=-1)
+        e_avg_post = e_pre + w_ctrl
         label = choose_branch(probs, uniforms[:, k])
         prob = probs[rows, label]
         post = weights[rows, label] / prob[:, None]
@@ -402,7 +404,7 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
         row["outcome"], row["logp_increment"] = label, logp_inc
         row["e_sys_start"], row["e_sys_pre"], row["e_sys_end"] = e_start, e_pre, e_end
         row["q_seg"], row["w_ctrl_sys"], row["q_ctrl_sys"] = (
-            e_pre - e_start, e_avg_post - e_pre, e_end - e_avg_post
+            e_pre - e_start, w_ctrl, e_end - e_avg_post
         )
         row["s_start"], row["s_pre"], row["s_end"] = s_start, s_pre, s_end
         states[:, k] = post

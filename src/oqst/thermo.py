@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate, verify_instrument
+from .channels import IMPOSSIBLE_BRANCH, Instrument, OutcomeBranch
+from .channels import stinespring_dilate, verify_instrument
 from .qmath import (
     DensityOperator,
     as_matrix,
-    dag,
     hermitize,
     shannon_entropy,
     von_neumann_entropy,
@@ -88,61 +88,25 @@ def control_energetics(
 
     With ``h_unit`` omitted the unit is energetically neutral and all unit
     entries are zero.  Otherwise the instrument's dilation supplies the
-    unit marginals.
+    unit marginals.  The one-state case of :func:`system_energetics` and
+    :func:`unit_energetics`.
     """
     if not verify_instrument(instr).passed:
         raise ThermoError("instrument fails completeness; refusing energetics")
-    h = as_matrix(h_system)
-    mat = rho_pre.matrix
-    branch_raw = [b.apply_matrix(mat) for b in instr.outcomes]
-    avg = sum(branch_raw)
-    probs = np.array([np.trace(raw).real for raw in branch_raw])
-    w_sys = float(np.trace(h @ (avg - mat)).real)
-    e_avg = float(np.trace(h @ avg).real)
-    q_sys: dict = {}
-    for b, raw, p in zip(instr.outcomes, branch_raw, probs):
-        if p < IMPOSSIBLE_BRANCH:
-            continue
-        q_sys[b.label] = float(np.trace(h @ raw).real / p - e_avg)
-    avg_q = sum(probs[i] * q_sys[b.label]
-                for i, b in enumerate(instr.outcomes) if b.label in q_sys)
-    if abs(avg_q) > AVG_HEAT_ATOL:
-        raise ThermoError(f"average control heat {avg_q:.3e} is not zero")
-
-    w_unit = 0.0
-    q_unit: dict = {}
-    de_unit: dict = {}
-    if h_unit is not None:
-        hu = as_matrix(h_unit)
-        dilation = stinespring_dilate(instr)
-        if hu.shape != (dilation.unit_dim, dilation.unit_dim):
-            raise ThermoError("unit Hamiltonian shape does not match the dilation")
-        dims = [dilation.system_dim, dilation.unit_dim]
-        correlated = dilation.joint_after_unitary(rho_pre)
-        u_after_v = _partial_trace_matrix(correlated, dims, [1])
-        e_u0 = float(np.trace(hu @ dilation.unit_state.matrix).real)
-        e_uv = float(np.trace(hu @ u_after_v).real)
-        w_unit = e_uv - e_u0
-        for label, _, post in dilation.readout(correlated):
-            if post is None:
-                continue
-            u_r = _partial_trace_matrix(post, dims, [1])
-            e_ur = float(np.trace(hu @ u_r).real)
-            q_unit[label] = e_ur - e_uv
-            de_unit[label] = e_ur - e_u0
-    else:
-        for b in instr.outcomes:
-            if b.label in q_sys:
-                q_unit[b.label] = 0.0
-                de_unit[b.label] = 0.0
+    mat = rho_pre.matrix[None]
+    probs, w_sys, q_sys = system_energetics(
+        as_matrix(h_system)[None], mat, instr.branch_states(mat))
+    w_unit, q_unit, de_unit = unit_energetics(instr, h_unit, mat)
+    viable = [(i, label) for i, label in enumerate(instr.labels)
+              if probs[0, i] >= IMPOSSIBLE_BRANCH]
     return ControlEnergetics(
         labels=instr.labels,
-        probabilities=probs,
-        w_system=w_sys,
-        w_unit=w_unit,
-        q_system=q_sys,
-        q_unit=q_unit,
-        de_unit=de_unit,
+        probabilities=probs[0],
+        w_system=float(w_sys[0]),
+        w_unit=float(w_unit[0]),
+        q_system={label: float(q_sys[0, i]) for i, label in viable},
+        q_unit={label: float(q_unit[0, i]) for i, label in viable},
+        de_unit={label: float(de_unit[0, i]) for i, label in viable},
     )
 
 
@@ -151,12 +115,12 @@ def system_energetics(h, mat, raws):
 
     For states ``mat`` of shape ``(N, d, d)`` under Hamiltonians ``h`` of the
     same shape, ``raws`` holds each outcome's unnormalized post state,
-    ``(N, K, d, d)``.  Returns ``(probabilities, w_system, q_system)`` of
-    shapes ``(N, K)``, ``(N,)`` and ``(N, K)``, with zero heat for outcomes
-    below ``IMPOSSIBLE_BRANCH``.  Every number comes from elementwise
-    products and last-axis sums of its own row, in the order of the
-    one-state reference :func:`control_energetics`.  Raises ``ThermoError``
-    where a row's average heat is not zero.
+    ``(N, K, d, d)``, as :meth:`Instrument.branch_states` gives them.
+    Returns ``(probabilities, w_system, q_system)`` of shapes ``(N, K)``,
+    ``(N,)`` and ``(N, K)``, with zero heat for outcomes below
+    ``IMPOSSIBLE_BRANCH``.  Every number comes from elementwise products and
+    last-axis sums of its own row.  Raises ``ThermoError`` where a row's
+    average heat is not zero.
     """
     probs = _trace(raws)
     avg = raws[:, 0]
@@ -173,6 +137,35 @@ def system_energetics(h, mat, raws):
     if bad.any():
         raise ThermoError(f"average control heat {avg_q[bad][0]:.3e} is not zero")
     return probs, _expectation(h, avg - mat), q_sys
+
+
+def unit_energetics(instr: Instrument, h_unit, mat):
+    """Work, per-outcome heat and per-outcome energy change of the unit, row by row.
+
+    The unit of ``instr``'s dilation carries Hamiltonian ``h_unit`` (None:
+    an energetically neutral unit, all zeros); the control acts on system
+    states ``mat`` of shape ``(N, d, d)``.  The work is the unit's energy
+    change under the joint unitary, the heat that of the readout of outcome
+    r, and ``de_unit`` their sum, computed from the unit's marginals so the
+    unit's first law can be checked.  Returns arrays of shapes ``(N,)``,
+    ``(N, K)`` and ``(N, K)``, zero for outcomes below ``IMPOSSIBLE_BRANCH``.
+    """
+    if h_unit is None:
+        n, k = len(mat), len(instr.outcomes)
+        return np.zeros(n), np.zeros((n, k)), np.zeros((n, k))
+    dilation = stinespring_dilate(instr)
+    hu = as_matrix(h_unit)
+    if hu.shape != (dilation.unit_dim, dilation.unit_dim):
+        raise ThermoError("unit Hamiltonian shape does not match the dilation")
+    dims = [dilation.system_dim, dilation.unit_dim]
+    correlated, raws = dilation.unitary_readout(mat)
+    probs = _trace(raws)
+    viable = probs >= IMPOSSIBLE_BRANCH
+    e_u0 = _expectation(hu, dilation.unit_state.matrix)
+    e_uv = _expectation(hu, _partial_trace_matrix(correlated, dims, [1]))
+    e_ur = _expectation(hu, _partial_trace_matrix(raws, dims, [1])) / np.where(viable, probs, 1.0)
+    return (e_uv - e_u0, np.where(viable, e_ur - e_uv[:, None], 0.0),
+            np.where(viable, e_ur - e_u0, 0.0))
 
 
 def stochastic_entropy(log_prob: float, state) -> float:
@@ -250,6 +243,16 @@ class LemmaReport:
     passed: bool
 
 
+def _branch_entropies(raws):
+    """Probabilities of unnormalized branch states ``raws`` (K, D, D), and
+    sum_r p_r S(raws_r / p_r) over the branches not below ``IMPOSSIBLE_BRANCH``."""
+    probs = _trace(raws)
+    viable = probs >= IMPOSSIBLE_BRANCH
+    p = probs[viable]
+    spectra = np.linalg.eigvalsh(hermitize(raws[viable]) / p[:, None, None])
+    return probs, float((p * shannon_entropy(spectra)).sum())
+
+
 def check_measurement_entropy_lemma(
     rho: DensityOperator, positive_ops, slack: float = 1e-9
 ) -> LemmaReport:
@@ -258,20 +261,12 @@ def check_measurement_entropy_lemma(
     ``positive_ops`` must be positive operators whose squares sum to the
     identity; outcomes with negligible probability are skipped.
     """
-    ops = [np.asarray(p, dtype=complex) for p in positive_ops]
-    total = sum(dag(p) @ p for p in ops)
-    if np.max(np.abs(total - np.eye(rho.dim))) > 1e-10:
+    readout = Instrument(rho.dim, tuple(OutcomeBranch(n, (p,)) for n, p in enumerate(positive_ops)))
+    if readout.completeness_deviation > 1e-10:
         raise ThermoError("operators do not square-sum to the identity")
-    probs = []
-    cond_entropy = 0.0
-    for p_op in ops:
-        raw = p_op @ rho.matrix @ dag(p_op)
-        p = float(np.trace(raw).real)
-        probs.append(max(p, 0.0))
-        if p > IMPOSSIBLE_BRANCH:
-            cond_entropy += p * von_neumann_entropy(hermitize(raw) / p)
+    probs, cond_entropy = _branch_entropies(readout.branch_states(rho.matrix))
     lhs = von_neumann_entropy(rho)
-    rhs = shannon_entropy(np.array(probs)) + cond_entropy
+    rhs = shannon_entropy(probs) + cond_entropy
     margin = rhs - lhs
     return LemmaReport(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -slack)
 
@@ -285,13 +280,7 @@ def average_control_entropy_production(
     Equals ``S_Sh(p) + sum_r p(r) S(joint post) - S(joint pre)`` since the
     average system heat vanishes; valid for inefficient instruments too.
     """
-    dilation = stinespring_dilate(instr)
-    correlated = dilation.joint_after_unitary(rho_pre)
-    probs = []
-    post_term = 0.0
-    for _, p, post in dilation.readout(correlated):
-        probs.append(p)
-        if post is not None:
-            post_term += p * von_neumann_entropy(post)
+    raws = stinespring_dilate(instr).unitary_readout(rho_pre.matrix[None])[1][0]
+    probs, post_term = _branch_entropies(raws)
     s_pre = von_neumann_entropy(rho_pre)  # unit starts pure and uncorrelated
-    return shannon_entropy(np.array(probs)) + post_term - s_pre
+    return shannon_entropy(probs) + post_term - s_pre

@@ -24,22 +24,20 @@ from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespr
 from .lindblad import ThermalGenerator, _propagate_matrix
 from .qmath import (
     DensityOperator,
-    dag,
     density_spectrum,
     hermitize,
     shannon_entropy,
     von_neumann_entropy,
     _expectation,
-    _matmul,
     _partial_trace_matrix,
     _trace,
 )
 from .thermo import (
     LEDGER_DTYPE,
     ThermoError,
-    control_energetics,
     entropy_production_step,
     system_energetics,
+    unit_energetics,
 )
 
 PROB_FLOOR = IMPOSSIBLE_BRANCH
@@ -291,14 +289,6 @@ def _by_units(units) -> dict:
     return groups
 
 
-def _sandwich(a, x) -> np.ndarray:
-    """(a ⊗ 1) x (a ⊗ 1)† for (N, D, D) matrices ``x``; ``a`` acts on their leading factor."""
-    n, big, k = x.shape[0], x.shape[-1], a.shape[-1]
-    left = _matmul(a, x.reshape(n, k, -1)).reshape(x.shape)
-    cols = left.reshape(n, big, k, big // k).swapaxes(-1, -2)
-    return _matmul(cols, dag(a)).swapaxes(-1, -2).reshape(x.shape)
-
-
 def _apply_superop_factor0(superop: np.ndarray, joint: np.ndarray, d0: int) -> np.ndarray:
     """The system step map ``superop`` on (N, D, D) joint states of system ⊗ units."""
     n, big = joint.shape[0], joint.shape[-1]
@@ -306,19 +296,6 @@ def _apply_superop_factor0(superop: np.ndarray, joint: np.ndarray, d0: int) -> n
     t = joint.reshape(n, d0, rest, d0, rest).transpose(0, 2, 4, 1, 3)
     out = np.multiply(superop, t.reshape(n, rest, rest, 1, d0 * d0), order="C").sum(-1)
     return out.reshape(n, rest, rest, d0, d0).transpose(0, 3, 1, 4, 2).reshape(n, big, big)
-
-
-def _insert_unit(joint: np.ndarray, dims: list, unit_mat: np.ndarray):
-    """Tensor a fresh unit in right next to the system factor of (N, D, D) joint states."""
-    n = joint.shape[0]
-    nd = dims + [unit_mat.shape[0]]
-    k = len(nd)
-    perm = [0, k - 1] + list(range(1, k - 1))
-    t = np.kron(joint, unit_mat).reshape([n] + nd + nd)
-    t = t.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
-    out_dims = [nd[p] for p in perm]
-    total = int(np.prod(out_dims))
-    return np.ascontiguousarray(t).reshape(n, total, total), out_dims
 
 
 def _joint_stack(rows: _Rows, idx) -> np.ndarray:
@@ -374,19 +351,12 @@ def _branches(run: _Run, instr: Instrument, mat, raws, units: tuple):
     ``raws`` are the system's own branch states, which are the answer while
     nothing but the system is tracked and the instrument is efficient.
     """
-    d = run.gen.dim
     if instr.efficient and not run.retain:
-        if not units:
-            return raws, units
-        return np.stack([_sandwich(b.kraus[0], mat) for b in instr.outcomes], axis=1), units
+        return (instr.branch_states(mat) if units else raws), units
     if len(units) + 1 > run.max_units:
         raise EngineError(f"joint tracking would exceed max_units={run.max_units}")
     dilation = stinespring_dilate(instr)
-    extended, new_dims = _insert_unit(mat, [d, *units], dilation.unit_state.matrix)
-    # the dilation acts on system ⊗ new unit, the leading factors after insertion
-    correlated = _sandwich(dilation.joint_unitary, extended)
-    raws = [_sandwich(np.kron(np.eye(d), p_u), correlated) for _, p_u in dilation.projectors]
-    return np.stack(raws, axis=1), tuple(new_dims[1:])
+    return dilation.unitary_readout(mat, units)[1], (dilation.unit_dim, *units)
 
 
 def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: list,
@@ -404,20 +374,9 @@ def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: li
             "updates are not tracked, so no further controls are allowed"
         )
     mat, h = rows.mat[idx], rows.h[idx]
-    raws = []
-    for b in instr.outcomes:
-        raws.append(_sandwich(b.kraus[0], mat))
-        for a in b.kraus[1:]:
-            raws[-1] = raws[-1] + _sandwich(a, mat)
-    raws = np.stack(raws, axis=1)
+    raws = instr.branch_states(mat)
     _, w_sys, q_sys = system_energetics(h, mat, raws)
-    w_unit, q_unit, de_unit = np.zeros(len(idx)), np.zeros_like(q_sys), np.zeros_like(q_sys)
-    if plan.h_unit is not None:  # the unit's energetics, from the dilation, row by row
-        for j in range(len(idx)):
-            ce = control_energetics(instr, h[j], DensityOperator(mat[j]), h_unit=plan.h_unit)
-            w_unit[j] = ce.w_unit
-            q_unit[j] = [ce.q_unit.get(label, 0.0) for label in instr.labels]
-            de_unit[j] = [ce.de_unit.get(label, 0.0) for label in instr.labels]
+    w_unit, q_unit, de_unit = unit_energetics(instr, plan.h_unit, mat)
     tracked = _joint_stack(rows, idx) if units else mat
     post_raws, new_units = _branches(run, instr, tracked, raws, units)
     probs = _trace(post_raws)

@@ -148,6 +148,17 @@ class TestCavityRun:
                 if kind == "sensor":
                     assert abs(ledger.w_ctrl_sys) <= 1e-12
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sensor_steps_book_exactly_zero_work(self, exact):
+        # The diagonal sensor transfer leaves every level's energy as it is,
+        # so its work is 0 itself, not a difference of two rounded energies.
+        report = run_cavity(CavityConfig(steps=220, trajectories=100, seed=1,
+                                         exact_propagator=exact))
+        sensor = np.array([rec.kinds for rec in report.records]) == "sensor"
+        work = np.stack([rec.ledgers for rec in report.records])["w_ctrl_sys"]
+        assert sensor.sum() > 20000
+        assert np.count_nonzero(work[sensor]) == 0
+
     def test_work_spikes_only_on_feedback(self, small_run):
         spikes = 0
         for rec in small_run.records[:50]:

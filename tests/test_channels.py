@@ -245,3 +245,51 @@ class TestKicks:
         rho = DensityOperator.basis_state(2, 0)
         (res,) = apply_instrument(unitary_kick(h), rho)
         assert np.allclose(res.state.matrix, np.ones((2, 2)) / 2, atol=1e-12)
+
+
+class TestBatchedKernels:
+    """The batched branch action and dilation step against kron/BLAS references."""
+
+    @staticmethod
+    def joint_states(rng, n, dim):
+        return np.stack([qmath.random_density(rng, dim).matrix for _ in range(n)])
+
+    def test_branch_states_act_on_the_leading_factor(self):
+        rng = np.random.default_rng(4)
+        # one, two and three Kraus operators per outcome; completeness is not needed
+        ops = random_instrument(rng, 2, 1, 6).outcomes[0].kraus
+        instr = Instrument(dim=2, outcomes=(
+            OutcomeBranch(0, ops[:1]), OutcomeBranch(1, ops[1:3]), OutcomeBranch(2, ops[3:]),
+        ))
+        x = self.joint_states(rng, 5, 6)  # system ⊗ a 3-level rest
+        out = instr.branch_states(x)
+        assert out.shape == (5, 3, 6, 6)
+        for j in range(5):
+            for r, b in enumerate(instr.outcomes):
+                expected = sum(np.kron(k, np.eye(3)) @ x[j] @ dag(np.kron(k, np.eye(3)))
+                               for k in b.kraus)
+                assert np.max(np.abs(out[j, r] - expected)) <= 1e-14
+            # a row does not depend on its batch-mates
+            assert np.array_equal(out[j], instr.branch_states(x[j]))
+
+    def test_unitary_readout_matches_kron_reference(self):
+        rng = np.random.default_rng(9)
+        instr = random_instrument(rng, 2, 2, 2)
+        dil = stinespring_dilate(instr)
+        du = dil.unit_dim
+        x = self.joint_states(rng, 3, 4)  # system ⊗ a 2-level rest
+        dims = [2, du, 2]
+        correlated, raws = dil.unitary_readout(x, (2,))
+        v_full = np.kron(dil.joint_unitary, np.eye(2))
+        for j in range(3):
+            # x ⊗ unit, reordered to system ⊗ unit ⊗ rest
+            ref = np.kron(x[j], dil.unit_state.matrix).reshape([2, 2, du] * 2)
+            ref = ref.transpose(0, 2, 1, 3, 5, 4).reshape(4 * du, 4 * du)
+            joint = v_full @ ref @ dag(v_full)
+            assert np.max(np.abs(correlated[j] - joint)) <= 1e-14
+            system = qmath.partial_trace(x[j], [2, 2], [0])
+            for r, (_, p_u) in enumerate(dil.projectors):
+                p_full = np.kron(np.kron(np.eye(2), p_u), np.eye(2))
+                assert np.max(np.abs(raws[j, r] - p_full @ joint @ dag(p_full))) <= 1e-14
+                branch = qmath.partial_trace(raws[j, r], dims, [0])
+                assert np.allclose(branch, instr.outcomes[r].apply_matrix(system), atol=1e-13)

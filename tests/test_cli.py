@@ -87,6 +87,13 @@ class TestParsing:
         cfg = parse_config(["run", "tpm"])
         assert cfg.workers == 3
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_workers_below_one_exit_code(self, monkeypatch, tmp_path, env):
+        # the same count rule as --workers and a config file's "workers"
+        monkeypatch.setenv("OQST_WORKERS", env)
+        assert main(["run", "tpm", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
 
 class TestExecution:
     def test_tpm_outputs(self, tmp_path):

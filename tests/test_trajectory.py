@@ -381,6 +381,41 @@ class TestJointTracking:
             s_joint = rec.ledgers[0].s_end - rec.log_prob
             assert s_joint == pytest.approx(expected, abs=1e-9)
 
+    def test_unit_energetics_of_every_leaf(self):
+        # Each leaf's step-2 unit work, heat and energy change against the
+        # dilation applied by hand to that leaf's own pre-control state.
+        from oqst.channels import stinespring_dilate
+        from oqst.qmath import dag, tensor_product
+
+        rng = np.random.default_rng(21)
+        gen = TestBatchInvariance.GEN
+        instr = random_instrument(rng, 2, 2, 2)
+        dil = stinespring_dilate(instr)
+        g = rng.normal(size=(dil.unit_dim,) * 2) + 1j * rng.normal(size=(dil.unit_dim,) * 2)
+        h_unit = g + dag(g)
+        sched = ControlSchedule.uniform(2, 0.4)
+        pol = FixedPolicy([X_INSTR, StepPlan(instr, h_unit=h_unit)])
+        leaves = enumerate_tree(gen, sched, pol, qmath.random_density(rng, 2))
+        assert len(leaves) == 4
+        v, unit0 = dil.joint_unitary, dil.unit_state.matrix
+        dims = [2, dil.unit_dim]
+        e_u0 = np.trace(h_unit @ unit0).real
+        pre_states = set()
+        for outcomes, _, rec in leaves:
+            rho_pre = propagate(gen, DensityOperator(rec.states[0]), 0.4, "exact").matrix
+            pre_states.add(np.round(rho_pre, 6).tobytes())
+            joint = v @ tensor_product(rho_pre, unit0) @ dag(v)
+            e_uv = np.trace(h_unit @ qmath.partial_trace(joint, dims, [1])).real
+            p_full = tensor_product(np.eye(2), dict(dil.projectors)[outcomes[1]])
+            raw = p_full @ joint @ dag(p_full)
+            unit_r = qmath.partial_trace(raw / np.trace(raw).real, dims, [1])
+            e_ur = np.trace(h_unit @ unit_r).real
+            led = rec.ledgers[1]
+            assert led.w_ctrl_unit == pytest.approx(e_uv - e_u0, abs=1e-12)
+            assert led.q_ctrl_unit == pytest.approx(e_ur - e_uv, abs=1e-12)
+            assert led.de_unit == pytest.approx(e_ur - e_u0, abs=1e-12)
+        assert len(pre_states) == 2  # the two x outcomes of step 1 feed distinct states
+
     def test_max_units_cap(self):
         rng = np.random.default_rng(14)
         gen = qubit_generator()
