@@ -241,12 +241,17 @@ class StinespringDilation:
         if np.max(np.abs(dag(v) @ v - np.eye(d))) > COMPLETENESS_ATOL:
             raise ChannelError("joint unitary is not unitary within 1e-10")
         stack = np.array([p for _, p in self.projectors], dtype=complex)
-        if np.max(np.abs((stack @ stack).sum(axis=0) - np.eye(self.unit_dim))) > COMPLETENESS_ATOL:
+        masks = np.diagonal(stack, axis1=-2, axis2=-1).real == 1  # outcome r's unit levels
+        if (stack.shape[1:] != (self.unit_dim, self.unit_dim)
+                or not np.array_equal(stack, masks[..., None] * np.eye(self.unit_dim))):
+            raise ChannelError("unit projectors must be diagonal 0/1 matrices on the unit")
+        if not (masks.sum(axis=0) == 1).all():
             raise ChannelError("unit projectors do not square-sum to the identity")
         v.setflags(write=False)
         stack.setflags(write=False)
+        masks.setflags(write=False)
         object.__setattr__(self, "joint_unitary", v)
-        object.__setattr__(self, "_projector_stack", stack)
+        object.__setattr__(self, "_unit_masks", masks)
         object.__setattr__(self, "projectors", tuple(
             (int(label), p) for (label, _), p in zip(self.projectors, stack)))
 
@@ -255,8 +260,14 @@ class StinespringDilation:
         return tuple(label for label, _ in self.projectors)
 
     def _read_unit(self, correlated: np.ndarray) -> np.ndarray:
-        """P_r x P_r† on the unit factor of (N, D, D) states: (N, K, D, D)."""
-        return _sandwich(self._projector_stack, correlated[:, None], outer=self.system_dim)
+        """P_r x P_r† on the unit factor of (N, D, D) states: (N, K, D, D).
+
+        Each P_r is a diagonal 0/1 projector, so the product keeps exactly
+        the entries whose row and column unit levels both belong to outcome r.
+        """
+        inner = correlated.shape[-1] // (self.system_dim * self.unit_dim)
+        levels = np.tile(np.repeat(self._unit_masks, inner, axis=-1), self.system_dim)
+        return np.where(levels[:, :, None] & levels[:, None, :], correlated[:, None], 0.0)
 
     def unitary_readout(self, states: np.ndarray, rest: tuple = ()):
         """Add the unit, run the joint unitary and read the unit out, on (N, D, D) states.

@@ -22,8 +22,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import constants
-from scipy.linalg import expm
 
 from .qmath import DensityOperator, _expectation, _matmul, _trace, dag, hermitize
 
@@ -33,10 +31,23 @@ FIRST_ORDER_LEAK = 1e-9
 # schedule take a few distinct values per binade of elapsed time (19 over
 # 50000 steps), so all of them stay cached.
 STEP_CACHE_SIZE = 32
+# CODATA 2018 values, exactly as scipy.constants holds them (J s, J/K).
+HBAR = 1.0545718176461565e-34
+K_B = 1.380649e-23
 
 
 class LindbladError(ValueError):
     """Raised for invalid generators, protocols or propagation requests."""
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential, ``scipy.linalg.expm``; scipy loads on the first call.
+
+    Only exact propagation needs it, so a first-order run never imports scipy.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(m)
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ def n_thermal(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar omega / kB T) - 1)."""
     if temperature <= 0:
         raise LindbladError("temperature must be positive")
-    x = constants.hbar * omega / (constants.k * temperature)
+    x = HBAR * omega / (K_B * temperature)
     return 1.0 / np.expm1(x)
 
 

@@ -58,20 +58,20 @@ def _matmul(a, b) -> np.ndarray:
     return np.multiply(a[..., :, None, :], b_cols, order="C").sum(-1)
 
 
-def _sandwich(a, x, outer: int = 1) -> np.ndarray:
-    """(1 ⊗ a ⊗ 1) x (1 ⊗ a ⊗ 1)† for (..., D, D) matrices ``x``, by ``_matmul``.
+def _sandwich(a, x) -> np.ndarray:
+    """(a ⊗ 1) x (a ⊗ 1)† for (..., D, D) matrices ``x``, by ``_matmul``.
 
-    ``a`` (..., k, k) acts on the factor after leading factors of total
-    dimension ``outer``; the leading axes of ``a`` and ``x`` broadcast.
+    ``a`` (..., k, k) acts on the leading factor; the leading axes of ``a``
+    and ``x`` broadcast.
     """
     big, k = x.shape[-1], a.shape[-1]
     if k == big:  # a acts on the whole space
         return _matmul(_matmul(a, x), dag(a))
-    inner = big // (outer * k)
-    left = _matmul(a[..., None, :, :], x.reshape(x.shape[:-2] + (outer, k, inner * big)))
-    lead = left.shape[:-3]
-    cols = left.reshape(lead + (big, outer, k, inner)).swapaxes(-1, -2)
-    out = _matmul(cols, dag(a)[..., None, None, :, :]).swapaxes(-1, -2)
+    inner = big // k
+    left = _matmul(a, x.reshape(x.shape[:-2] + (k, inner * big)))
+    lead = left.shape[:-2]
+    cols = left.reshape(lead + (big, k, inner)).swapaxes(-1, -2)
+    out = _matmul(cols, dag(a)[..., None, :, :]).swapaxes(-1, -2)
     return out.reshape(lead + (big, big))
 
 

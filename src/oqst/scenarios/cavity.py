@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..channels import Instrument, OutcomeBranch
-from ..lindblad import ThermalGenerator, thermal_cavity_generator
+from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
 from ..qmath import DensityOperator, shannon_entropy
 from ..thermo import (
     FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
@@ -417,11 +415,12 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
     names = np.array(ATOM_KINDS, dtype=object)  # one str object per kind
 
     def record(j):
+        row = np.ndarray.__getitem__(ledger, j)  # ledger[j], without recarray's dtype checks
         return TrajectoryRecord(
-            outcomes=tuple(ledger[j].outcome.tolist()),
+            outcomes=tuple(row.outcome.tolist()),
             kinds=tuple(names[kinds[:, j]]),
             log_prob=float(log_prob[j]),
-            ledgers=ledger[j],
+            ledgers=row,
             states=states[j],
             final_state=states[j, -1],
             times=times,
@@ -580,6 +579,8 @@ def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityRepo
     configs = [config] * len(blocks)
     if config.workers <= 1 or len(blocks) == 1:
         return _build_report(config, functools.reduce(_Tally.merge, map(sample, configs, blocks)))
+    from concurrent.futures import ProcessPoolExecutor  # loaded only by pooled runs
+
     with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
         tally = functools.reduce(_Tally.merge, pool.map(sample, configs, blocks))
     return _build_report(config, tally)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from ..lindblad import expm
 from ..qmath import shannon_entropy
 from ..trajectory import derive_stream_seed, stream_rng
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; load it with the engine instead
+from numpy.random import Generator, Philox
 
 from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
 from .lindblad import ThermalGenerator, _propagate_matrix
@@ -75,9 +77,9 @@ def derive_stream_seed(master_seed: int, index: int) -> int:
 _M128 = (1 << 128) - 1
 
 
-def stream_rng(seed: int) -> np.random.Generator:
+def stream_rng(seed: int) -> Generator:
     """Counter-based generator for one trajectory."""
-    return np.random.Generator(np.random.Philox(key=seed & _M128))
+    return Generator(Philox(key=seed & _M128))
 
 
 def stream_uniforms(seeds, steps: int) -> np.ndarray:
@@ -86,18 +88,20 @@ def stream_uniforms(seeds, steps: int) -> np.ndarray:
     One Philox bit generator is re-keyed for every seed (counter 0, empty
     buffer), which draws the same numbers as a fresh ``stream_rng`` without
     the OS entropy a fresh generator gathers for its unused seed sequence.
+    The state is one dict of Python ints with its key rewritten in place,
+    which the state setter reads faster than fresh arrays.
     """
-    bits = np.random.Philox(key=0)
-    draw = np.random.Generator(bits)
-    zero = np.zeros(4, dtype=np.uint64)
+    bits = Philox(key=0)
+    draw = Generator(bits)
+    key = [0, 0]
+    state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     out = np.empty((len(seeds), steps))
     for row, seed in zip(out, seeds):
-        key = seed & _M128
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": np.array([key & _M64, key >> 64], dtype=np.uint64)},
-            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        key[0], key[1] = seed & _M64, (seed & _M128) >> 64
+        bits.state = state
         draw.random(out=row)
     return out
 
@@ -283,6 +287,8 @@ class _Rows:
 
 def _by_units(units) -> dict:
     """Row positions grouped by their tracked unit dimensions."""
+    if not any(units):  # only the system is tracked
+        return {(): list(range(len(units)))}
     groups: dict = {}
     for i, u in enumerate(units):
         groups.setdefault(u, []).append(i)
@@ -444,7 +450,7 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
         led[col] = kids[col]
     if rows.states.shape[1]:
         rows.states[:, k] = rows.mat
-    rows.outcomes = [o + (int(x),) for o, x in zip(rows.outcomes, kids["outcome"])]
+    rows.outcomes = [o + (x,) for o, x in zip(rows.outcomes, kids["outcome"].tolist())]
     rows.kinds = [o + (x,) for o, x in zip(rows.kinds, kids["kind"])]
     return rows
 
@@ -463,20 +469,29 @@ def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES) -> _Row
     return rows
 
 
+_NO_STATES = np.array([])
+_NO_STATES.setflags(write=False)
+
+
 def _records(run: _Run, rows: _Rows, first_row: int = 0) -> list:
-    """Close the rows' ledgers in one call and wrap each row as a record."""
+    """Close the rows' ledgers in one call and wrap each row as a record.
+
+    ``np.ndarray.__getitem__`` gives the same ``(steps,)`` recarray row as
+    ``ledger[j]`` without ``recarray.__getitem__``'s dtype checks.
+    """
     try:
         ledger = entropy_production_step(rows.ledger, run.gen.beta)
     except ThermoError as exc:
         exc.row += first_row
         raise
+    row_of, times = np.ndarray.__getitem__, run.schedule.times
+    states = rows.states if run.store_states else [_NO_STATES] * len(rows.mat)
     return [
-        TrajectoryRecord(
-            outcomes=rows.outcomes[j], kinds=rows.kinds[j], log_prob=float(rows.log_prob[j]),
-            ledgers=ledger[j], states=rows.states[j] if run.store_states else np.array([]),
-            final_state=rows.mat[j], times=run.schedule.times,
-        )
-        for j in range(len(rows.mat))
+        TrajectoryRecord(outcomes=outcomes, kinds=kinds, log_prob=log_prob,
+                         ledgers=row_of(ledger, j), states=states[j],
+                         final_state=rows.mat[j], times=times)
+        for j, (outcomes, kinds, log_prob) in enumerate(
+            zip(rows.outcomes, rows.kinds, rows.log_prob.tolist()))
     ]
 
 

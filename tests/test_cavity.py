@@ -1,5 +1,6 @@
 """Stabilization-scenario checks below acceptance scale."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -312,7 +313,8 @@ class TestBlockInvariance:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block run built a process pool")
 
-        monkeypatch.setattr(cavity, "ProcessPoolExecutor", no_pool)
+        # run_cavity imports the pool class on its pool branch alone
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = run_cavity(CavityConfig(steps=10, trajectories=20, seed=2, workers=2))
         assert len(report.records) == 20
 

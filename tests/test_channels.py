@@ -8,6 +8,7 @@ from oqst.channels import (
     ChannelError,
     Instrument,
     OutcomeBranch,
+    StinespringDilation,
     apply_instrument,
     average_map,
     dephasing_map,
@@ -293,3 +294,26 @@ class TestBatchedKernels:
                 assert np.max(np.abs(raws[j, r] - p_full @ joint @ dag(p_full))) <= 1e-14
                 branch = qmath.partial_trace(raws[j, r], dims, [0])
                 assert np.allclose(branch, instr.outcomes[r].apply_matrix(system), atol=1e-13)
+
+    @pytest.mark.parametrize("rest", [(), (2,), (3, 2)])
+    def test_unit_readout_is_the_projector_product(self, rest):
+        rng = np.random.default_rng(sum(rest) + 11)
+        for d, outcomes, kraus in [(2, 2, 1), (2, 3, 2), (3, 2, 2), (2, 1, 2)]:
+            dil = stinespring_dilate(random_instrument(rng, d, outcomes, kraus))
+            size = int(np.prod(rest, dtype=int))
+            correlated, raws = dil.unitary_readout(self.joint_states(rng, 3, d * size), rest)
+            for r, (_, p_u) in enumerate(dil.projectors):
+                p_full = np.kron(np.kron(np.eye(d), p_u), np.eye(size))
+                ref = p_full @ correlated @ dag(p_full)
+                assert np.max(np.abs(raws[:, r] - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("projector", [
+        np.array([[0.5, 0.5], [0.5, 0.5]]),  # a projector, but not diagonal
+        np.diag([0.5, 0.0]),                 # diagonal, but not 0/1
+    ])
+    def test_dilation_needs_diagonal_unit_projectors(self, projector):
+        with pytest.raises(ChannelError, match="diagonal"):
+            StinespringDilation(
+                system_dim=1, unit_dim=2, unit_state=DensityOperator.basis_state(2, 0),
+                joint_unitary=np.eye(2), projectors=((0, projector), (1, np.eye(2) - projector)),
+            )

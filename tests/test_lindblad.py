@@ -115,6 +115,13 @@ class TestPropagation:
         assert abs(out.matrix[0, 1]) < abs(rho.matrix[0, 1])
 
 
+def test_physical_constants_match_scipy():
+    from scipy import constants
+
+    assert lindblad.HBAR == constants.hbar
+    assert lindblad.K_B == constants.k
+
+
 class TestStepMapCache:
     def test_uniform_schedule_computes_each_exponential_once(self, monkeypatch):
         calls = []

@@ -168,6 +168,25 @@ class TestSampling:
             se = np.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= 3 * se
 
+    @pytest.mark.parametrize("store_states", [True, False])
+    def test_ensemble_record_ledgers_are_recarrays(self, store_states):
+        gen = qubit_generator()
+        sched = ControlSchedule.uniform(4, 1.0)
+        pol = FixedPolicy([X_INSTR, Z_INSTR] * 2)
+        rho0 = DensityOperator.pure([1, 0.5])
+        seeds = [derive_stream_seed(5, i) for i in range(300)]  # two blocks
+        recs = list(sample_ensemble(gen, sched, pol, rho0, seeds, store_states=store_states))
+        for i in (0, 299):
+            rec = recs[i]
+            assert isinstance(rec.ledgers, np.recarray) and rec.ledgers.shape == (4,)
+            assert np.array_equal(rec.ledgers.sigma_seg, rec.ledgers["sigma_seg"])
+            assert rec.ledgers[0].w_seg == rec.ledgers["w_seg"][0]
+            assert rec.states.shape == ((4, 2, 2) if store_states else (0,))
+            alone = sample_trajectory(gen, sched, pol, rho0, seeds[i], store_states=store_states)
+            assert rec.outcomes == alone.outcomes and rec.log_prob == alone.log_prob
+            assert rec.ledgers.tobytes() == alone.ledgers.tobytes()
+            assert rec.states.tobytes() == alone.states.tobytes()
+
     def test_ledger_laws_every_step(self):
         gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, 5)
         fock = projective_instrument(np.eye(6))
