@@ -415,12 +415,11 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
     names = np.array(ATOM_KINDS, dtype=object)  # one str object per kind
 
     def record(j):
-        row = np.ndarray.__getitem__(ledger, j)  # ledger[j], without recarray's dtype checks
         return TrajectoryRecord(
-            outcomes=tuple(row.outcome.tolist()),
+            outcomes=tuple(ledger[j].outcome.tolist()),
             kinds=tuple(names[kinds[:, j]]),
             log_prob=float(log_prob[j]),
-            ledgers=row,
+            ledgers=ledger[j],
             states=states[j],
             final_state=states[j, -1],
             times=times,

@@ -287,8 +287,6 @@ class _Rows:
 
 def _by_units(units) -> dict:
     """Row positions grouped by their tracked unit dimensions."""
-    if not any(units):  # only the system is tracked
-        return {(): list(range(len(units)))}
     groups: dict = {}
     for i, u in enumerate(units):
         groups.setdefault(u, []).append(i)
@@ -450,7 +448,7 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
         led[col] = kids[col]
     if rows.states.shape[1]:
         rows.states[:, k] = rows.mat
-    rows.outcomes = [o + (x,) for o, x in zip(rows.outcomes, kids["outcome"].tolist())]
+    rows.outcomes = [o + (int(x),) for o, x in zip(rows.outcomes, kids["outcome"])]
     rows.kinds = [o + (x,) for o, x in zip(rows.kinds, kids["kind"])]
     return rows
 
