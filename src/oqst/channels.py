@@ -9,9 +9,11 @@ control operation in the thermodynamics layer.  An instrument is
 immutable, so it computes its stacked Kraus operators, its completeness
 deviation and its dilation at most once and keeps them.
 
-Both forms act through one batched kernel each, on stacks of states:
-:meth:`Instrument.branch_states` and :meth:`StinespringDilation.unitary_readout`.
-The one-state functions here are their N = 1 case.
+Both forms act through one batched kernel each, on stacks of states and
+of operators: :func:`_branch_states` (Kraus stacks ``(..., A, d, d)``) and
+:meth:`StinespringDilation.unitary_readout` (one joint unitary, or one per
+state).  :func:`_dilate` builds the dilations of a whole Kraus stack at
+once.  The one-instrument, one-state functions here are their N = 1 case.
 """
 
 from __future__ import annotations
@@ -107,12 +109,11 @@ class Instrument:
     @cached_property
     def completeness_deviation(self) -> float:
         """max |sum_{r,a} A_a(r)† A_a(r) - 1| over the matrix entries."""
-        total = (dag(self._kraus) @ self._kraus).sum(axis=0)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return float(_completeness_deviation(self._kraus))
 
     @cached_property
     def _dilation(self) -> "StinespringDilation":
-        return _dilate(self)
+        return _dilate(self._kraus, self._starts, self.labels)
 
     @cached_property
     def _kraus(self) -> np.ndarray:
@@ -125,22 +126,37 @@ class Instrument:
         return list(accumulate((len(b.kraus) for b in self.outcomes[:-1]), initial=0))
 
     def branch_states(self, mat) -> np.ndarray:
-        """Each outcome's unnormalized post state, ``(..., D, D)`` -> ``(..., K, D, D)``.
-
-        Outcome r gives sum_a (A_a(r) ⊗ 1) mat (A_a(r) ⊗ 1)†, the Kraus
-        operators acting on the leading (system) factor of ``mat``.  Each
-        matrix's result comes from its own elementwise products and sums.
-        """
-        per_kraus = _sandwich(self._kraus, np.asarray(mat)[..., None, :, :])
-        if self.efficient:
-            return per_kraus
-        return np.add.reduceat(per_kraus, self._starts, axis=-3)
+        """Each outcome's unnormalized post state, ``(..., D, D)`` -> ``(..., K, D, D)``;
+        see :func:`_branch_states`."""
+        return _branch_states(self._kraus, self._starts, mat)
 
     def branch(self, label: int) -> OutcomeBranch:
         for b in self.outcomes:
             if b.label == label:
                 return b
         raise KeyError(label)
+
+
+def _completeness_deviation(kraus) -> np.ndarray:
+    """max |sum_a K_a† K_a - 1| of each instrument in a (..., A, d, d) Kraus stack."""
+    total = (dag(kraus) @ kraus).sum(axis=-3)
+    return np.abs(total - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+
+
+def _branch_states(kraus, starts, mat) -> np.ndarray:
+    """Each outcome's unnormalized post state, ``(..., D, D)`` -> ``(..., K, D, D)``.
+
+    ``kraus`` (..., A, d, d) stacks the Kraus operators of an instrument in
+    outcome order, outcome r's first one at index ``starts[r]``.  Outcome r
+    gives sum_a (A_a(r) ⊗ 1) mat (A_a(r) ⊗ 1)†, acting on the leading
+    (system) factor of ``mat``.  The leading axes of ``kraus`` and ``mat``
+    broadcast: one instrument for every state, or one per state.  Each
+    matrix's result comes from its own elementwise products and sums.
+    """
+    per_kraus = _sandwich(kraus, np.asarray(mat)[..., None, :, :])
+    if len(starts) == kraus.shape[-3]:  # one Kraus operator per outcome
+        return per_kraus
+    return np.add.reduceat(per_kraus, starts, axis=-3)
 
 
 @dataclass(frozen=True)
@@ -177,18 +193,29 @@ def apply_instrument(instr: Instrument, rho: DensityOperator) -> list[BranchResu
         raise ChannelError(f"instrument dim {instr.dim} != state dim {rho.dim}")
     return [
         BranchResult(label, p, None if post is None else DensityOperator(post))
-        for label, p, post in _normalized(instr.labels, instr.branch_states(rho.matrix))
+        for label, p, post in _outcomes(instr.labels, instr.branch_states(rho.matrix))
     ]
 
 
-def _normalized(labels, raws):
+def _normalized(raws):
+    """Normalize unnormalized branch states ``raws`` (..., K, D, D).
+
+    Returns the branch probabilities (..., K), clipped at zero, which
+    branches are viable (not below ``IMPOSSIBLE_BRANCH``), and each branch's
+    hermitized state divided by its probability; a branch that is not
+    viable keeps its hermitized unnormalized state.
+    """
+    probs = np.maximum(_trace(raws), 0.0)
+    viable = probs >= IMPOSSIBLE_BRANCH
+    return probs, viable, hermitize(raws) / np.where(viable, probs, 1.0)[..., None, None]
+
+
+def _outcomes(labels, raws):
     """``(label, probability, normalized state)`` per outcome of unnormalized ``raws``
     (K, D, D); the state is None for branches below ``IMPOSSIBLE_BRANCH``."""
-    for label, raw, p in zip(labels, raws, _trace(raws).tolist()):
-        if p < IMPOSSIBLE_BRANCH:
-            yield label, max(p, 0.0), None
-        else:
-            yield label, p, hermitize(raw) / p
+    probs, viable, states = _normalized(raws)
+    for label, p, ok, state in zip(labels, probs.tolist(), viable.tolist(), states):
+        yield label, p, state if ok else None
 
 
 def average_map(instr: Instrument, rho: DensityOperator) -> DensityOperator:
@@ -224,7 +251,11 @@ class StinespringDilation:
 
     Applying the joint unitary to (system ⊗ unit), measuring the unit with
     the projector of outcome ``r`` and tracing out the unit reproduces the
-    branch map of ``r`` exactly.
+    branch map of ``r`` exactly.  ``joint_unitary`` may also be a
+    (..., D, D) stack, one unitary per instrument of a Kraus stack sharing
+    the unit and projectors, as :func:`_dilate` builds it;
+    :meth:`unitary_readout` then maps a stack of states, one per unitary.
+    The one-state methods take a single unitary.
     """
 
     system_dim: int
@@ -236,7 +267,7 @@ class StinespringDilation:
     def __post_init__(self):
         v = np.array(self.joint_unitary, dtype=complex)
         d = self.system_dim * self.unit_dim
-        if v.shape != (d, d):
+        if v.shape[-2:] != (d, d):
             raise ChannelError("joint unitary has the wrong shape")
         if np.max(np.abs(dag(v) @ v - np.eye(d))) > COMPLETENESS_ATOL:
             raise ChannelError("joint unitary is not unitary within 1e-10")
@@ -297,7 +328,7 @@ class StinespringDilation:
         ``(label, probability, normalized joint state)`` in label order; the
         state is None for branches below ``IMPOSSIBLE_BRANCH``.
         """
-        yield from _normalized(self.labels, self._read_unit(np.asarray(correlated)[None])[0])
+        yield from _outcomes(self.labels, self._read_unit(np.asarray(correlated)[None])[0])
 
     def apply(self, rho: DensityOperator) -> list[BranchResult]:
         """Reduced branch action; should match :func:`apply_instrument`."""
@@ -305,7 +336,7 @@ class StinespringDilation:
         return [
             BranchResult(label, p, None if post is None
                          else DensityOperator(_partial_trace_matrix(post, dims, [0])))
-            for label, p, post in _normalized(self.labels, raws[0])
+            for label, p, post in _outcomes(self.labels, raws[0])
         ]
 
 
@@ -322,27 +353,32 @@ def stinespring_dilate(instr: Instrument) -> StinespringDilation:
     return instr._dilation
 
 
-def _dilate(instr: Instrument) -> StinespringDilation:
-    report = verify_instrument(instr)
-    if not report.passed:
-        raise ChannelError(
-            f"cannot dilate: completeness deviation {report.max_deviation:.3e}"
-        )
-    d, count = instr.dim, instr.kraus_count
+def _dilate(kraus, starts, labels) -> StinespringDilation:
+    """Dilations of the instruments in a Kraus stack ``kraus`` (..., A, d, d).
+
+    Outcome r, labelled ``labels[r]``, has its first Kraus operator at index
+    ``starts[r]``.  One joint unitary per instrument, built as
+    :func:`stinespring_dilate` describes; the unit and its projectors depend
+    on the outcome structure alone, so the instruments share them.
+    """
+    dev = _completeness_deviation(kraus)
+    if not (dev <= COMPLETENESS_ATOL).all():
+        raise ChannelError(f"cannot dilate: completeness deviation {dev.max():.3e}")
+    *lead, count, d, _ = kraus.shape
     unit_dim = max(count, 2)
     # Isometry |s>|0> -> sum_(r,a) A_a(r)|s>|index(r,a)>: row (s', index) holds A[s', :].
-    iso = np.zeros((d, unit_dim, d), dtype=complex)
-    iso[:, :count] = instr._kraus.transpose(1, 0, 2)
-    iso = iso.reshape(d * unit_dim, d)
+    iso = np.zeros((*lead, d, unit_dim, d), dtype=complex)
+    iso[..., :count, :] = np.swapaxes(kraus, -3, -2)
+    iso = iso.reshape(*lead, d * unit_dim, d)
     # Inputs |s, 0> take the isometry's columns, the others the SVD complement in order.
-    complement = np.linalg.svd(iso, full_matrices=True)[0][:, d:]
+    complement = np.linalg.svd(iso, full_matrices=True)[0][..., d:]
     fresh = np.arange(d * unit_dim) % unit_dim == 0
-    v = np.empty((d * unit_dim, d * unit_dim), dtype=complex)
-    v[:, fresh], v[:, ~fresh] = iso, complement
+    v = np.empty((*lead, d * unit_dim, d * unit_dim), dtype=complex)
+    v[..., fresh], v[..., ~fresh] = iso, complement
     # Outcome r's unit levels are its Kraus indices; pad levels go to the last outcome.
-    owner = np.searchsorted(instr._starts, np.arange(unit_dim), side="right") - 1
-    projectors = tuple((b.label, np.diag((owner == r).astype(complex)))
-                       for r, b in enumerate(instr.outcomes))
+    owner = np.searchsorted(starts, np.arange(unit_dim), side="right") - 1
+    projectors = tuple((label, np.diag((owner == r).astype(complex)))
+                       for r, label in enumerate(labels))
     return StinespringDilation(
         system_dim=d,
         unit_dim=unit_dim,
@@ -359,15 +395,19 @@ def random_instrument(
     kraus_per_outcome: int = 1,
 ) -> Instrument:
     """Random complete instrument from a Haar-ish isometry, split into branches."""
-    total = n_outcomes * kraus_per_outcome
-    g = rng.normal(size=(dim * total, dim)) + 1j * rng.normal(size=(dim * total, dim))
-    q, _ = np.linalg.qr(g)
-    blocks = [q[i * dim : (i + 1) * dim, :] for i in range(total)]
+    ops = _random_kraus(rng, dim, n_outcomes * kraus_per_outcome)
     branches = []
     for r in range(n_outcomes):
-        ops = tuple(blocks[r * kraus_per_outcome + a] for a in range(kraus_per_outcome))
-        branches.append(OutcomeBranch(label=r, kraus=ops))
+        branches.append(OutcomeBranch(
+            label=r, kraus=tuple(ops[r * kraus_per_outcome:(r + 1) * kraus_per_outcome])))
     return Instrument(dim=dim, outcomes=tuple(branches))
+
+
+def _random_kraus(rng: np.random.Generator, dim: int, total: int) -> np.ndarray:
+    """The Kraus operators of :func:`random_instrument`, (total, dim, dim) in
+    outcome order, from the same draws."""
+    g = rng.normal(size=(dim * total, dim)) + 1j * rng.normal(size=(dim * total, dim))
+    return np.linalg.qr(g)[0].reshape(total, dim, dim)
 
 
 def unitary_kick(u) -> Instrument:

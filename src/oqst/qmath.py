@@ -7,8 +7,9 @@ accept unwrapped (as a bare matrix) so that unnormalized intermediate
 states can reuse the same kernels.
 
 Conventions: entropies are in nats, ``0 * log 0 == 0``, and eigenvalues
-below ``EIG_CLAMP`` are clamped to zero before any logarithm because
-post-measurement states are routinely rank deficient.
+up to ``EIG_CLAMP`` count as zero in any logarithm because
+post-measurement states are routinely rank deficient.  The entropy
+functions act on one state or on a ``(..., d, d)`` stack of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Eigenvalues below this are treated as exact zeros inside logarithms.
+# Eigenvalues up to this are treated as exact zeros inside logarithms.
 EIG_CLAMP = 1e-12
 
 HERMITICITY_ATOL = 1e-10
@@ -97,12 +98,27 @@ def _trace(mat) -> np.ndarray:
     return np.trace(mat, axis1=-2, axis2=-1).real
 
 
-def density_spectrum(mats) -> np.ndarray:
-    """Eigenvalues of Hermitian (..., d, d) states, each checked to be a state.
+def _ordered_sum(a, axis: int) -> np.ndarray:
+    """Sum over ``axis`` strictly left to right, as Python's ``sum`` adds.
 
-    The trace must be 1 and no eigenvalue below -1e-10, as
-    :class:`DensityOperator` requires; raises ``QmathError`` otherwise.
+    numpy's reduction may pair the terms otherwise, which moves the last bit.
     """
+    terms = np.moveaxis(np.asarray(a), axis, 0)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def density_spectrum(mats) -> np.ndarray:
+    """Eigenvalues of (..., d, d) states, each checked to be a state.
+
+    Each matrix must be Hermitian within 1e-10, have trace 1 and no
+    eigenvalue below -1e-10, as :class:`DensityOperator` requires; raises
+    ``QmathError`` otherwise.
+    """
+    if np.max(np.abs(mats - dag(mats)), initial=0.0) > HERMITICITY_ATOL:
+        raise QmathError("density operator is not Hermitian within 1e-10")
     mats = hermitize(mats)
     tr = _trace(mats)
     off = np.abs(tr - 1.0) > TRACE_ATOL
@@ -135,8 +151,6 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise QmathError(f"density operator must be square, got shape {m.shape}")
-        if np.max(np.abs(m - dag(m))) > HERMITICITY_ATOL:
-            raise QmathError("density operator is not Hermitian within 1e-10")
         density_spectrum(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -233,21 +247,6 @@ def partial_trace(joint, dims, keep):
     return _partial_trace_matrix(np.asarray(joint, dtype=complex), dims, keep)
 
 
-def clamped_eigenvalues(rho) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator with the sub-``EIG_CLAMP`` tail zeroed."""
-    evals = np.linalg.eigvalsh(hermitize(rho))
-    evals = evals.copy()
-    evals[evals < EIG_CLAMP] = 0.0
-    return evals
-
-
-def von_neumann_entropy(rho) -> float:
-    """-tr(rho ln rho) in nats, with eigenvalues below 1e-12 clamped to zero."""
-    evals = clamped_eigenvalues(rho)
-    nz = evals[evals > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def shannon_entropy(p):
     """-sum p ln p in nats over the last axis; entries up to ``EIG_CLAMP`` count as zero.
 
@@ -257,10 +256,19 @@ def shannon_entropy(p):
     return -(v * np.log(v, out=np.zeros_like(v), where=v > EIG_CLAMP)).sum(axis=-1)
 
 
-def mutual_information(joint, dims, cut) -> float:
+def von_neumann_entropy(rho):
+    """-tr(rho ln rho) in nats, eigenvalues up to 1e-12 counting as zero.
+
+    A state gives a float, a (..., d, d) stack of them one entropy per state.
+    """
+    return shannon_entropy(np.linalg.eigvalsh(hermitize(rho)))
+
+
+def mutual_information(joint, dims, cut):
     """S(X) + S(Y) - S(XY) across the bipartition ``cut`` | complement.
 
-    ``cut`` lists the subsystem indices of the X side.
+    ``cut`` lists the subsystem indices of the X side; ``joint`` is one
+    state or a (..., D, D) stack of them.
     """
     dims = [int(d) for d in dims]
     cut = sorted(int(c) for c in cut)
@@ -284,11 +292,16 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a Wishart-like construction."""
+    return DensityOperator(_random_density_matrix(rng, dim, rank))
+
+
+def _random_density_matrix(rng: np.random.Generator, dim: int, rank: int | None = None):
+    """The matrix of :func:`random_density`, from the same draws, not yet validated."""
     if rank is None:
         rank = dim
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ dag(g)
-    return DensityOperator(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> DensityOperator:

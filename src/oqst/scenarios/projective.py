@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channels import apply_instrument, projective_instrument
-from ..qmath import DensityOperator, as_matrix, clamped_eigenvalues, shannon_entropy
+from ..qmath import DensityOperator, as_matrix, shannon_entropy, von_neumann_entropy
 from ..thermo import control_energetics
 
 
@@ -66,5 +66,5 @@ def run_projective_example(h_system, rho0: DensityOperator, basis) -> Projective
         post_energies=post_energies,
         avg_heat=ce.average_system_heat(),
         shannon_outcomes=shannon_entropy(probs),
-        shannon_spectrum=shannon_entropy(clamped_eigenvalues(rho0.matrix)),
+        shannon_spectrum=von_neumann_entropy(rho0.matrix),
     )

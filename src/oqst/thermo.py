@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import IMPOSSIBLE_BRANCH, Instrument, OutcomeBranch
-from .channels import stinespring_dilate, verify_instrument
+from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, OutcomeBranch
+from .channels import stinespring_dilate, _branch_states, _completeness_deviation
 from .qmath import (
     DensityOperator,
     as_matrix,
@@ -27,6 +27,7 @@ from .qmath import (
     shannon_entropy,
     von_neumann_entropy,
     _expectation,
+    _ordered_sum,
     _partial_trace_matrix,
     _trace,
 )
@@ -88,14 +89,12 @@ def control_energetics(
 
     With ``h_unit`` omitted the unit is energetically neutral and all unit
     entries are zero.  Otherwise the instrument's dilation supplies the
-    unit marginals.  The one-state case of :func:`system_energetics` and
+    unit marginals.  The one-state case of :func:`_instrument_energetics` and
     :func:`unit_energetics`.
     """
-    if not verify_instrument(instr).passed:
-        raise ThermoError("instrument fails completeness; refusing energetics")
     mat = rho_pre.matrix[None]
-    probs, w_sys, q_sys = system_energetics(
-        as_matrix(h_system)[None], mat, instr.branch_states(mat))
+    probs, w_sys, q_sys = _instrument_energetics(
+        instr._kraus[None], instr._starts, as_matrix(h_system)[None], mat)
     w_unit, q_unit, de_unit = unit_energetics(instr, h_unit, mat)
     viable = [(i, label) for i, label in enumerate(instr.labels)
               if probs[0, i] >= IMPOSSIBLE_BRANCH]
@@ -108,6 +107,17 @@ def control_energetics(
         q_unit={label: float(q_unit[0, i]) for i, label in viable},
         de_unit={label: float(de_unit[0, i]) for i, label in viable},
     )
+
+
+def _instrument_energetics(kraus, starts, h, mat):
+    """:func:`system_energetics` of one instrument per row: Kraus stacks ``kraus``
+    ``(N, A, d, d)`` as :func:`channels._branch_states` takes them.
+
+    Raises ``ThermoError`` if any of the instruments fails completeness.
+    """
+    if not (_completeness_deviation(kraus) <= COMPLETENESS_ATOL).all():
+        raise ThermoError("instrument fails completeness; refusing energetics")
+    return system_energetics(h, mat, _branch_states(kraus, starts, mat))
 
 
 def system_energetics(h, mat, raws):
@@ -123,16 +133,12 @@ def system_energetics(h, mat, raws):
     average heat is not zero.
     """
     probs = _trace(raws)
-    avg = raws[:, 0]
-    for b in range(1, raws.shape[1]):
-        avg = avg + raws[:, b]
+    avg = _ordered_sum(raws, 1)
     e_avg = _expectation(h, avg)
     viable = probs >= IMPOSSIBLE_BRANCH
     e_post = _expectation(h[:, None], raws) / np.where(viable, probs, 1.0)
     q_sys = np.where(viable, e_post - e_avg[:, None], 0.0)
-    avg_q = 0.0
-    for b in range(raws.shape[1]):
-        avg_q = avg_q + probs[:, b] * q_sys[:, b]
+    avg_q = _ordered_sum(probs * q_sys, 1)  # sum_r p_r q_r
     bad = np.abs(avg_q) > AVG_HEAT_ATOL
     if bad.any():
         raise ThermoError(f"average control heat {avg_q[bad][0]:.3e} is not zero")
@@ -176,7 +182,7 @@ def stochastic_entropy(log_prob: float, state) -> float:
     """
     if log_prob < -1e-12:
         raise ThermoError("accumulated -ln p cannot be negative")
-    return float(log_prob) + von_neumann_entropy(as_matrix(state))
+    return float(log_prob) + float(von_neumann_entropy(as_matrix(state)))
 
 
 # One row per interval (segment then control) of a trajectory's ledger.
@@ -244,13 +250,13 @@ class LemmaReport:
 
 
 def _branch_entropies(raws):
-    """Probabilities of unnormalized branch states ``raws`` (K, D, D), and
+    """Probabilities of unnormalized branch states ``raws`` (..., K, D, D), and
     sum_r p_r S(raws_r / p_r) over the branches not below ``IMPOSSIBLE_BRANCH``."""
     probs = _trace(raws)
     viable = probs >= IMPOSSIBLE_BRANCH
-    p = probs[viable]
-    spectra = np.linalg.eigvalsh(hermitize(raws[viable]) / p[:, None, None])
-    return probs, float((p * shannon_entropy(spectra)).sum())
+    p = np.where(viable, probs, 1.0)
+    spectra = np.linalg.eigvalsh(hermitize(raws) / p[..., None, None])
+    return probs, np.where(viable, p * shannon_entropy(spectra), 0.0).sum(axis=-1)
 
 
 def check_measurement_entropy_lemma(
@@ -259,16 +265,27 @@ def check_measurement_entropy_lemma(
     """Check S(rho) <= S_Sh(p) + sum_n p_n S(rho_n) for a square-root readout.
 
     ``positive_ops`` must be positive operators whose squares sum to the
-    identity; outcomes with negligible probability are skipped.
+    identity; outcomes with negligible probability are skipped.  The
+    one-state case of :func:`_entropy_lemma`.
     """
     readout = Instrument(rho.dim, tuple(OutcomeBranch(n, (p,)) for n, p in enumerate(positive_ops)))
-    if readout.completeness_deviation > 1e-10:
-        raise ThermoError("operators do not square-sum to the identity")
-    probs, cond_entropy = _branch_entropies(readout.branch_states(rho.matrix))
-    lhs = von_neumann_entropy(rho)
-    rhs = shannon_entropy(probs) + cond_entropy
+    lhs, rhs = (float(side[0]) for side in _entropy_lemma(readout._kraus[None], rho.matrix[None]))
     margin = rhs - lhs
     return LemmaReport(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -slack)
+
+
+def _entropy_lemma(ops, mats):
+    """Both sides of the readout entropy inequality, one readout per state.
+
+    ``ops`` (N, n, d, d) holds each readout's positive operators, ``mats``
+    (N, d, d) the states.  Returns S(rho) and S_Sh(p) + sum_n p_n S(rho_n),
+    each of shape (N,).  Raises ``ThermoError`` if any readout's operators
+    do not square-sum to the identity.
+    """
+    if not (_completeness_deviation(ops) <= 1e-10).all():
+        raise ThermoError("operators do not square-sum to the identity")
+    probs, cond_entropy = _branch_entropies(_branch_states(ops, range(ops.shape[-3]), mats))
+    return von_neumann_entropy(mats), shannon_entropy(probs) + cond_entropy
 
 
 def average_control_entropy_production(
@@ -279,8 +296,17 @@ def average_control_entropy_production(
 
     Equals ``S_Sh(p) + sum_r p(r) S(joint post) - S(joint pre)`` since the
     average system heat vanishes; valid for inefficient instruments too.
+    The one-state case of :func:`_control_entropy_production`.
     """
-    raws = stinespring_dilate(instr).unitary_readout(rho_pre.matrix[None])[1][0]
-    probs, post_term = _branch_entropies(raws)
-    s_pre = von_neumann_entropy(rho_pre)  # unit starts pure and uncorrelated
-    return shannon_entropy(probs) + post_term - s_pre
+    return float(_control_entropy_production(stinespring_dilate(instr), rho_pre.matrix[None])[0])
+
+
+def _control_entropy_production(dilation, mats):
+    """Outcome-averaged control entropy production of each state in (N, d, d) ``mats``.
+
+    ``dilation`` holds one joint unitary, or one per state (see
+    :func:`channels._dilate`).  The unit starts pure and uncorrelated, so
+    S(joint pre) is the entropy of the state.
+    """
+    probs, post_term = _branch_entropies(dilation.unitary_readout(mats)[1])
+    return shannon_entropy(probs) + post_term - von_neumann_entropy(mats)

@@ -3,6 +3,13 @@
 Each check exercises one law or consistency contract on freshly drawn
 random cases and reports a pass flag with the observed worst case.  The
 suite is deterministic for a fixed seed.
+
+The random-case checks run in two phases.  They first draw every case one
+by one, in a fixed order, from the check's own generator; then they group
+the cases by shape (dimensions, outcome count, Kraus count) and evaluate
+each group in one call to the library's batched kernels.  The one-state
+functions (``apply_instrument``, ``control_energetics`` and the like) are
+those kernels' N = 1 case, and the tests' oracle for these checks.
 """
 
 from __future__ import annotations
@@ -12,16 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
-from .channels import apply_instrument, random_instrument, stinespring_dilate
+from .channels import _branch_states, _dilate, _normalized, _random_kraus
 from .lindblad import Protocol, heat_work_segment, thermal_cavity_generator
-from .qmath import DensityOperator, dag, mutual_information, von_neumann_entropy
+from .qmath import (
+    DensityOperator,
+    dag,
+    density_spectrum,
+    mutual_information,
+    random_unitary,
+    von_neumann_entropy,
+    _ordered_sum,
+    _partial_trace_matrix,
+    _random_density_matrix,
+    _trace,
+)
 from .scenarios import CavityConfig, RateModel, law_flags, run_cavity
 from .scenarios import run_classical_limit, run_tpm_jarzynski
 from .thermo import (
-    average_control_entropy_production,
-    check_measurement_entropy_lemma,
-    control_energetics,
+    _control_entropy_production,
+    _entropy_lemma,
+    _instrument_energetics,
 )
 from .trajectory import (
     ControlSchedule,
@@ -44,16 +61,52 @@ def _random_hermitian(rng, dim):
     return 0.5 * (h + dag(h))
 
 
+def _by_shape(cases) -> dict:
+    """Positions of ``(ints, arrays)`` cases grouped by their ints and array
+    shapes, groups in order of first appearance."""
+    groups: dict = {}
+    for i, (ints, arrays) in enumerate(cases):
+        groups.setdefault((ints, tuple(a.shape for a in arrays)), []).append(i)
+    return groups
+
+
+def _evaluate(cases, kernel, shape=()) -> np.ndarray:
+    """Per-case values, in draw order, evaluated one shape group at a time.
+
+    Each case is a pair ``(ints, arrays)``.  ``kernel(*ints, *stacks)`` gets
+    a group's arrays stacked along a new leading axis and returns one value
+    of ``shape`` per case.  A case no group covers stays NaN, which fails
+    every comparison a check makes.
+    """
+    values = np.full((len(cases), *shape), np.nan)
+    for (ints, _), idx in _by_shape(cases).items():
+        stacks = [np.stack(column) for column in zip(*(cases[i][1] for i in idx))]
+        values[idx] = kernel(*ints, *stacks)
+    return values
+
+
+def _instrument(kraus, n_outcomes):
+    """Starts and labels of Kraus stacks (..., A, d, d) split evenly over ``n_outcomes``."""
+    per = kraus.shape[-3] // n_outcomes
+    return list(range(0, kraus.shape[-3], per)), tuple(range(n_outcomes))
+
+
 def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst_trace = 0.0
-    worst_eig = 0.0
+    cases = []
     for _ in range(samples):
-        d1, d2 = rng.integers(2, 5, size=2)
-        joint = qmath.random_density(rng, int(d1 * d2))
-        out = qmath.partial_trace(joint, [int(d1), int(d2)], [int(rng.integers(0, 2))])
-        worst_trace = max(worst_trace, abs(np.trace(out.matrix).real - 1.0))
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(out.matrix).min()))
+        d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
+        joint = _random_density_matrix(rng, d1 * d2)
+        cases.append(((d1, d2, int(rng.integers(0, 2))), (joint,)))
+
+    def kernel(d1, d2, keep, joints):
+        density_spectrum(joints)
+        out = _partial_trace_matrix(joints, [d1, d2], [keep])
+        density_spectrum(out)
+        return np.stack([np.abs(_trace(out) - 1.0), np.linalg.eigvalsh(out)[:, 0]], axis=-1)
+
+    values = _evaluate(cases, kernel, shape=(2,))
+    worst_trace, worst_eig = values[:, 0].max(), values[:, 1].min()
     ok = worst_trace <= 1e-12 and worst_eig >= -1e-10
     return CheckResult(
         "partial-trace preserves trace and positivity", ok,
@@ -61,15 +114,27 @@ def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
     )
 
 
+def _draw_instrument_case(rng, dims, outcomes, kraus_per_outcome):
+    """One ``((dim, n_outcomes), (kraus, rho))`` case, from the draws of
+    ``random_instrument(rng, dim, ...)`` and then ``random_density(rng, dim)``."""
+    dim = int(rng.integers(*dims))
+    n_out, per = int(rng.integers(*outcomes)), int(rng.integers(*kraus_per_outcome))
+    kraus = _random_kraus(rng, dim, n_out * per)
+    return (dim, n_out), (kraus, _random_density_matrix(rng, dim))
+
+
 def check_instrument_normalization(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        dim = int(rng.integers(2, 5))
-        instr = random_instrument(rng, dim, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-        rho = qmath.random_density(rng, dim)
-        total = sum(r.probability for r in apply_instrument(instr, rho))
-        worst = max(worst, abs(total - 1.0))
+    cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
+
+    def kernel(dim, n_out, kraus, rho):
+        density_spectrum(rho)
+        probs, viable, states = _normalized(
+            _branch_states(kraus, _instrument(kraus, n_out)[0], rho))
+        density_spectrum(states[viable])
+        return np.abs(_ordered_sum(probs, -1) - 1.0)
+
+    worst = _evaluate(cases, kernel).max()
     return CheckResult(
         "instrument branch probabilities normalize", worst <= 1e-10,
         f"max deviation {worst:.2e}",
@@ -78,16 +143,21 @@ def check_instrument_normalization(seed: int, samples: int = 500) -> CheckResult
 
 def check_dilation_consistency(seed: int, samples: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        dim = int(rng.integers(2, 4))
-        instr = random_instrument(rng, dim, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        dil = stinespring_dilate(instr)
-        rho = qmath.random_density(rng, dim)
-        for a, b in zip(apply_instrument(instr, rho), dil.apply(rho)):
-            worst = max(worst, abs(a.probability - b.probability))
-            if a.state is not None and b.state is not None:
-                worst = max(worst, float(np.max(np.abs(a.state.matrix - b.state.matrix))))
+    cases = [_draw_instrument_case(rng, (2, 4), (1, 3), (1, 3)) for _ in range(samples)]
+
+    def kernel(dim, n_out, kraus, rho):
+        density_spectrum(rho)
+        starts, labels = _instrument(kraus, n_out)
+        p_a, ok_a, s_a = _normalized(_branch_states(kraus, starts, rho))
+        dilation = _dilate(kraus, starts, labels)
+        p_b, ok_b, joint_b = _normalized(dilation.unitary_readout(rho)[1])
+        s_b = _partial_trace_matrix(joint_b, [dim, dilation.unit_dim], [0])
+        density_spectrum(s_a[ok_a])
+        density_spectrum(s_b[ok_b])
+        state_dev = np.where(ok_a & ok_b, np.abs(s_a - s_b).max(axis=(-2, -1)), 0.0)
+        return np.maximum(np.abs(p_a - p_b), state_dev).max(axis=-1)
+
+    worst = _evaluate(cases, kernel).max()
     return CheckResult(
         "ancilla dilation reproduces each branch", worst <= 1e-9,
         f"max branch deviation {worst:.2e}",
@@ -96,13 +166,17 @@ def check_dilation_consistency(seed: int, samples: int = 100) -> CheckResult:
 
 def check_zero_average_control_heat(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cases = []
     for _ in range(samples):
-        dim = int(rng.integers(2, 5))
-        instr = random_instrument(rng, dim, int(rng.integers(2, 4)), int(rng.integers(1, 3)))
-        rho = qmath.random_density(rng, dim)
-        ce = control_energetics(instr, _random_hermitian(rng, dim), rho)
-        worst = max(worst, abs(ce.average_system_heat()))
+        (dim, n_out), arrays = _draw_instrument_case(rng, (2, 5), (2, 4), (1, 3))
+        cases.append(((dim, n_out), arrays + (_random_hermitian(rng, dim),)))
+
+    def kernel(dim, n_out, kraus, rho, h):
+        density_spectrum(rho)
+        probs, _, heat = _instrument_energetics(kraus, _instrument(kraus, n_out)[0], h, rho)
+        return np.abs(_ordered_sum(probs * heat, -1))
+
+    worst = _evaluate(cases, kernel).max()
     return CheckResult(
         "control heat averages to zero", worst <= 1e-10, f"max |avg heat| {worst:.2e}"
     )
@@ -110,12 +184,13 @@ def check_zero_average_control_heat(seed: int, samples: int = 500) -> CheckResul
 
 def check_control_entropy_production(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(samples):
-        dim = int(rng.integers(2, 5))
-        instr = random_instrument(rng, dim, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-        rho = qmath.random_density(rng, dim)
-        worst = min(worst, average_control_entropy_production(instr, rho))
+    cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
+
+    def kernel(dim, n_out, kraus, rho):
+        density_spectrum(rho)
+        return _control_entropy_production(_dilate(kraus, *_instrument(kraus, n_out)), rho)
+
+    worst = _evaluate(cases, kernel).min()
     return CheckResult(
         "control entropy production positive on average", worst >= -1e-10,
         f"min average {worst:.2e}",
@@ -124,25 +199,27 @@ def check_control_entropy_production(seed: int, samples: int = 500) -> CheckResu
 
 def check_entropy_lemma(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    cases = []
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
-        rho = qmath.random_density(rng, dim)
+        rho = _random_density_matrix(rng, dim)
         n_ops = int(rng.integers(2, 5))
-        blocks = []
-        for _ in range(n_ops):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            blocks.append(g @ dag(g) + 1e-3 * np.eye(dim))
-        total = sum(blocks)
-        evals, vecs = np.linalg.eigh(total)
-        inv_sqrt = (vecs / np.sqrt(evals)) @ dag(vecs)
-        family = []
-        for b in blocks:
-            m = inv_sqrt @ b @ inv_sqrt
-            ev, vv = np.linalg.eigh(0.5 * (m + dag(m)))
-            family.append((vv * np.sqrt(np.clip(ev, 0, None))) @ dag(vv))
-        report = check_measurement_entropy_lemma(rho, family)
-        worst = min(worst, report.margin)
+        g = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_ops)]
+        cases.append(((dim, n_ops), (rho, np.array(g))))
+
+    def kernel(dim, n_ops, rho, g):
+        density_spectrum(rho)
+        # A square-root readout: F_n = (S^-1/2 B_n S^-1/2)^1/2 for positive B_n summing to S.
+        blocks = g @ dag(g) + 1e-3 * np.eye(dim)
+        evals, vecs = np.linalg.eigh(_ordered_sum(blocks, 1))
+        inv_sqrt = ((vecs / np.sqrt(evals)[:, None, :]) @ dag(vecs))[:, None]
+        m = inv_sqrt @ blocks @ inv_sqrt
+        ev, vv = np.linalg.eigh(0.5 * (m + dag(m)))
+        family = (vv * np.sqrt(np.clip(ev, 0, None))[..., None, :]) @ dag(vv)
+        lhs, rhs = _entropy_lemma(family, rho)
+        return rhs - lhs
+
+    worst = _evaluate(cases, kernel).min()
     return CheckResult(
         "readout entropy inequality holds", worst >= -1e-9, f"min margin {worst:.2e}"
     )
@@ -150,15 +227,20 @@ def check_entropy_lemma(seed: int, samples: int = 500) -> CheckResult:
 
 def check_data_processing(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    cases = []
     for _ in range(samples):
         ds = int(rng.integers(2, 4))
         du = int(rng.integers(2, 4))
-        joint = qmath.random_density(rng, ds * du)
-        channel = random_instrument(rng, ds, 1, int(rng.integers(1, 4)))
+        joint = _random_density_matrix(rng, ds * du)
+        cases.append(((ds, du), (joint, _random_kraus(rng, ds, int(rng.integers(1, 4))))))
+
+    def kernel(ds, du, joint, kraus):
+        density_spectrum(joint)
         before = mutual_information(joint, [ds, du], [0])
-        out = channel.branch_states(joint.matrix)[0]  # the channel on the system factor
-        worst = min(worst, before - mutual_information(out, [ds, du], [0]))
+        out = _branch_states(kraus, [0], joint)[:, 0]  # the channel on the system factor
+        return before - mutual_information(out, [ds, du], [0])
+
+    worst = _evaluate(cases, kernel).min()
     return CheckResult(
         "local channels cannot raise mutual information", worst >= -1e-9,
         f"min contraction {worst:.2e}",
@@ -249,7 +331,7 @@ def check_jarzynski(seed: int, samples: int = 100) -> CheckResult:
         dim = int(rng.integers(2, 4))
         rep = run_tpm_jarzynski(
             _random_hermitian(rng, dim), _random_hermitian(rng, dim),
-            qmath.random_unitary(rng, dim), float(rng.uniform(0.2, 2.0)),
+            random_unitary(rng, dim), float(rng.uniform(0.2, 2.0)),
         )
         worst = max(worst, rep.identity_residual)
     return CheckResult(
