@@ -406,8 +406,19 @@ def random_instrument(
 def _random_kraus(rng: np.random.Generator, dim: int, total: int) -> np.ndarray:
     """The Kraus operators of :func:`random_instrument`, (total, dim, dim) in
     outcome order, from the same draws."""
-    g = rng.normal(size=(dim * total, dim)) + 1j * rng.normal(size=(dim * total, dim))
-    return np.linalg.qr(g)[0].reshape(total, dim, dim)
+    return _isometry_kraus(_kraus_draws(rng, dim, total))
+
+
+def _kraus_draws(rng: np.random.Generator, dim: int, total: int) -> np.ndarray:
+    """The Gaussian (dim * total, dim) matrix behind :func:`_random_kraus`."""
+    return rng.normal(size=(dim * total, dim)) + 1j * rng.normal(size=(dim * total, dim))
+
+
+def _isometry_kraus(g: np.ndarray) -> np.ndarray:
+    """Kraus stacks (..., total, dim, dim) from draws (..., dim * total, dim):
+    the isometry Q of each draw's QR, cut into dim x dim blocks."""
+    dim = g.shape[-1]
+    return np.linalg.qr(g)[0].reshape(*g.shape[:-2], -1, dim, dim)
 
 
 def unitary_kick(u) -> Instrument:

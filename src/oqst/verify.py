@@ -7,9 +7,12 @@ suite is deterministic for a fixed seed.
 The random-case checks run in two phases.  They first draw every case one
 by one, in a fixed order, from the check's own generator; then they group
 the cases by shape (dimensions, outcome count, Kraus count) and evaluate
-each group in one call to the library's batched kernels.  The one-state
-functions (``apply_instrument``, ``control_energetics`` and the like) are
-those kernels' N = 1 case, and the tests' oracle for these checks.
+each group in one call to the library's batched kernels.  A random
+instrument is drawn as its Gaussian matrix, and one stacked QR per group
+turns those into Kraus operators, bit for bit as one QR per case would.
+The one-state functions (``apply_instrument``, ``control_energetics`` and
+the like) are those kernels' N = 1 case, and the tests' oracle for these
+checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _branch_states, _dilate, _normalized, _random_kraus
+from .channels import _branch_states, _dilate, _isometry_kraus, _kraus_draws, _normalized
 from .lindblad import Protocol, heat_work_segment, thermal_cavity_generator
 from .qmath import (
     DensityOperator,
@@ -115,20 +118,25 @@ def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
 
 
 def _draw_instrument_case(rng, dims, outcomes, kraus_per_outcome):
-    """One ``((dim, n_outcomes), (kraus, rho))`` case, from the draws of
-    ``random_instrument(rng, dim, ...)`` and then ``random_density(rng, dim)``."""
+    """One ``((dim, n_outcomes), (draws, rho))`` case, from the draws of
+    ``random_instrument(rng, dim, ...)`` and then ``random_density(rng, dim)``.
+
+    ``_isometry_kraus(draws)`` is the instrument's Kraus stack; a kernel
+    takes it for a whole shape group in one stacked QR.
+    """
     dim = int(rng.integers(*dims))
     n_out, per = int(rng.integers(*outcomes)), int(rng.integers(*kraus_per_outcome))
-    kraus = _random_kraus(rng, dim, n_out * per)
-    return (dim, n_out), (kraus, _random_density_matrix(rng, dim))
+    draws = _kraus_draws(rng, dim, n_out * per)
+    return (dim, n_out), (draws, _random_density_matrix(rng, dim))
 
 
 def check_instrument_normalization(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, kraus, rho):
+    def kernel(dim, n_out, draws, rho):
         density_spectrum(rho)
+        kraus = _isometry_kraus(draws)
         probs, viable, states = _normalized(
             _branch_states(kraus, _instrument(kraus, n_out)[0], rho))
         density_spectrum(states[viable])
@@ -145,8 +153,9 @@ def check_dilation_consistency(seed: int, samples: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 4), (1, 3), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, kraus, rho):
+    def kernel(dim, n_out, draws, rho):
         density_spectrum(rho)
+        kraus = _isometry_kraus(draws)
         starts, labels = _instrument(kraus, n_out)
         p_a, ok_a, s_a = _normalized(_branch_states(kraus, starts, rho))
         dilation = _dilate(kraus, starts, labels)
@@ -171,8 +180,9 @@ def check_zero_average_control_heat(seed: int, samples: int = 500) -> CheckResul
         (dim, n_out), arrays = _draw_instrument_case(rng, (2, 5), (2, 4), (1, 3))
         cases.append(((dim, n_out), arrays + (_random_hermitian(rng, dim),)))
 
-    def kernel(dim, n_out, kraus, rho, h):
+    def kernel(dim, n_out, draws, rho, h):
         density_spectrum(rho)
+        kraus = _isometry_kraus(draws)
         probs, _, heat = _instrument_energetics(kraus, _instrument(kraus, n_out)[0], h, rho)
         return np.abs(_ordered_sum(probs * heat, -1))
 
@@ -186,8 +196,9 @@ def check_control_entropy_production(seed: int, samples: int = 500) -> CheckResu
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, kraus, rho):
+    def kernel(dim, n_out, draws, rho):
         density_spectrum(rho)
+        kraus = _isometry_kraus(draws)
         return _control_entropy_production(_dilate(kraus, *_instrument(kraus, n_out)), rho)
 
     worst = _evaluate(cases, kernel).min()
@@ -232,10 +243,11 @@ def check_data_processing(seed: int, samples: int = 500) -> CheckResult:
         ds = int(rng.integers(2, 4))
         du = int(rng.integers(2, 4))
         joint = _random_density_matrix(rng, ds * du)
-        cases.append(((ds, du), (joint, _random_kraus(rng, ds, int(rng.integers(1, 4))))))
+        cases.append(((ds, du), (joint, _kraus_draws(rng, ds, int(rng.integers(1, 4))))))
 
-    def kernel(ds, du, joint, kraus):
+    def kernel(ds, du, joint, draws):
         density_spectrum(joint)
+        kraus = _isometry_kraus(draws)
         before = mutual_information(joint, [ds, du], [0])
         out = _branch_states(kraus, [0], joint)[:, 0]  # the channel on the system factor
         return before - mutual_information(out, [ds, du], [0])

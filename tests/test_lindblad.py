@@ -18,6 +18,8 @@ from oqst.lindblad import (
     thermal_cavity_generator,
 )
 from oqst.qmath import DensityOperator, von_neumann_entropy
+from oqst.scenarios import RateModel
+from oqst.scenarios.cavity import classical_rate_matrix
 from oqst.trajectory import ControlSchedule, FixedPolicy, sample_trajectory
 
 OMEGA_C = 2 * np.pi * 51.1e9
@@ -107,12 +109,101 @@ class TestPropagation:
         with pytest.raises(LindbladError):
             propagate(cavity, DensityOperator.maximally_mixed(9), -1e-6)
 
+    @pytest.mark.parametrize("method", ["exact", "first_order"])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, cavity, dt, method):
+        # once a numpy LinAlgError from the eigensolver, which verify re-raises
+        with pytest.raises(LindbladError, match="finite"):
+            propagate(cavity, DensityOperator.maximally_mixed(9), dt, method)
+        with pytest.raises(LindbladError, match="finite"):
+            cavity.superoperator(dt, method)
+
     def test_coherences_decay(self, cavity):
         v = np.zeros(9)
         v[0] = v[1] = 1
         rho = DensityOperator.pure(v)
         out = propagate(cavity, rho, T_CAV, "exact")
         assert abs(out.matrix[0, 1]) < abs(rho.matrix[0, 1])
+
+
+# Agreement of lindblad.expm with scipy.linalg.expm, fixed before the
+# numpy implementation was written: relative difference in the 1-norm.
+EXPM_REL_TOL = 1e-12
+
+
+def norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+def assert_expm_matches_scipy(a):
+    ours, oracle = lindblad.expm(a), expm(a)
+    assert ours.dtype == oracle.dtype
+    assert norm1(ours - oracle) <= EXPM_REL_TOL * norm1(oracle)
+
+
+def random_generator(rng, d, rates):
+    """A generator with a random Hamiltonian and one random jump operator per rate."""
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in rates]
+    return ThermalGenerator(d, h + h.conj().T, tuple(zip(jumps, rates)), beta=1.0)
+
+
+class TestExpm:
+    def test_random_liouvillians(self):
+        rng = np.random.default_rng(11)
+        norms = []
+        for _ in range(60):
+            d = int(rng.integers(2, 10))
+            lm = random_generator(rng, d, rng.uniform(0, 2, size=2)).liouvillian_matrix()
+            a = lm * 10 ** rng.uniform(-4, 3) / norm1(lm)
+            norms.append(norm1(a))
+            assert_expm_matches_scipy(a)
+        assert min(norms) < lindblad._PADE_THETA[3] and max(norms) > 100  # squaring ran
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+    def test_stiff_rates(self, scale):
+        rng = np.random.default_rng(12)
+        for d in (2, 5, 9):
+            gen = random_generator(rng, d, np.geomspace(1e-4, 1e4, 4))
+            lm = gen.liouvillian_matrix() * scale / norm1(gen.liouvillian_matrix())
+            assert_expm_matches_scipy(lm)
+
+    def test_cavity_liouvillian_over_step_lengths(self, cavity):
+        for dt in np.geomspace(T_STEP, 1.0, 12):
+            assert_expm_matches_scipy(cavity.liouvillian_matrix() * dt)
+
+    def test_real_rate_matrices_give_real_results(self, cavity):
+        for rates in (classical_rate_matrix(cavity) * 10 * T_CAV,
+                      RateModel.thermal([0.0, 0.7, 1.3], 1.3, attempt_rate=0.5).rates * 0.02):
+            assert lindblad.expm(rates).dtype == np.float64
+            assert_expm_matches_scipy(rates)
+        assert lindblad.expm(np.array([[0, 1], [2, 3]])).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_matrix_gives_the_identity_exactly(self, dtype):
+        out = lindblad.expm(np.zeros((4, 4), dtype=dtype))
+        assert out.dtype == dtype
+        assert np.array_equal(out, np.eye(4))
+
+    def test_one_by_one(self):
+        for x in (-3.0, 0.5, 2.0 + 1.5j):
+            assert_expm_matches_scipy(np.array([[x]]))
+
+    @pytest.mark.parametrize("degree", [3, 5, 7, 9, 13])
+    def test_each_pade_degree(self, degree):
+        rng = np.random.default_rng(degree)
+        theta = lindblad._PADE_THETA[degree]
+        # just below theta_m, and for degree 13 just above it: one squaring
+        for scale in (0.99, 1.01) if degree == 13 else (0.99,):
+            for a in (rng.normal(size=(6, 6)), rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))):
+                assert_expm_matches_scipy(a * scale * theta / norm1(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(LindbladError):
+            lindblad.expm(a)
 
 
 def test_physical_constants_match_scipy():

@@ -211,6 +211,16 @@ def test_operator_batched_kernels_match_one_instrument_calls(d, n_out, per, rest
             assert informations[j] == mutual_information(x[j], [d, *rest], [0])
 
 
+@pytest.mark.parametrize("dim, total", [(2, 1), (2, 6), (3, 4), (4, 9)])
+def test_stacked_qr_matches_one_instrument_draw_bit_for_bit(dim, total):
+    # verify's instrument checks orthonormalize each shape group in one QR
+    rng = np.random.default_rng(dim * total)
+    draws = np.stack([channels._kraus_draws(rng, dim, total) for _ in range(50)])
+    rng = np.random.default_rng(dim * total)
+    one_by_one = np.stack([channels._random_kraus(rng, dim, total) for _ in range(50)])
+    assert np.array_equal(channels._isometry_kraus(draws), one_by_one)
+
+
 def test_stacked_dilation_checks_every_instrument():
     rng = np.random.default_rng(5)
     kraus = np.stack([random_instrument(rng, 2, 2)._kraus for _ in range(3)])
