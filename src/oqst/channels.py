@@ -35,7 +35,6 @@ from .qmath import (
 )
 
 COMPLETENESS_ATOL = 1e-10
-DILATION_ATOL = 1e-9
 # Branch probabilities below this are flagged impossible and carry no state.
 IMPOSSIBLE_BRANCH = 1e-15
 

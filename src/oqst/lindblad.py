@@ -186,8 +186,8 @@ class ThermalGenerator:
         The ``STEP_CACHE_SIZE`` most recently used maps are kept.
         """
         key = (method, float(dt))
-        if not math.isfinite(key[1]):
-            raise LindbladError("dt must be finite")
+        if not 0 <= key[1] < math.inf:
+            raise LindbladError("dt must be finite and nonnegative")
         maps = self._step_maps
         if key in maps:
             maps.move_to_end(key)

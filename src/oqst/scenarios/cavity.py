@@ -34,11 +34,11 @@ from ..trajectory import (
     FeedbackPolicy,
     Moments,
     StepPlan,
-    TrajectoryRecord,
     choose_branch,
     derive_stream_seed,
     sample_ensemble,
     stream_uniforms,
+    _record,
 )
 
 # Atom kinds are their positions in ATOM_KINDS inside the samplers; the
@@ -178,8 +178,8 @@ def feedback_decision(estimate, target_nt: int) -> np.ndarray:
 
 
 def kind_codes(kinds) -> np.ndarray:
-    """Codes of a sequence of atom-kind names."""
-    return np.array([ATOM_KINDS.index(k) for k in kinds], dtype=np.int8)
+    """Codes of an array of atom-kind names."""
+    return np.vectorize(ATOM_KINDS.index, otypes=[np.int8])(kinds)
 
 
 def number_populations(states) -> np.ndarray:
@@ -192,12 +192,11 @@ class CavityPolicy(FeedbackPolicy):
     """Delayed-estimate feedback with a post-feedback hold-off window of ``delay`` steps."""
 
     def __init__(self, target_nt: int, delay: int, instruments: dict | None = None):
-        self.instruments = instruments
         self.target_nt = target_nt
         self.delay = delay
-        # one plan object per kind, so the engine steps all rows of a kind together
-        self.plans = {kind: StepPlan(instrument=instr, kind=kind)
-                      for kind, instr in (instruments or {}).items()}
+        # the engine's plans, from each kind's operator form, indexed by ``decide``'s codes
+        self.plans = (tuple(StepPlan(instruments[kind], kind) for kind in ATOM_KINDS)
+                      if instruments else ())
 
     def decide(self, step: int, populations, kinds) -> np.ndarray:
         """Atom kind code(s) for ``step`` from ``(..., dim)`` population estimates.
@@ -210,13 +209,13 @@ class CavityPolicy(FeedbackPolicy):
         held = (recent != SENSOR).any(axis=0)
         return np.where(held, SENSOR, feedback_decision(populations, self.target_nt))
 
-    def plan(self, step, estimate, outcomes, kinds):
-        if self.instruments is None:
+    def plan(self, step, estimates, outcomes, kinds):
+        if not self.plans:
             raise RuntimeError("policy was built without instrument operators")
         # decide reads only the kinds sent after step `first`, so only those are coded
         first = max(0, step - self.delay - 1)
-        code = self.decide(step - first, np.real(np.diagonal(estimate)), kind_codes(kinds[first:]))
-        return self.plans[ATOM_KINDS[code]]
+        codes = kind_codes(kinds[:, first:]).T
+        return self.plans, self.decide(step - first, number_populations(estimates), codes)
 
 
 def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
@@ -415,15 +414,8 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
     names = np.array(ATOM_KINDS, dtype=object)  # one str object per kind
 
     def record(j):
-        return TrajectoryRecord(
-            outcomes=tuple(ledger[j].outcome.tolist()),
-            kinds=tuple(names[kinds[:, j]]),
-            log_prob=float(log_prob[j]),
-            ledgers=ledger[j],
-            states=states[j],
-            final_state=states[j, -1],
-            times=times,
-        )
+        return _record(ledger[j].outcome.tolist(), names[kinds[:, j]], float(log_prob[j]),
+                       ledger[j], states[j], states[j, -1], times)
 
     return _Tally.of(ledger, states, kinds.T, _kept(record, indices, keep_records))
 
@@ -451,7 +443,7 @@ def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) ->
     return _Tally.of(
         np.stack([r.ledgers for r in records]),
         np.stack([number_populations(r.states) for r in records]),
-        np.array([kind_codes(r.kinds) for r in records]),
+        kind_codes([r.kinds for r in records]),
         _kept(records.__getitem__, indices, keep_records),
     )
 

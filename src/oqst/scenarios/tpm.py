@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channels import ChannelError, projective_instrument, unitary_kick
+from ..channels import IMPOSSIBLE_BRANCH, ChannelError, projective_instrument, unitary_kick
 from ..lindblad import ThermalGenerator, gibbs_state
 from ..qmath import as_matrix, dag, hermitize, is_unitary
 from ..trajectory import ControlSchedule, FixedPolicy, StepPlan
-
-LEAF_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def run_tpm_jarzynski(h0, h1, unitary, beta: float) -> TpmReport:
         for r1 in range(len(eps1)):
             p_leaf = p_first[r0] * probs[r1]
             exp_avg += p_leaf * np.exp(-beta * (eps1[r1] - eps0[r0]))
-            if p_leaf < LEAF_FLOOR:
+            if p_leaf < IMPOSSIBLE_BRANCH:
                 continue
             leaves.append(
                 TpmLeaf(

@@ -282,7 +282,7 @@ def _entropy_lemma(ops, mats):
     each of shape (N,).  Raises ``ThermoError`` if any readout's operators
     do not square-sum to the identity.
     """
-    if not (_completeness_deviation(ops) <= 1e-10).all():
+    if not (_completeness_deviation(ops) <= COMPLETENESS_ATOL).all():
         raise ThermoError("operators do not square-sum to the identity")
     probs, cond_entropy = _branch_entropies(_branch_states(ops, range(ops.shape[-3]), mats))
     return von_neumann_entropy(mats), shannon_entropy(probs) + cond_entropy

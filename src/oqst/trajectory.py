@@ -4,8 +4,9 @@ A run alternates Lindblad propagation with instrument applications chosen
 by a feedback policy from a delayed state estimate.  Outcomes are sampled
 by inverse CDF from a counter-based per-trajectory stream, replayed from a
 given sequence, or the whole outcome tree is enumerated exactly.  All
-three step a batch of trajectories through one kernel, so the sampler can
-be checked against the enumeration oracle.
+three step a batch of trajectories, held in columns, through one kernel
+that asks the policy once per step, so the sampler can be checked against
+the enumeration oracle.
 
 State tracking is system-only until an instrument with more than one
 Kraus operator per outcome shows up; the units of such operations stay
@@ -42,7 +43,6 @@ from .thermo import (
     unit_energetics,
 )
 
-PROB_FLOOR = IMPOSSIBLE_BRANCH
 MAX_TREE_LEAVES = 10**6
 
 
@@ -121,7 +121,7 @@ def choose_branch(probs, u):
     k = probs.shape[-1]
     # labels at or below the searchsorted(side="right") position, capped at k - 1
     reach = np.arange(k) <= (cum <= np.asarray(u)[..., None]).sum(axis=-1, keepdims=True)
-    viable = reach & (probs >= PROB_FLOOR)
+    viable = reach & (probs >= IMPOSSIBLE_BRANCH)
     if not viable.any(axis=-1).all():
         raise EngineError("impossible-branch selection; broken instrument")
     return k - 1 - viable[..., ::-1].argmax(axis=-1)
@@ -176,16 +176,19 @@ class StepPlan:
 
 
 class FeedbackPolicy:
-    """Deterministic rule (step, delayed estimate, history) -> StepPlan.
+    """Deterministic rule planning control ``step`` for every row of a batch in one call.
 
+    ``plan`` gets the rows' delayed estimates ``(n, d, d)`` and their outcome
+    labels and plan kinds so far, each ``(n, step - 1)``; it returns a
+    sequence of ``StepPlan`` and an ``(n,)`` integer array indexing it, the
+    plan of each row, which must be a pure function of that row's arguments.
     ``delay`` selects which past post-control state the estimate is; with
-    delay 0 the estimate is the current pre-control state.  Implementations
-    must be pure functions of their arguments.
+    delay 0 it is the current pre-control state.
     """
 
     delay: int = 0
 
-    def plan(self, step: int, estimate, outcomes: tuple, kinds: tuple) -> StepPlan:
+    def plan(self, step: int, estimates, outcomes, kinds) -> tuple:
         raise NotImplementedError
 
 
@@ -197,8 +200,8 @@ class FixedPolicy(FeedbackPolicy):
             p if isinstance(p, StepPlan) else StepPlan(instrument=p) for p in plans
         ]
 
-    def plan(self, step, estimate, outcomes, kinds):
-        return self._plans[step - 1]
+    def plan(self, step, estimates, outcomes, kinds):
+        return (self._plans[step - 1],), np.zeros(len(estimates), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -251,14 +254,16 @@ class _Run:
         self.method, self.substeps, self.max_units = method, substeps, max_units
         self.retain, self.store_states = retain_efficient_units, store_states
         self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, complex)
+        self.units = {(): 0}  # code of each tracked-unit signature, in code order
 
 
 class _Rows:
     """Per-row state of trajectories stepped together; the row leads every array.
 
-    ``joint`` holds a row's state of system and tracked units (None while
-    only the system is tracked), ``units`` those units' dimensions, nearest
-    first, and ``pending`` the Hamiltonian its next segment switches to.
+    ``kinds`` holds the plan kinds so far, ``joint`` a row's state of system
+    and tracked units (None while only the system is tracked), ``units`` the
+    code in ``run.units`` of those units' dimensions, nearest first, and
+    ``pending`` the Hamiltonian its next segment switches to.
     """
 
     def __init__(self, run: _Run, n: int):
@@ -273,8 +278,8 @@ class _Rows:
         # post-control states, for the records and for delayed estimates
         kept = steps if run.store_states or run.policy.delay > 0 else 0
         self.states = np.empty((n, kept, d, d), dtype=complex)
+        self.kinds, self.units = np.empty((n, steps), dtype=object), np.zeros(n, dtype=int)
         self.joint, self.pending = [None] * n, [None] * n
-        self.units, self.outcomes, self.kinds = [()] * n, [()] * n, [()] * n
 
     def take(self, parent) -> "_Rows":
         """The rows ``parent``, in that order; a row may repeat."""
@@ -285,12 +290,10 @@ class _Rows:
         return new
 
 
-def _by_units(units) -> dict:
-    """Row positions grouped by their tracked unit dimensions."""
-    groups: dict = {}
-    for i, u in enumerate(units):
-        groups.setdefault(u, []).append(i)
-    return groups
+def _by_units(run: _Run, rows: _Rows) -> list:
+    """(tracked unit dimensions, row positions) of each group of rows that share them."""
+    table = list(run.units)
+    return [(table[c], np.flatnonzero(rows.units == c)) for c in np.unique(rows.units)]
 
 
 def _apply_superop_factor0(superop: np.ndarray, joint: np.ndarray, d0: int) -> np.ndarray:
@@ -310,7 +313,7 @@ def _propagate(run: _Run, rows: _Rows, dt: float):
     if dt <= 0.0:
         return
     gen, sub = run.gen, dt / run.substeps
-    for units, idx in _by_units(rows.units).items():
+    for units, idx in _by_units(run, rows):
         if not units:
             mat = rows.mat[idx]
             for _ in range(run.substeps):
@@ -343,7 +346,7 @@ def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     led["q_seg"] = led["e_sys_pre"] - e_switch
     # one spectrum per state serves the positivity check and the stochastic entropy
     s = shannon_entropy(density_spectrum(rows.mat))
-    for units, idx in _by_units(rows.units).items():
+    for units, idx in _by_units(run, rows):
         if units:
             s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_joint_stack(rows, idx))))
     led["s_pre"] = rows.log_prob + s
@@ -363,7 +366,7 @@ def _branches(run: _Run, instr: Instrument, mat, raws, units: tuple):
     return dilation.unitary_readout(mat, units)[1], (dilation.unit_dim, *units)
 
 
-def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: list,
+def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx,
                    step: int, select) -> dict:
     """The continuing rows of a group that shares a plan and tracked units, as columns."""
     instr, d = plan.instrument, run.gen.dim
@@ -391,11 +394,12 @@ def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: li
     if new_units:
         sys_post = hermitize(_partial_trace_matrix(post, [d, *new_units], [0]))
     logp_inc = -np.log(p) + 0.0  # avoid -0.0 for certain outcomes
-    n, parent = len(at), np.asarray(idx)[at]
+    n, parent = len(at), idx[at]
     return {
         "parent": parent, "branch": branch, "p": p, "mat": sys_post,
-        "joint": list(post) if new_units else [None] * n, "units": [new_units] * n,
-        "kind": [plan.kind] * n, "pending": [plan.next_hamiltonian] * n,
+        "joint": list(post) if new_units else [None] * n, "pending": [plan.next_hamiltonian] * n,
+        "units": np.full(n, run.units.setdefault(new_units, len(run.units))),
+        "kind": np.full(n, plan.kind, dtype=object),
         "energetic": np.full(n, plan.h_unit is not None and not instr.efficient),
         "outcome": np.asarray(instr.labels)[branch], "logp_increment": logp_inc,
         "e_sys_end": _expectation(h[at], sys_post), "de_unit": de_unit[at, branch],
@@ -409,23 +413,20 @@ def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx: li
 def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     """Apply every row's planned control ``k``; returns the rows that continue.
 
-    Rows are grouped by their tracked units and by the plan their policy
-    returns, keyed by the plan's identity while this step holds every plan.
-    ``select(step, idx, labels, probs)`` picks, from the branch
-    probabilities of the group rows ``idx``, the (row in the group, branch)
-    pairs that continue: one per row when sampling, every viable one when
-    enumerating.
+    The policy plans every row in one call, and rows are grouped by their
+    plan and their tracked units.  ``select(step, idx, labels, probs)``
+    picks, from the branch probabilities of the group rows ``idx``, the (row
+    in the group, branch) pairs that continue: one per row when sampling,
+    every viable one when enumerating.
     """
     step, delay = k + 1, run.policy.delay
     past = step - delay  # a delayed estimate is the state after control `past`; 0 is the start
-    groups: dict = {}
-    for i, units in enumerate(rows.units):
-        estimate = (rows.mat[i] if delay <= 0 else
-                    rows.states[i, past - 1] if past > 0 else run.rho0.matrix)
-        plan = run.policy.plan(step, estimate, rows.outcomes[i], rows.kinds[i])
-        groups.setdefault((id(plan), units), (plan, []))[1].append(i)
-    parts = [_control_group(run, rows, plan, units, idx, step, select)
-             for (_, units), (plan, idx) in groups.items()]
+    estimates = (rows.mat if delay <= 0 else rows.states[:, past - 1] if past > 0
+                 else np.broadcast_to(run.rho0.matrix, rows.mat.shape))
+    outcomes = rows.ledger["outcome"][:, :k]
+    plans, which = run.policy.plan(step, estimates, outcomes, rows.kinds[:, :k])
+    parts = [_control_group(run, rows, plans[w], units, idx[which[idx] == w], step, select)
+             for units, idx in _by_units(run, rows) for w in np.unique(which[idx])]
     order = np.lexsort((np.concatenate([p["branch"] for p in parts]),
                         np.concatenate([p["parent"] for p in parts])))
     kids = {}
@@ -446,10 +447,9 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     for col in ("outcome", "logp_increment", "e_sys_end", "de_unit", "w_ctrl_sys",
                 "w_ctrl_unit", "q_ctrl_sys", "q_ctrl_unit", "s_end"):
         led[col] = kids[col]
+    rows.kinds[:, k] = kids["kind"]
     if rows.states.shape[1]:
         rows.states[:, k] = rows.mat
-    rows.outcomes = [o + (int(x),) for o, x in zip(rows.outcomes, kids["outcome"])]
-    rows.kinds = [o + (x,) for o, x in zip(rows.kinds, kids["kind"])]
     return rows
 
 
@@ -471,6 +471,11 @@ _NO_STATES = np.array([])
 _NO_STATES.setflags(write=False)
 
 
+def _record(outcomes, kinds, *fields) -> TrajectoryRecord:
+    """A record from sequences of outcomes and kinds: the one place their tuples are built."""
+    return TrajectoryRecord(tuple(outcomes), tuple(kinds), *fields)
+
+
 def _records(run: _Run, rows: _Rows, first_row: int = 0) -> list:
     """Close the rows' ledgers in one call and wrap each row as a record.
 
@@ -485,11 +490,9 @@ def _records(run: _Run, rows: _Rows, first_row: int = 0) -> list:
     row_of, times = np.ndarray.__getitem__, run.schedule.times
     states = rows.states if run.store_states else [_NO_STATES] * len(rows.mat)
     return [
-        TrajectoryRecord(outcomes=outcomes, kinds=kinds, log_prob=log_prob,
-                         ledgers=row_of(ledger, j), states=states[j],
-                         final_state=rows.mat[j], times=times)
+        _record(outcomes, kinds, log_prob, row_of(ledger, j), states[j], rows.mat[j], times)
         for j, (outcomes, kinds, log_prob) in enumerate(
-            zip(rows.outcomes, rows.kinds, rows.log_prob.tolist()))
+            zip(ledger["outcome"].tolist(), rows.kinds.tolist(), rows.log_prob.tolist()))
     ]
 
 
@@ -501,15 +504,17 @@ def _sampled(uniforms: np.ndarray):
 
 def _replayed(forced):
     def select(step, idx, labels, probs):
+        if forced[step - 1] not in labels:
+            raise EngineError(f"forced outcome {forced[step - 1]!r} is no label of step {step}")
         branch = labels.index(forced[step - 1])
-        if (probs[:, branch] < PROB_FLOOR).any():
+        if (probs[:, branch] < IMPOSSIBLE_BRANCH).any():
             raise EngineError(f"forced outcome {forced[step - 1]} is impossible")
         return np.arange(len(idx)), np.full(len(idx), branch)
     return select
 
 
 def _expanded(step, idx, labels, probs):
-    return np.nonzero(probs >= PROB_FLOOR)
+    return np.nonzero(probs >= IMPOSSIBLE_BRANCH)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +539,8 @@ def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fe
     ``ThermoError`` whose ``row`` is the trajectory's position in ``seeds``.
     """
     run = _Run(gen, schedule, policy, rho0, **options)
+    if forced_outcomes is not None and len(forced_outcomes) != schedule.n_steps:
+        raise EngineError(f"{len(forced_outcomes)} forced outcomes for {schedule.n_steps} steps")
     seeds = list(seeds)
     for first in range(0, len(seeds), BLOCK_ROWS):
         block = seeds[first:first + BLOCK_ROWS]

@@ -39,6 +39,9 @@ from .qmath import (
 from .scenarios import CavityConfig, RateModel, law_flags, run_cavity
 from .scenarios import run_classical_limit, run_tpm_jarzynski
 from .thermo import (
+    AVG_HEAT_ATOL,
+    CLASSICAL_IDENTITY_ATOL,
+    JARZYNSKI_ATOL,
     _control_entropy_production,
     _entropy_lemma,
     _instrument_energetics,
@@ -188,7 +191,7 @@ def check_zero_average_control_heat(seed: int, samples: int = 500) -> CheckResul
 
     worst = _evaluate(cases, kernel).max()
     return CheckResult(
-        "control heat averages to zero", worst <= 1e-10, f"max |avg heat| {worst:.2e}"
+        "control heat averages to zero", worst <= AVG_HEAT_ATOL, f"max |avg heat| {worst:.2e}"
     )
 
 
@@ -348,7 +351,7 @@ def check_jarzynski(seed: int, samples: int = 100) -> CheckResult:
         worst = max(worst, rep.identity_residual)
     return CheckResult(
         "exponentiated energy jumps average to the partition ratio",
-        worst <= 1e-10, f"max residual {worst:.2e}",
+        worst <= JARZYNSKI_ATOL, f"max residual {worst:.2e}",
     )
 
 
@@ -363,7 +366,7 @@ def check_classical_identity(seed: int) -> CheckResult:
         worst = max(worst, rep.max_identity_residual, rep.max_redefined_residual)
     return CheckResult(
         "record- and state-based productions differ by the backward entropy",
-        worst <= 1e-8, f"max residual {worst:.2e}",
+        worst <= CLASSICAL_IDENTITY_ATOL, f"max residual {worst:.2e}",
     )
 
 

@@ -118,6 +118,14 @@ class TestPropagation:
         with pytest.raises(LindbladError, match="finite"):
             cavity.superoperator(dt, method)
 
+    @pytest.mark.parametrize("method", ["exact", "first_order"])
+    def test_negative_dt_superoperator_rejected(self, cavity, method):
+        # exp(L dt) for dt < 0 is not a positive map, so it must never be cached
+        cached = dict(cavity._step_maps)
+        with pytest.raises(LindbladError, match="nonnegative"):
+            cavity.superoperator(-0.1 * T_CAV, method)
+        assert dict(cavity._step_maps) == cached
+
     def test_coherences_decay(self, cavity):
         v = np.zeros(9)
         v[0] = v[1] = 1

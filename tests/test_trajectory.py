@@ -221,6 +221,58 @@ class TestSampling:
         with pytest.raises(EngineError):
             sample_trajectory(gen, sched, pol, rho0, seed=1, forced_outcomes=(0, 1))
 
+    @pytest.mark.parametrize("forced", [(0, 0, 0, 0), (0, 0)])
+    def test_forced_outcomes_of_the_wrong_length_rejected(self, forced):
+        # once cut to the schedule silently, or a bare IndexError
+        pol = FixedPolicy([Z_INSTR] * 3)
+        with pytest.raises(EngineError, match="3 steps"):
+            sample_trajectory(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                              DensityOperator.maximally_mixed(2), seed=1, forced_outcomes=forced)
+
+    def test_unknown_forced_label_rejected(self):
+        # once a ValueError from tuple.index, which `except EngineError` callers miss
+        pol = FixedPolicy([Z_INSTR] * 3)
+        with pytest.raises(EngineError, match="step 2"):
+            sample_trajectory(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                              DensityOperator.maximally_mixed(2), seed=1,
+                              forced_outcomes=(0, 7, 0))
+
+
+class _RecordingPolicy(FixedPolicy):
+    """A fixed policy that keeps the arguments of every call."""
+
+    def __init__(self, plans):
+        super().__init__(plans)
+        self.calls = []
+
+    def plan(self, step, estimates, outcomes, kinds):
+        self.calls.append((step, estimates.shape, outcomes.tolist(), kinds.shape))
+        return super().plan(step, estimates, outcomes, kinds)
+
+
+class TestOneCallPerStep:
+    def test_sampler_asks_once_per_step_and_block(self):
+        pol = _RecordingPolicy([X_INSTR, Z_INSTR, X_INSTR])
+        seeds = [derive_stream_seed(9, i) for i in range(300)]
+        records = list(sample_ensemble(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                                       DensityOperator.maximally_mixed(2), seeds))
+        assert len(pol.calls) == 6  # 2 blocks x 3 steps
+        firsts = [0] * 3 + [trajectory.BLOCK_ROWS] * 3
+        for (step, shape, outcomes, kinds_shape), first in zip(pol.calls, firsts):
+            n = min(trajectory.BLOCK_ROWS, len(seeds) - first)
+            assert shape == (n, 2, 2)
+            assert kinds_shape == (n, step - 1)
+            assert outcomes == [list(r.outcomes[:step - 1]) for r in records[first:first + n]]
+        assert [c[0] for c in pol.calls] == [1, 2, 3, 1, 2, 3]
+
+    def test_enumeration_asks_once_per_level(self):
+        pol = _RecordingPolicy([X_INSTR, Z_INSTR, X_INSTR])
+        leaves = enumerate_tree(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                                DensityOperator.maximally_mixed(2))
+        assert [c[0] for c in pol.calls] == [1, 2, 3]
+        assert pol.calls[-1][1] == (4, 2, 2)  # the frontier before the last level
+        assert len(leaves) == 8
+
 
 class TestEnumeration:
     def test_single_fair_measurement(self):
@@ -314,15 +366,16 @@ class TestEnsembleStatistics:
 class _DelayedProbe(FeedbackPolicy):
     """Switches basis depending on a delayed estimate's excited population."""
 
+    PLANS = (StepPlan(instrument=Z_INSTR, kind="z"), StepPlan(instrument=X_INSTR, kind="x"))
+
     def __init__(self, delay):
         self.delay = delay
         self.seen = []
 
-    def plan(self, step, estimate, outcomes, kinds):
-        pop1 = float(np.real(np.asarray(estimate)[1, 1]))
-        self.seen.append((step, pop1))
-        instr = Z_INSTR if pop1 <= 0.5 else X_INSTR
-        return StepPlan(instrument=instr, kind="z" if pop1 <= 0.5 else "x")
+    def plan(self, step, estimates, outcomes, kinds):
+        pop1 = np.real(estimates[:, 1, 1])
+        self.seen.extend((step, float(p)) for p in pop1)
+        return self.PLANS, np.where(pop1 <= 0.5, 0, 1)
 
 
 class TestCausality:
@@ -470,7 +523,11 @@ class _FreshInstrumentPolicy(FeedbackPolicy):
     def __init__(self, keep: bool):
         self.kept = {} if keep else None
 
-    def plan(self, step, estimate, outcomes, kinds):
+    def plan(self, step, estimates, outcomes, kinds):
+        plans = [self.one_plan(step, tuple(row)) for row in outcomes.tolist()]
+        return plans, np.arange(len(plans))
+
+    def one_plan(self, step, outcomes):
         if self.kept is not None and (step, outcomes) in self.kept:
             return self.kept[step, outcomes]
         instr = random_instrument(np.random.default_rng([step, *outcomes]), 2, 2, 1)
@@ -511,10 +568,10 @@ class _MixedPolicy(FeedbackPolicy):
         self.z = StepPlan(Z_INSTR, kind="z", h_unit=np.diag([0.0, 0.7]).astype(complex))
         self.x = StepPlan(X_INSTR, kind="x", next_hamiltonian=np.diag([0.0, 1.3]).astype(complex))
 
-    def plan(self, step, estimate, outcomes, kinds):
+    def plan(self, step, estimates, outcomes, kinds):
         if step == 2:
-            return self.noisy
-        return self.z if np.real(estimate[1, 1]) <= 0.5 else self.x
+            return (self.noisy,), np.zeros(len(estimates), dtype=int)
+        return (self.z, self.x), np.where(np.real(estimates[:, 1, 1]) <= 0.5, 0, 1)
 
 
 class TestBatchInvariance:
