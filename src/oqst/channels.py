@@ -25,9 +25,11 @@ from itertools import accumulate
 import numpy as np
 
 from .qmath import (
+    HERMITICITY_ATOL,
     DensityOperator,
     dag,
     hermitize,
+    is_unitary,
     _insert_unit,
     _partial_trace_matrix,
     _sandwich,
@@ -229,7 +231,7 @@ def projective_instrument(basis) -> Instrument:
     vecs = [np.asarray(v, dtype=complex).ravel() for v in basis]
     dim = vecs[0].size
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.max(np.abs(gram - np.eye(len(vecs)))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(len(vecs)))) > HERMITICITY_ATOL:
         raise ChannelError("basis vectors are not orthonormal within 1e-10")
     branches = tuple(
         OutcomeBranch(label=i, kraus=(np.outer(v, np.conj(v)),))
@@ -423,7 +425,7 @@ def _isometry_kraus(g: np.ndarray) -> np.ndarray:
 def unitary_kick(u) -> Instrument:
     """Single-outcome instrument applying a unitary (a deterministic kick)."""
     m = np.array(u, dtype=complex)
-    if np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) > 1e-10:
+    if not is_unitary(m):
         raise ChannelError("kick operator is not unitary within 1e-10")
     return Instrument(dim=m.shape[0], outcomes=(OutcomeBranch(label=0, kraus=(m,)),))
 

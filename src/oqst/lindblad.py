@@ -5,7 +5,11 @@ and an inverse temperature.  Propagation is available either as the exact
 superoperator exponential or as the first-order map ``rho + L rho * dt``.
 The generator is the one place that builds its Liouvillian and per-step
 superoperators; it keeps the Liouvillian and the most recently used
-``STEP_CACHE_SIZE`` step maps.
+``STEP_CACHE_SIZE`` step maps, each with its nonzero diagonals.  Every
+drift runs through one banded kernel, ``_propagate_matrix``, which the
+cavity's population path shares; ``apply`` is the generator's action
+L(rho), not a propagator, and ``heat_work_segment`` is the one-state case
+of the stacked segment form ``_segments``.
 
 The exact map is ``expm(L dt)``, computed here with numpy only: scaling
 and squaring with a diagonal Padé approximant (Higham, "The scaling and
@@ -34,10 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .qmath import DensityOperator, _expectation, _matmul, _trace, dag, hermitize
+from .qmath import HERMITICITY_ATOL, DensityOperator, _expectation, _matmul, _trace, dag, hermitize
 
 # First-order steps may leak positivity at this scale before it is a bug.
 FIRST_ORDER_LEAK = 1e-9
+METHODS = ("exact", "first_order")
 # Step maps kept per generator.  The float step lengths of a uniform
 # schedule take a few distinct values per binade of elapsed time (19 over
 # 50000 steps), so all of them stay cached.
@@ -131,7 +136,7 @@ class ThermalGenerator:
         h = np.array(self.hamiltonian, dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise LindbladError("hamiltonian shape does not match dim")
-        if np.max(np.abs(h - dag(h))) > 1e-10:
+        if np.max(np.abs(h - dag(h))) > HERMITICITY_ATOL:
             raise LindbladError("hamiltonian is not Hermitian within 1e-10")
         ops = []
         for op, rate in self.dissipators:
@@ -181,11 +186,14 @@ class ThermalGenerator:
         return OrderedDict()
 
     def superoperator(self, dt: float, method: str) -> np.ndarray:
-        """Step map as a superoperator matrix: exp(L dt) or first-order 1 + L dt.
+        """Step map as a superoperator matrix: exp(L dt) or first-order 1 + L dt."""
+        return self._step(dt, method)[0]
 
-        The ``STEP_CACHE_SIZE`` most recently used maps are kept.
-        """
+    def _step(self, dt: float, method: str) -> tuple:
+        """The step map and its ``_diagonals``; the ``STEP_CACHE_SIZE`` latest are kept."""
         key = (method, float(dt))
+        if method not in METHODS:
+            raise LindbladError(f"unknown propagation method {method!r}")
         if not 0 <= key[1] < math.inf:
             raise LindbladError("dt must be finite and nonnegative")
         maps = self._step_maps
@@ -193,17 +201,14 @@ class ThermalGenerator:
             maps.move_to_end(key)
             return maps[key]
         lm = self.liouvillian_matrix()
-        if method == "exact":
-            step = expm(lm * dt)
-        elif method == "first_order":
-            step = np.eye(lm.shape[0]) + lm * dt
-        else:
-            raise LindbladError(f"unknown propagation method {method!r}")
+        step = expm(lm * dt) if method == "exact" else np.eye(lm.shape[0]) + lm * dt
+        offsets, bands = _diagonals(step)
         step.setflags(write=False)
-        maps[key] = step
+        bands.setflags(write=False)
+        maps[key] = step, (offsets, bands)
         if len(maps) > STEP_CACHE_SIZE:
             maps.popitem(last=False)
-        return step
+        return maps[key]
 
 
 def n_thermal(omega: float, temperature: float) -> float:
@@ -274,20 +279,43 @@ def _clamp_negative(mat: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
+def _diagonals(m) -> tuple:
+    """Offsets ``k`` of the nonzero diagonals of (..., d, d) matrices ``m``, in ascending
+    order, and their bands ``b[..., j, i] = m[..., i, i + k[j]]`` (zero off the matrix)."""
+    d = m.shape[-1]
+    offsets = [k for k in range(1 - d, d) if np.diagonal(m, k, -2, -1).any()]
+    bands = np.zeros(m.shape[:-2] + (len(offsets), d), dtype=m.dtype)
+    for j, k in enumerate(offsets):
+        bands[..., j, max(0, -k) : d - max(0, k)] = np.diagonal(m, k, -2, -1)
+    return offsets, bands
+
+
+def _diagonal_product(offsets, bands, p) -> np.ndarray:
+    """``m @ p`` over the last axis of ``p`` for ``offsets, bands = _diagonals(m)``.
+
+    A shifted elementwise product per diagonal, summed in offset order, so
+    each row's result depends on that row alone.
+    """
+    d = p.shape[-1]
+    lo = max(0, -offsets[0])
+    padded = np.zeros(p.shape[:-1] + (lo + d + max(0, offsets[-1]),), dtype=p.dtype)
+    padded[..., lo : lo + d] = p
+    out = bands[..., 0, :] * padded[..., lo + offsets[0] : lo + offsets[0] + d]
+    for j, k in enumerate(offsets[1:], 1):
+        out += bands[..., j, :] * padded[..., lo + k : lo + k + d]
+    return out
+
+
 def _propagate_matrix(gen: ThermalGenerator, mat: np.ndarray, dt: float, method: str) -> np.ndarray:
-    """Evolve a matrix, or each matrix of a (..., d, d) stack, for ``dt``."""
-    if not 0 <= dt < math.inf:
-        raise LindbladError("dt must be finite and nonnegative")
-    if dt == 0.0:
+    """Evolve (..., D, D) states of system ⊗ rest for ``dt``: the system's step map acts
+    through its bands, and the result is hermitized and, for first order, clamped."""
+    if dt == 0.0 and method in METHODS:  # a zero step builds no map
         return mat
-    if method == "exact":
-        vecs = mat.reshape(mat.shape[:-2] + (1, -1))
-        out = np.multiply(gen.superoperator(dt, method), vecs, order="C").sum(-1)
-        return hermitize(out.reshape(mat.shape))
-    if method == "first_order":
-        out = mat + dt * gen.apply(mat)
-        return _clamp_negative(hermitize(out))
-    raise LindbladError(f"unknown propagation method {method!r}")
+    d, rest = gen.dim, mat.shape[-1] // gen.dim
+    vecs = mat.reshape(-1, d, rest, d, rest).transpose(0, 2, 4, 1, 3).reshape(-1, rest, rest, d * d)
+    out = _diagonal_product(*gen._step(dt, method)[1], vecs)
+    out = hermitize(out.reshape(-1, rest, rest, d, d).transpose(0, 3, 1, 4, 2).reshape(mat.shape))
+    return _clamp_negative(out) if method == "first_order" else out
 
 
 def propagate(
@@ -323,7 +351,7 @@ class Protocol:
         if len(hams) != len(times) + 1:
             raise LindbladError("need one more Hamiltonian than switch times")
         for h in hams:
-            if np.max(np.abs(h - dag(h))) > 1e-10:
+            if np.max(np.abs(h - dag(h))) > HERMITICITY_ATOL:
                 raise LindbladError("protocol Hamiltonians must be Hermitian")
             h.setflags(write=False)
         object.__setattr__(self, "switch_times", times)
@@ -350,6 +378,23 @@ class Protocol:
         return self.hamiltonians[idx]
 
 
+def _drift_energetics(h_before, h, before, after) -> tuple:
+    """Work <h - h_before, before> of a switch and heat <h, after> - <h, before> of a drift."""
+    return (_expectation(h - h_before, before),
+            _expectation(h, after) - _expectation(h, before))
+
+
+def _segments(gen: ThermalGenerator, hams, mats: np.ndarray, taus, method: str) -> tuple:
+    """Summed work and heat, and end states, of (N, d, d) states whose substep k switches
+    from ``hams[k]`` to ``hams[k + 1]`` and then drifts from ``taus[k]`` to ``taus[k + 1]``."""
+    work = heat = 0.0
+    for h_before, h, t0, t1 in zip(hams, hams[1:], taus, taus[1:]):
+        after = _propagate_matrix(gen, mats, t1 - t0, method)
+        w, q = _drift_energetics(h_before, h, mats, after)
+        work, heat, mats = work + w, heat + q, after
+    return work, heat, mats
+
+
 def heat_work_segment(
     gen: ThermalGenerator,
     protocol: Protocol,
@@ -371,16 +416,9 @@ def heat_work_segment(
         raise LindbladError("t_end must not precede t_start")
     if substeps < 1:
         raise LindbladError("substeps must be positive")
-    h_prev = protocol.hamiltonian_before(t_start)
-    mat = rho_start.matrix
     taus = np.linspace(t_start, t_end, substeps + 1)
-    work = 0.0
-    heat = 0.0
-    for k in range(1, substeps + 1):
-        h_k = protocol.hamiltonian(taus[k - 1])
-        if h_k is not h_prev:
-            work += float(_expectation(h_k - h_prev, mat))
-        nxt = _propagate_matrix(gen, mat, taus[k] - taus[k - 1], method)
-        heat += float(_expectation(h_k, nxt - mat))
-        mat, h_prev = nxt, h_k
-    return work, heat, DensityOperator(mat)
+    hams = [protocol.hamiltonian_before(t_start)] + [protocol.hamiltonian(t) for t in taus[:-1]]
+    if any(m.shape != (gen.dim, gen.dim) for m in (rho_start.matrix, *hams)):
+        raise LindbladError("state or protocol Hamiltonian dimension does not match generator")
+    work, heat, mats = _segments(gen, hams, rho_start.matrix[None], taus, method)
+    return float(work[0]), float(heat[0]), DensityOperator(mats[0])

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
+from ..lindblad import _diagonal_product, _diagonals
 from ..qmath import DensityOperator, shannon_entropy
 from ..thermo import (
     FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
@@ -257,33 +258,6 @@ def _close_chunk(ledger, pops, indices, beta: float):
             raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
     if leaks.size:
         _check_leak(pops[leaks[0]], indices[leaks[0]])
-
-
-def _diagonals(m) -> tuple:
-    """Offsets ``k`` of the nonzero diagonals of (..., d, d) matrices ``m``, in ascending
-    order, and their bands ``b[..., j, i] = m[..., i, i + k[j]]`` (zero off the matrix)."""
-    d = m.shape[-1]
-    offsets = [k for k in range(1 - d, d) if np.diagonal(m, k, -2, -1).any()]
-    bands = np.zeros(m.shape[:-2] + (len(offsets), d))
-    for j, k in enumerate(offsets):
-        bands[..., j, max(0, -k) : d - max(0, k)] = np.diagonal(m, k, -2, -1)
-    return offsets, bands
-
-
-def _diagonal_product(offsets, bands, p) -> np.ndarray:
-    """``m @ p`` over the last axis of ``p`` for ``offsets, bands = _diagonals(m)``.
-
-    A shifted elementwise product per diagonal, summed in offset order, so
-    each row's result depends on that row alone.
-    """
-    d = p.shape[-1]
-    lo = max(0, -offsets[0])
-    padded = np.zeros(p.shape[:-1] + (lo + d + max(0, offsets[-1]),))
-    padded[..., lo : lo + d] = p
-    out = bands[..., 0, :] * padded[..., lo + offsets[0] : lo + offsets[0] + d]
-    for j, k in enumerate(offsets[1:], 1):
-        out += bands[..., j, :] * padded[..., lo + k : lo + k + d]
-    return out
 
 
 @dataclass(frozen=True)

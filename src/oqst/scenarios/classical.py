@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..channels import IMPOSSIBLE_BRANCH
 from ..lindblad import expm
 from ..qmath import shannon_entropy
 from ..trajectory import derive_stream_seed, stream_rng
@@ -129,20 +130,20 @@ def _step_quantities(model: RateModel, joint: np.ndarray, p_prev: np.ndarray,
     heat = float(np.sum(joint * (e[:, None] - e[None, :])))
     cond_fwd = 0.0
     for s in range(model.n_states):
-        if p_prev[s] > 1e-15:
+        if p_prev[s] > IMPOSSIBLE_BRANCH:
             cond_fwd += p_prev[s] * shannon_entropy(joint[:, s] / p_prev[s])
     sigma_record = cond_fwd - model.beta * heat
     sigma_state = (shannon_entropy(p_next) - shannon_entropy(p_prev)) - model.beta * heat
     backward = 0.0
     for t in range(model.n_states):
-        if p_next[t] > 1e-15:
+        if p_next[t] > IMPOSSIBLE_BRANCH:
             backward += p_next[t] * shannon_entropy(joint[t, :] / p_next[t])
     # the record-based expression after swapping in the conventional
     # state entropy -ln p_s(t)
     redefined = 0.0
     for t in range(model.n_states):
         for s in range(model.n_states):
-            if joint[t, s] > 1e-15:
+            if joint[t, s] > IMPOSSIBLE_BRANCH:
                 redefined += joint[t, s] * (
                     -np.log(p_next[t]) + np.log(p_prev[s])
                     - model.beta * (model.energies[t] - model.energies[s])

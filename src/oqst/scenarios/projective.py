@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channels import apply_instrument, projective_instrument
+from ..channels import IMPOSSIBLE_BRANCH, apply_instrument, projective_instrument
 from ..qmath import DensityOperator, as_matrix, shannon_entropy, von_neumann_entropy
 from ..thermo import control_energetics
 
@@ -50,7 +50,7 @@ def run_projective_example(h_system, rho0: DensityOperator, basis) -> Projective
     q_closed = {
         r: float(diag_h[r] - e_avg_post)
         for r in range(len(vecs))
-        if probs[r] > 1e-15
+        if probs[r] > IMPOSSIBLE_BRANCH
     }
     post_energies = {}
     for res in apply_instrument(instr, rho0):

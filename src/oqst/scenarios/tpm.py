@@ -53,7 +53,7 @@ class TpmReport:
 def run_tpm_jarzynski(h0, h1, unitary, beta: float) -> TpmReport:
     """Exact enumeration of the two-point measurement protocol."""
     u = as_matrix(unitary)
-    if not is_unitary(u, atol=1e-10):
+    if not is_unitary(u):
         raise ChannelError("drive operator is not unitary within 1e-10")
     eps0, v0 = np.linalg.eigh(hermitize(h0))
     eps1, v1 = np.linalg.eigh(hermitize(h1))

@@ -40,6 +40,7 @@ OUTCOME_ENTROPY_FLOOR = -1e-9  # outcome minus spectrum Shannon entropy
 JARZYNSKI_ATOL = 1e-10  # |<exp(-beta dE)> - Z1/Z0|
 CLASSICAL_IDENTITY_ATOL = 1e-8  # record - state - backward entropy production
 RECORD_PRODUCTION_FLOOR = -1e-10  # record-based entropy production
+LOG_PROB_FLOOR = -1e-12  # accumulated -ln p, which may round below zero
 
 
 class ThermoError(ValueError):
@@ -180,7 +181,7 @@ def stochastic_entropy(log_prob: float, state) -> float:
     On the efficient fast path the tracked state is the system alone; past
     units are pure and decorrelated there, so they contribute nothing.
     """
-    if log_prob < -1e-12:
+    if log_prob < LOG_PROB_FLOOR:
         raise ThermoError("accumulated -ln p cannot be negative")
     return float(log_prob) + float(von_neumann_entropy(as_matrix(state)))
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
-from .lindblad import ThermalGenerator, _propagate_matrix
+from .lindblad import ThermalGenerator, _drift_energetics, _propagate_matrix
 from .qmath import (
     DensityOperator,
     density_spectrum,
@@ -37,6 +37,7 @@ from .qmath import (
 )
 from .thermo import (
     LEDGER_DTYPE,
+    LOG_PROB_FLOOR,
     ThermoError,
     entropy_production_step,
     system_energetics,
@@ -141,14 +142,16 @@ class ControlSchedule:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
+        if not np.isfinite((self.t0, *times)).all():
+            raise EngineError("t0 and the control times must be finite")
         if times and times[0] <= self.t0:
             raise EngineError("first control time must exceed t0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise EngineError("control times must be strictly increasing")
         if self.t_final is not None:
             last = times[-1] if times else self.t0
-            if self.t_final < last:
-                raise EngineError("t_final precedes the last control time")
+            if not last <= self.t_final < np.inf:
+                raise EngineError("t_final must be finite and not precede the last control time")
         object.__setattr__(self, "times", times)
 
     @classmethod
@@ -221,7 +224,7 @@ class TrajectoryRecord:
     times: tuple
 
     def __post_init__(self):
-        if self.log_prob < -1e-12:
+        if self.log_prob < LOG_PROB_FLOOR:
             raise EngineError("log_prob must be nonnegative")
         if len(self.ledgers) != len(self.outcomes):
             raise EngineError("ledger count must equal outcome count")
@@ -263,13 +266,13 @@ class _Rows:
     ``kinds`` holds the plan kinds so far, ``joint`` a row's state of system
     and tracked units (None while only the system is tracked), ``units`` the
     code in ``run.units`` of those units' dimensions, nearest first, and
-    ``pending`` the Hamiltonian its next segment switches to.
+    ``pending`` the Hamiltonian its next segment switches to (``h`` if none).
     """
 
     def __init__(self, run: _Run, n: int):
         d, steps = run.gen.dim, run.schedule.n_steps
         self.mat = np.repeat(run.rho0.matrix[None], n, axis=0)
-        self.h = np.repeat(run.h0[None], n, axis=0)
+        self.h = self.pending = np.repeat(run.h0[None], n, axis=0)
         self.log_prob, self.prob = np.zeros(n), np.ones(n)
         self.s_prev = np.full(n, von_neumann_entropy(run.rho0.matrix))
         self.energetic = np.zeros(n, dtype=bool)
@@ -279,7 +282,7 @@ class _Rows:
         kept = steps if run.store_states or run.policy.delay > 0 else 0
         self.states = np.empty((n, kept, d, d), dtype=complex)
         self.kinds, self.units = np.empty((n, steps), dtype=object), np.zeros(n, dtype=int)
-        self.joint, self.pending = [None] * n, [None] * n
+        self.joint = [None] * n
 
     def take(self, parent) -> "_Rows":
         """The rows ``parent``, in that order; a row may repeat."""
@@ -296,59 +299,39 @@ def _by_units(run: _Run, rows: _Rows) -> list:
     return [(table[c], np.flatnonzero(rows.units == c)) for c in np.unique(rows.units)]
 
 
-def _apply_superop_factor0(superop: np.ndarray, joint: np.ndarray, d0: int) -> np.ndarray:
-    """The system step map ``superop`` on (N, D, D) joint states of system ⊗ units."""
-    n, big = joint.shape[0], joint.shape[-1]
-    rest = big // d0
-    t = joint.reshape(n, d0, rest, d0, rest).transpose(0, 2, 4, 1, 3)
-    out = np.multiply(superop, t.reshape(n, rest, rest, 1, d0 * d0), order="C").sum(-1)
-    return out.reshape(n, rest, rest, d0, d0).transpose(0, 3, 1, 4, 2).reshape(n, big, big)
-
-
-def _joint_stack(rows: _Rows, idx) -> np.ndarray:
-    return np.stack([rows.joint[i] for i in idx])
+def _tracked(rows: _Rows, idx, units: tuple) -> np.ndarray:
+    """The tracked states of rows ``idx``: joint with their ``units``, else the system's."""
+    return np.stack([rows.joint[i] for i in idx]) if units else rows.mat[idx]
 
 
 def _propagate(run: _Run, rows: _Rows, dt: float):
-    if dt <= 0.0:
-        return
-    gen, sub = run.gen, dt / run.substeps
+    """Drift every row's tracked state for ``dt``, into a new array of system states."""
+    d, sub, mat = run.gen.dim, dt / run.substeps, np.empty_like(rows.mat)
     for units, idx in _by_units(run, rows):
-        if not units:
-            mat = rows.mat[idx]
-            for _ in range(run.substeps):
-                mat = _propagate_matrix(gen, mat, sub, run.method)
-            rows.mat[idx] = mat
-            continue
-        superop, joint = gen.superoperator(sub, run.method), _joint_stack(rows, idx)
+        state = _tracked(rows, idx, units)
         for _ in range(run.substeps):
-            joint = _apply_superop_factor0(superop, joint, gen.dim)
-        for i, j in zip(idx, joint):
-            rows.joint[i] = j
-        rows.mat[idx] = hermitize(_partial_trace_matrix(joint, [gen.dim, *units], [0]))
+            state = _propagate_matrix(run.gen, state, sub, run.method)
+        if units:
+            for i, j in zip(idx, state):
+                rows.joint[i] = j
+            state = hermitize(_partial_trace_matrix(state, [d, *units], [0]))
+        mat[idx] = state
+    rows.mat = mat
 
 
 def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     """Switch and drift every row up to control ``k``, filling its segment columns."""
     led = rows.ledger[:, k]
-    led["e_sys_start"] = _expectation(rows.h, rows.mat)
-    led["s_start"] = rows.s_prev
-    e_switch = led["e_sys_start"].copy()
-    switch = [i for i, h in enumerate(rows.pending) if h is not None]
-    if switch:
-        new_h = np.stack([rows.pending[i] for i in switch])
-        led["w_seg"][switch] = _expectation(new_h - rows.h[switch], rows.mat[switch])
-        rows.h[switch] = new_h
-        e_switch[switch] = _expectation(rows.h[switch], rows.mat[switch])
-        rows.pending = [None] * len(rows.pending)
+    before, h_before, rows.h = rows.mat, rows.h, rows.pending
+    led["e_sys_start"], led["s_start"] = _expectation(h_before, before), rows.s_prev
     _propagate(run, rows, dt)
+    led["w_seg"], led["q_seg"] = _drift_energetics(h_before, rows.h, before, rows.mat)
     led["e_sys_pre"] = _expectation(rows.h, rows.mat)
-    led["q_seg"] = led["e_sys_pre"] - e_switch
     # one spectrum per state serves the positivity check and the stochastic entropy
     s = shannon_entropy(density_spectrum(rows.mat))
     for units, idx in _by_units(run, rows):
         if units:
-            s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_joint_stack(rows, idx))))
+            s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_tracked(rows, idx, units))))
     led["s_pre"] = rows.log_prob + s
 
 
@@ -384,20 +367,19 @@ def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx,
     raws = instr.branch_states(mat)
     _, w_sys, q_sys = system_energetics(h, mat, raws)
     w_unit, q_unit, de_unit = unit_energetics(instr, plan.h_unit, mat)
-    tracked = _joint_stack(rows, idx) if units else mat
-    post_raws, new_units = _branches(run, instr, tracked, raws, units)
+    post_raws, new_units = _branches(run, instr, _tracked(rows, idx, units), raws, units)
     probs = _trace(post_raws)
     at, branch = select(step, idx, instr.labels, probs)
     p = probs[at, branch]
     post = hermitize(post_raws[at, branch]) / p[:, None, None]
-    sys_post = post
-    if new_units:
-        sys_post = hermitize(_partial_trace_matrix(post, [d, *new_units], [0]))
+    sys_post = hermitize(_partial_trace_matrix(post, [d, *new_units], [0]))
     logp_inc = -np.log(p) + 0.0  # avoid -0.0 for certain outcomes
     n, parent = len(at), idx[at]
+    pending = h[at] if plan.next_hamiltonian is None else np.broadcast_to(
+        np.asarray(plan.next_hamiltonian, dtype=complex), (n, d, d))
     return {
         "parent": parent, "branch": branch, "p": p, "mat": sys_post,
-        "joint": list(post) if new_units else [None] * n, "pending": [plan.next_hamiltonian] * n,
+        "joint": list(post) if new_units else [None] * n, "pending": pending,
         "units": np.full(n, run.units.setdefault(new_units, len(run.units))),
         "kind": np.full(n, plan.kind, dtype=object),
         "energetic": np.full(n, plan.h_unit is not None and not instr.efficient),

@@ -633,3 +633,18 @@ class TestScheduleValidation:
     def test_t_final_before_last_control_rejected(self):
         with pytest.raises(EngineError):
             ControlSchedule(times=(1.0, 2.0), t_final=1.5)
+
+
+class TestNonFiniteSchedule:
+    # each once built and then failed mid-run, or silently skipped the horizon
+    @pytest.mark.parametrize("make", [
+        lambda: ControlSchedule.uniform(3, np.nan),
+        lambda: ControlSchedule((1.0, 2.0, np.inf)),
+        lambda: ControlSchedule((1.0, 2.0, 3.0), t_final=np.nan),
+        lambda: ControlSchedule((1.0, 2.0, 3.0), t_final=np.inf),
+        lambda: ControlSchedule((1.0, 2.0), t0=-np.inf),
+        lambda: ControlSchedule((), t0=np.nan),
+    ], ids=["uniform-nan-dt", "inf-time", "nan-t-final", "inf-t-final", "inf-t0", "nan-t0"])
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(EngineError, match="finite"):
+            make()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oqst import channels, qmath, thermo, verify
+from oqst import lindblad
 from oqst.channels import (
     _branch_states,
     _dilate,
@@ -21,6 +22,7 @@ from oqst.channels import (
 )
 from oqst.qmath import DensityOperator, dag, mutual_information, partial_trace
 from oqst.qmath import von_neumann_entropy
+from oqst.lindblad import Protocol, heat_work_segment, thermal_cavity_generator
 from oqst.thermo import (
     _control_entropy_production,
     _entropy_lemma,
@@ -303,3 +305,40 @@ def test_check_fails_when_a_shape_group_goes_unevaluated(monkeypatch, check):
     result = check(3, samples=100)
     assert not result.passed
     assert "nan" in result.detail
+
+
+def oracle_segment_second_law(rng, samples=200):
+    """The drift entropy production of each case, one ``heat_work_segment`` call per case."""
+    gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, 8)
+    protocol = Protocol.constant(gen.hamiltonian)
+    for _ in range(samples):
+        rho = DensityOperator.from_diagonal(rng.dirichlet(np.ones(9)))
+        method = "exact" if rng.random() < 0.5 else "first_order"
+        _, heat, rho_end = heat_work_segment(gen, protocol, rho, 0.0, 82e-6, substeps=1,
+                                             method=method)
+        yield von_neumann_entropy(rho_end) - von_neumann_entropy(rho) - gen.beta * heat
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_segment_check_matches_one_state_calls(monkeypatch, seed):
+    s = stream_seed(seed, verify.check_segment_second_law)
+    calls = []
+    segments = lindblad._segments
+    monkeypatch.setattr(verify, "_segments", lambda *args: calls.append(args[4]) or segments(*args))
+    values, result = stacked_values(monkeypatch, verify.check_segment_second_law, s)
+    expected = np.array(list(oracle_segment_second_law(np.random.default_rng(s))))
+    assert np.array_equal(values, expected)
+    assert result.passed and result.detail.endswith(f"{expected.min():.2e}")
+    assert sorted(calls) == ["exact", "first_order"]  # one kernel call per method group
+
+
+def test_segment_check_fails_with_the_heat_sign_flipped(monkeypatch):
+    assert verify.check_segment_second_law(3, samples=100).passed
+    energetics = lindblad._drift_energetics
+
+    def flipped(*args):
+        work, heat = energetics(*args)
+        return work, -heat
+
+    monkeypatch.setattr(lindblad, "_drift_energetics", flipped)
+    assert not verify.check_segment_second_law(3, samples=100).passed
