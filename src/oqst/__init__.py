@@ -49,10 +49,13 @@ from .trajectory import (
     FeedbackPolicy,
     FixedPolicy,
     StepPlan,
+    TrajectoryBlock,
     TrajectoryRecord,
     derive_stream_seed,
+    derive_stream_seeds,
     ensemble_statistics,
     enumerate_tree,
+    sample_blocks,
     sample_ensemble,
     sample_trajectory,
 )
@@ -71,7 +74,8 @@ __all__ = [
     "control_energetics", "entropy_production_step", "first_law_residual",
     "stochastic_entropy",
     "ControlSchedule", "FeedbackPolicy", "FixedPolicy", "StepPlan",
-    "TrajectoryRecord", "derive_stream_seed", "ensemble_statistics",
-    "enumerate_tree", "sample_ensemble", "sample_trajectory",
+    "TrajectoryBlock", "TrajectoryRecord", "derive_stream_seed", "derive_stream_seeds",
+    "ensemble_statistics", "enumerate_tree", "sample_blocks", "sample_ensemble",
+    "sample_trajectory",
     "__version__",
 ]

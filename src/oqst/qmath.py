@@ -53,10 +53,23 @@ def hermitize(a) -> np.ndarray:
 
 
 def _matmul(a, b) -> np.ndarray:
-    """Matrix product over leading batch axes, from elementwise products and
-    last-axis sums, so each matrix's product does not depend on the others."""
-    b_cols = np.swapaxes(b, -1, -2)[..., None, :, :]
-    return np.multiply(a[..., :, None, :], b_cols, order="C").sum(-1)
+    """Matrix product over leading batch axes, adding up the contracted index as
+    elementwise multiply-adds, so each matrix's product does not depend on the others.
+
+    The terms are added left to right from zero, as numpy sums fewer than
+    eight terms, so for d <= 3 the product is the one a last-axis sum gives,
+    bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    # every term goes into one reused array, so the loop allocates nothing per term
+    shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
+    out = np.empty(shape, np.result_type(a, b))
+    term = np.empty_like(out)
+    np.multiply(a[..., :, None, 0], b[..., None, 0, :], out=out)
+    for j in range(1, a.shape[-1]):
+        out += np.multiply(a[..., :, None, j], b[..., None, j, :], out=term)
+    out += 0.0  # a sum that starts from zero is never -0.0
+    return out
 
 
 def _sandwich(a, x) -> np.ndarray:
@@ -67,7 +80,12 @@ def _sandwich(a, x) -> np.ndarray:
     """
     big, k = x.shape[-1], a.shape[-1]
     if k == big:  # a acts on the whole space
-        return _matmul(_matmul(a, x), dag(a))
+        out, a_dag = _matmul(a, x), dag(a)
+        # a row of (a x) a† needs only its own row of a x, so each half of the rows
+        # overwrites its own input, which holds three stacks at most, not four
+        for rows in (slice(0, big // 2), slice(big // 2, big)):
+            out[..., rows, :] = _matmul(out[..., rows, :], a_dag)
+        return out
     inner = big // k
     left = _matmul(a, x.reshape(x.shape[:-2] + (k, inner * big)))
     lead = left.shape[:-2]
@@ -89,8 +107,13 @@ def _insert_unit(joint: np.ndarray, dims: list, unit_mat: np.ndarray) -> np.ndar
 
 
 def _expectation(h, mat) -> np.ndarray:
-    """Re tr(h mat) over leading batch axes: the diagonal of h mat, then its trace."""
-    return np.multiply(h, np.swapaxes(mat, -1, -2), order="C").sum(-1).sum(-1).real
+    """Re tr(h mat) over leading batch axes: the diagonal of h mat as ``_matmul``
+    adds it up, then its trace."""
+    h, mat = np.asarray(h), np.asarray(mat)
+    diag = h[..., :, 0] * mat[..., 0, :]
+    for j in range(1, h.shape[-1]):
+        diag += h[..., :, j] * mat[..., j, :]
+    return diag.sum(-1).real
 
 
 def _trace(mat) -> np.ndarray:

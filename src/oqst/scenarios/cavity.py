@@ -29,17 +29,17 @@ from ..thermo import (
     FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
 )
 from ..trajectory import (
-    BLOCK_ROWS,
     ControlSchedule,
     EnsembleReport,
     FeedbackPolicy,
     Moments,
     StepPlan,
     choose_branch,
-    derive_stream_seed,
-    sample_ensemble,
+    derive_stream_seeds,
+    sample_blocks,
     stream_uniforms,
     _record,
+    _records,
 )
 
 # Atom kinds are their positions in ATOM_KINDS inside the samplers; the
@@ -47,6 +47,9 @@ from ..trajectory import (
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
 TRUNCATION_LEAK = 1e-6
+# Trajectories per reduction leaf.  Leaves merge in order, so this size fixes
+# the rounding of the reduced outputs and how a run is split over workers.
+BLOCK_ROWS = 256
 # Rounding allowances of the reported law flags (see ``law_flags``).
 SIGMA_SEG_REPORT_FLOOR = -1e-10
 EFFICIENCY_CEILING = 1.0 + 1e-9
@@ -343,7 +346,7 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
     shift = ((n_vec[:, None] - n_vec) * dense.sum(axis=1)).sum(axis=-2)
     policy = CavityPolicy(config.target_nt, config.delay_d)
     n, steps, delay = len(indices), config.steps, config.delay_d
-    uniforms = stream_uniforms([derive_stream_seed(config.seed, i) for i in indices], steps)
+    uniforms = stream_uniforms(derive_stream_seeds(config.seed, indices), steps)
     p0 = thermal_populations(gen.beta, config.dim)
     p = np.tile(p0, (n, 1))
     states = np.empty((n, steps, config.dim))
@@ -395,7 +398,11 @@ def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True)
 
 
 def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
-    """``_diagonal_chunk`` on the density-matrix path of the generic engine."""
+    """``_diagonal_chunk`` on the density-matrix path of the generic engine.
+
+    The tally reads the engine's block columns; records are built only for
+    the trajectories kept.  A block's broken law is reported before its leaks.
+    """
     gen = config.generator()
     instruments = {
         kind: atom_instrument(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
@@ -403,22 +410,31 @@ def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) ->
     policy = CavityPolicy(config.target_nt, config.delay_d, instruments=instruments)
     schedule = ControlSchedule.uniform(config.steps, config.step_ta)
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
-    seeds = [derive_stream_seed(config.seed, i) for i in indices]
-    records = []
+    blocks, pops = [], []
     try:
-        for i, rec in zip(indices, sample_ensemble(gen, schedule, policy, rho0, seeds,
-                                                   method=config.method)):
-            _check_leak(number_populations(rec.states), i)
-            records.append(rec)
-    except ThermoError as exc:  # a broken law in the block after the records checked so far
+        for block in sample_blocks(gen, schedule, policy, rho0,
+                                   derive_stream_seeds(config.seed, indices),
+                                   method=config.method):
+            p = np.ascontiguousarray(block.states.diagonal(axis1=-2, axis2=-1).real)
+            leaks = np.flatnonzero((p[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
+            if leaks.size:
+                _check_leak(p[leaks[0]], indices[block.first + leaks[0]])
+            blocks.append(block)
+            pops.append(p)
+    except ThermoError as exc:
         if exc.row is None:
             raise
         raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
+    size = len(blocks[0].log_prob)  # rows of every block but the last
+
+    def record(j):
+        return _records(blocks[j // size], schedule.times, [j % size])[0]
+
     return _Tally.of(
-        np.stack([r.ledgers for r in records]),
-        np.stack([number_populations(r.states) for r in records]),
-        kind_codes([r.kinds for r in records]),
-        _kept(records.__getitem__, indices, keep_records),
+        np.concatenate([b.ledger for b in blocks]),
+        np.concatenate(pops),
+        kind_codes(np.concatenate([b.kinds for b in blocks])),
+        _kept(record, indices, keep_records),
     )
 
 

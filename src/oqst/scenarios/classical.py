@@ -17,7 +17,7 @@ import numpy as np
 from ..channels import IMPOSSIBLE_BRANCH
 from ..lindblad import expm
 from ..qmath import shannon_entropy
-from ..trajectory import derive_stream_seed, stream_rng
+from ..trajectory import derive_stream_seeds, stream_rng
 
 DETAILED_BALANCE_ATOL = 1e-10
 STEP_RATE_LIMIT = 0.05
@@ -198,9 +198,8 @@ def run_classical_limit(
     sample_joints = None
     if mode == "gillespie":
         paths = np.empty((trajectories, steps + 1), dtype=int)
-        for i in range(trajectories):
-            rng = stream_rng(derive_stream_seed(seed, i))
-            paths[i] = _gillespie_states(model, rng, p, steps, dt)
+        for i, stream_seed in enumerate(derive_stream_seeds(seed, range(trajectories)).tolist()):
+            paths[i] = _gillespie_states(model, stream_rng(stream_seed), p, steps, dt)
         sample_joints = np.zeros((steps, d, d))
         for n in range(steps):
             for i in range(trajectories):

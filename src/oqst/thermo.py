@@ -130,7 +130,7 @@ def system_energetics(h, mat, raws):
     Returns ``(probabilities, w_system, q_system)`` of shapes ``(N, K)``,
     ``(N,)`` and ``(N, K)``, with zero heat for outcomes below
     ``IMPOSSIBLE_BRANCH``.  Every number comes from elementwise products and
-    last-axis sums of its own row.  Raises ``ThermoError`` where a row's
+    sums of its own row.  Raises ``ThermoError`` where a row's
     average heat is not zero.
     """
     probs = _trace(raws)

@@ -58,21 +58,26 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x &= _M64
-    z = (x + _GOLDEN) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+def derive_stream_seeds(master_seed: int, indices) -> np.ndarray:
+    """Per-trajectory seeds from (master seed, trajectory indices), as uint64.
+
+    Seed ``i`` is output ``i + 1`` of the splitmix64 stream (Steele, Lea &
+    Flood, OOPSLA 2014) that starts at ``master_seed`` modulo 2**64, so
+    ensembles are order-independent and safe to farm out to workers.  All
+    indices go through one pass of wrapping uint64 arithmetic.
+    """
+    u, indices = np.uint64, np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise TypeError(f"trajectory indices must be integers, got {indices.dtype}")
+    z = u(master_seed & _M64) + (indices.astype(u) + u(1)) * u(_GOLDEN) + u(_GOLDEN)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    return z ^ (z >> u(31))
 
 
 def derive_stream_seed(master_seed: int, index: int) -> int:
-    """Per-trajectory seed from (master seed, trajectory index).
-
-    Uses the splitmix64 output stream so ensembles are order-independent
-    and safe to farm out to workers.
-    """
-    return _splitmix64((master_seed & _M64) + ((index + 1) * _GOLDEN & _M64))
+    """The seed of trajectory ``index``: the one-index case of :func:`derive_stream_seeds`."""
+    return int(derive_stream_seeds(master_seed, [index & _M64])[0])
 
 
 _M128 = (1 << 128) - 1
@@ -100,7 +105,7 @@ def stream_uniforms(seeds, steps: int) -> np.ndarray:
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     out = np.empty((len(seeds), steps))
-    for row, seed in zip(out, seeds):
+    for row, seed in zip(out, seeds.tolist() if isinstance(seeds, np.ndarray) else seeds):
         key[0], key[1] = seed & _M64, (seed & _M128) >> 64
         bits.state = state
         draw.random(out=row)
@@ -238,13 +243,13 @@ class TrajectoryRecord:
 # The batched stepping kernel shared by sampling, replay and enumeration.
 
 # Rows sampled together.  Every per-row number comes from that row's own
-# elementwise products, last-axis sums and eigvalsh, so a record depends
+# elementwise products, multiply-adds and eigvalsh, so a record depends
 # neither on this size nor on its batch-mates; the size bounds memory only.
-BLOCK_ROWS = 256
+BLOCK_ROWS = 1024
 
 
 class _Run:
-    """The inputs all rows share, with the keywords of :func:`sample_ensemble`."""
+    """The inputs all rows share, with the keywords of :func:`sample_blocks`."""
 
     def __init__(self, gen, schedule, policy, rho0, *, method="exact", substeps=1,
                  retain_efficient_units=False, max_units=4, store_states=True,
@@ -449,6 +454,36 @@ def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES) -> _Row
     return rows
 
 
+@dataclass(frozen=True)
+class TrajectoryBlock:
+    """Trajectories sampled together, as columns; row ``j`` is seed ``first + j``.
+
+    ``ledger`` is the closed ``(n, steps)`` ``LEDGER_DTYPE`` record array,
+    ``kinds`` the ``(n, steps)`` plan kinds, ``log_prob`` the ``(n,)``
+    -ln probabilities, ``states`` the ``(n, steps, d, d)`` post-control
+    system states (None without ``store_states``) and ``final_states`` the
+    ``(n, d, d)`` system states at the end of the schedule.
+    """
+
+    first: int
+    ledger: np.recarray
+    kinds: np.ndarray
+    log_prob: np.ndarray
+    states: np.ndarray | None
+    final_states: np.ndarray
+
+
+def _block(run: _Run, rows: _Rows, first: int = 0) -> TrajectoryBlock:
+    """Close the rows' ledgers in one call; a broken law names its row counted from ``first``."""
+    try:
+        ledger = entropy_production_step(rows.ledger, run.gen.beta)
+    except ThermoError as exc:
+        exc.row += first
+        raise
+    states = rows.states if run.store_states else None
+    return TrajectoryBlock(first, ledger, rows.kinds, rows.log_prob, states, rows.mat)
+
+
 _NO_STATES = np.array([])
 _NO_STATES.setflags(write=False)
 
@@ -458,23 +493,21 @@ def _record(outcomes, kinds, *fields) -> TrajectoryRecord:
     return TrajectoryRecord(tuple(outcomes), tuple(kinds), *fields)
 
 
-def _records(run: _Run, rows: _Rows, first_row: int = 0) -> list:
-    """Close the rows' ledgers in one call and wrap each row as a record.
+def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
+    """The records of a block's ``rows`` (positions in the block; all by default).
 
     ``np.ndarray.__getitem__`` gives the same ``(steps,)`` recarray row as
     ``ledger[j]`` without ``recarray.__getitem__``'s dtype checks.
     """
-    try:
-        ledger = entropy_production_step(rows.ledger, run.gen.beta)
-    except ThermoError as exc:
-        exc.row += first_row
-        raise
-    row_of, times = np.ndarray.__getitem__, run.schedule.times
-    states = rows.states if run.store_states else [_NO_STATES] * len(rows.mat)
+    rows = np.arange(len(block.log_prob)) if rows is None else np.asarray(rows, dtype=int)
+    row_of, ledger = np.ndarray.__getitem__, block.ledger
+    states = block.states if block.states is not None else [_NO_STATES] * len(block.log_prob)
     return [
-        _record(outcomes, kinds, log_prob, row_of(ledger, j), states[j], rows.mat[j], times)
-        for j, (outcomes, kinds, log_prob) in enumerate(
-            zip(ledger["outcome"].tolist(), rows.kinds.tolist(), rows.log_prob.tolist()))
+        _record(outcomes, kinds, log_prob, row_of(ledger, j), states[j], block.final_states[j],
+                times)
+        for j, outcomes, kinds, log_prob in zip(
+            rows.tolist(), ledger["outcome"][rows].tolist(), block.kinds[rows].tolist(),
+            block.log_prob[rows].tolist())
     ]
 
 
@@ -503,9 +536,9 @@ def _expanded(step, idx, labels, probs):
 # Public entry points.
 
 
-def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
-                    rho0: DensityOperator, seeds, *, forced_outcomes=None, **options):
-    """Sample one trajectory per seed, yielding the records in seed order.
+def sample_blocks(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
+                  rho0: DensityOperator, seeds, *, forced_outcomes=None, **options):
+    """Sample one trajectory per seed, yielding a :class:`TrajectoryBlock` per ``BLOCK_ROWS`` seeds.
 
     Keywords: ``method`` ("exact" or "first_order"), ``substeps`` per drift
     segment, ``retain_efficient_units``, ``max_units`` jointly tracked,
@@ -514,23 +547,34 @@ def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fe
     ``forced_outcomes``, one outcome sequence replayed on every row instead
     of sampling, which is how causality is audited.
 
-    Trajectories are stepped together in blocks of ``BLOCK_ROWS``, so a
-    caller that only counts outcomes never holds more than one block.  A
-    seed fixes its trajectory bit-exactly: the record depends neither on
-    the other seeds nor on its block.  A ledger that breaks a law raises
-    ``ThermoError`` whose ``row`` is the trajectory's position in ``seeds``.
+    A caller that reads columns (say, counts outcomes) builds no record and
+    never holds more than one block.  A seed fixes its trajectory
+    bit-exactly: its row depends neither on the other seeds nor on its
+    block.  A ledger that breaks a law raises ``ThermoError`` whose ``row``
+    is the trajectory's position in ``seeds``.
     """
     run = _Run(gen, schedule, policy, rho0, **options)
     if forced_outcomes is not None and len(forced_outcomes) != schedule.n_steps:
         raise EngineError(f"{len(forced_outcomes)} forced outcomes for {schedule.n_steps} steps")
-    seeds = list(seeds)
+    if not isinstance(seeds, np.ndarray):
+        seeds = list(seeds)
     for first in range(0, len(seeds), BLOCK_ROWS):
         block = seeds[first:first + BLOCK_ROWS]
         if forced_outcomes is None:
             select = _sampled(stream_uniforms(block, schedule.n_steps))
         else:
             select = _replayed(forced_outcomes)
-        yield from _records(run, _stepped(run, len(block), select), first)
+        yield _block(run, _stepped(run, len(block), select), first)
+
+
+def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
+                    rho0: DensityOperator, seeds, **options):
+    """Sample one trajectory per seed, yielding the records in seed order.
+
+    The records of each block of :func:`sample_blocks`, with its keywords.
+    """
+    for block in sample_blocks(gen, schedule, policy, rho0, seeds, **options):
+        yield from _records(block, schedule.times)
 
 
 def sample_trajectory(gen, schedule, policy, rho0, seed: int, **options) -> TrajectoryRecord:
@@ -547,7 +591,7 @@ def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fee
                    **options) -> list:
     """Exact outcome-tree expansion: (outcome sequence, probability, record) leaves.
 
-    Takes the keywords of :func:`sample_ensemble` but ``forced_outcomes``.
+    Takes the keywords of :func:`sample_blocks` but ``forced_outcomes``.
     The frontier grows one level at a time through the sampling kernel,
     every viable branch of a row becoming a row, so leaves come in
     lexicographic outcome order.  Probabilities across leaves sum to one up
@@ -556,7 +600,8 @@ def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fee
     """
     run = _Run(gen, schedule, policy, rho0, **options)
     rows = _stepped(run, 1, _expanded, max_rows=max_leaves)
-    return [(rec.outcomes, float(p), rec) for rec, p in zip(_records(run, rows), rows.prob)]
+    records = _records(_block(run, rows), schedule.times)
+    return [(rec.outcomes, float(p), rec) for rec, p in zip(records, rows.prob)]
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ from .thermo import (
 from .trajectory import (
     ControlSchedule,
     FixedPolicy,
-    derive_stream_seed,
+    derive_stream_seeds,
     enumerate_tree,
-    sample_ensemble,
+    sample_blocks,
 )
 
 
@@ -325,10 +325,11 @@ def check_sampler_against_tree(seed: int, samples: int = 20000) -> CheckResult:
     sched = ControlSchedule.uniform(2, 1.0)
     rho0 = DensityOperator.pure([1, 1])
     probs = {o: p for o, p, _ in enumerate_tree(gen, sched, pol, rho0)}
-    seeds = [derive_stream_seed(seed, i) for i in range(samples)]
-    counts = Counter(rec.outcomes for rec in sample_ensemble(
-        gen, sched, pol, rho0, seeds, store_states=False
-    ))
+    counts = Counter()
+    for block in sample_blocks(gen, sched, pol, rho0, derive_stream_seeds(seed, range(samples)),
+                               store_states=False):
+        outcomes, n = np.unique(block.ledger["outcome"], axis=0, return_counts=True)
+        counts.update(dict(zip(map(tuple, outcomes.tolist()), n.tolist())))
     worst = 0.0
     for outcome, p in probs.items():
         freq = counts.get(outcome, 0) / samples
@@ -396,9 +397,10 @@ def run_all(seed: int = 0) -> list:
     detail, and the remaining checks still run.
     """
     results = []
-    for i, check in enumerate(ALL_CHECKS):
+    seeds = (derive_stream_seeds(seed, range(len(ALL_CHECKS))) % (2**32)).tolist()
+    for check, check_seed in zip(ALL_CHECKS, seeds):
         try:
-            results.append(check(derive_stream_seed(seed, i) % (2**32)))
+            results.append(check(check_seed))
         except Exception as exc:
             if not type(exc).__module__.startswith(f"{__package__}."):
                 raise

@@ -20,6 +20,7 @@ from oqst.scenarios import (
 )
 from scipy.linalg import expm
 
+from oqst import trajectory
 from oqst.scenarios import cavity
 from oqst.scenarios.cavity import (
     ATOM_KINDS,
@@ -336,6 +337,26 @@ class TestBlockInvariance:
         assert lean.records[0].outcomes == full.records[0].outcomes
         for key, value in _reduction(lean).items():
             assert np.array_equal(value, _reduction(full)[key]), key
+
+
+    @pytest.mark.parametrize("keep_records", [True, False])
+    def test_dense_leaf_over_several_engine_blocks(self, keep_records, monkeypatch):
+        # a leaf that spans engine blocks reduces and keeps records as one block does
+        config = CavityConfig(steps=10, trajectories=5, seed=6, dense=True)
+        whole = run_cavity(config, keep_records=keep_records)
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 2)
+        split = run_cavity(config, keep_records=keep_records)
+        _same_records(split, whole)
+        for key, value in _reduction(split).items():
+            assert np.array_equal(value, _reduction(whole)[key]), key
+
+    def test_dense_leak_named_across_engine_blocks(self, monkeypatch):
+        # trajectory 1 leaks; in engine blocks of one row it is row 0 of the second block
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 1)
+        config = CavityConfig(steps=12, trajectories=3, seed=83, cutoff=5, target_nt=1,
+                              delay_d=3, dense=True)
+        with pytest.raises(TruncationLeakError, match=r"^trajectory 1: .* on step 11$"):
+            run_cavity(config)
 
 
 class TestDiagonalDenseEquivalence:

@@ -186,3 +186,72 @@ class TestProbabilityVector:
     def test_negative_entry(self):
         with pytest.raises(QmathError):
             qmath.assert_probability_vector([1.2, -0.2])
+
+
+def _reduce_matmul(a, b):
+    """The former ``_matmul``: an elementwise product, then a last-axis sum."""
+    return np.multiply(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :],
+                       order="C").sum(-1)
+
+
+def _reduce_expectation(h, mat):
+    """The former ``_expectation``: the same, for the diagonal of h mat, then its trace."""
+    return np.multiply(h, np.swapaxes(mat, -1, -2), order="C").sum(-1).sum(-1).real
+
+
+class TestMultiplyAddKernels:
+    """``_matmul`` and ``_expectation`` against the reduce formulas they replace."""
+
+    @staticmethod
+    def stacks(d, seed=0, n=64):
+        """Complex, real and sparse (d, d) stacks; the sparse ones make signed zeros."""
+        rng = np.random.default_rng(seed + d)
+        dense = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        sparse = np.where(rng.random((n, d, d)) < 0.6, 0.0, dense)
+        sparse[: n // 2] *= -1
+        return [dense, sparse, dense.real.copy(), sparse.real.copy(),
+                np.diag(rng.normal(size=d)).astype(complex)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_byte_identical_for_small_d(self, d):
+        for a in self.stacks(d, seed=1):
+            for b in self.stacks(d, seed=2):
+                assert qmath._matmul(a, b).tobytes() == _reduce_matmul(a, b).tobytes()
+                assert (qmath._expectation(a, b).tobytes()
+                        == _reduce_expectation(a, b).tobytes())
+
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_close_for_larger_d(self, d):
+        for a in self.stacks(d, seed=1):
+            for b in self.stacks(d, seed=2):
+                ref = _reduce_matmul(a, b)
+                assert np.abs(qmath._matmul(a, b) - ref).max() <= 1e-13 * np.abs(ref).max()
+                ref = _reduce_expectation(a, b)
+                scale = max(np.abs(ref).max(), 1.0)
+                assert np.abs(qmath._expectation(a, b) - ref).max() <= 1e-13 * scale
+
+    def test_rows_do_not_depend_on_batch_mates(self):
+        a, b = self.stacks(5)[:2]
+        whole = qmath._matmul(a, b)
+        for i in (0, 17, 63):
+            assert qmath._matmul(a[i], b[i]).tobytes() == whole[i].tobytes()
+            assert qmath._matmul(a[i:i + 1], b).tobytes() == qmath._matmul(
+                np.broadcast_to(a[i], b.shape), b).tobytes()
+
+    def test_sandwich_holds_no_cube_of_the_stack(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        n, big = 28, 24
+        x = rng.normal(size=(n, big, big)) + 1j * rng.normal(size=(n, big, big))
+        op = qmath.random_unitary(rng, big)
+        expected = op @ x @ qmath.dag(op)
+        tracemalloc.start()
+        try:
+            out = qmath._sandwich(op, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        # an (N, D, D, D) product would take D / 4 times this
+        assert peak < 4 * n * big**2 * 16

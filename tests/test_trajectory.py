@@ -12,7 +12,7 @@ from oqst.channels import (
 )
 from oqst.lindblad import ThermalGenerator, propagate, thermal_cavity_generator
 from oqst.qmath import DensityOperator, von_neumann_entropy
-from oqst.thermo import average_control_entropy_production, first_law_residual
+from oqst.thermo import ThermoError, average_control_entropy_production, first_law_residual
 from oqst.trajectory import (
     ControlSchedule,
     EngineError,
@@ -22,8 +22,10 @@ from oqst.trajectory import (
     StepPlan,
     choose_branch,
     derive_stream_seed,
+    derive_stream_seeds,
     ensemble_statistics,
     enumerate_tree,
+    sample_blocks,
     sample_ensemble,
     sample_trajectory,
     stream_rng,
@@ -91,6 +93,31 @@ class TestStreams:
         for row, seed in zip(draws, seeds):
             assert np.array_equal(row, stream_rng(seed).random(37))
         assert stream_uniforms(seeds[:2], 0).shape == (2, 0)
+
+    @staticmethod
+    def splitmix64_reference(master, index):
+        """Output ``index + 1`` of splitmix64 from ``master``, in Python ints."""
+        m64, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+        z = ((master & m64) + (index + 1) * golden + golden) & m64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+        return z ^ (z >> 31)
+
+    @pytest.mark.parametrize("master", [0, 42, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**100 + 3,
+                                        -1, -42, -(2**70) - 5])
+    def test_seeds_match_python_int_reference(self, master):
+        seeds = derive_stream_seeds(master, range(300))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [self.splitmix64_reference(master, i) for i in range(300)]
+        for index in (0, 299, 2**63 + 1, 2**64 + 9, -1, -77):
+            seed = derive_stream_seed(master, index)
+            assert type(seed) is int and seed == self.splitmix64_reference(master, index)
+        assert derive_stream_seeds(master, []).shape == (0,)
+
+    def test_seeds_reject_float_indices(self):
+        # a list mixing negative and huge ints becomes float64 in numpy, which loses bits
+        with pytest.raises(TypeError, match="integers"):
+            derive_stream_seeds(1, [-1, 2**63])
 
 
 class TestMoments:
@@ -174,9 +201,9 @@ class TestSampling:
         sched = ControlSchedule.uniform(4, 1.0)
         pol = FixedPolicy([X_INSTR, Z_INSTR] * 2)
         rho0 = DensityOperator.pure([1, 0.5])
-        seeds = [derive_stream_seed(5, i) for i in range(300)]  # two blocks
+        seeds = [derive_stream_seed(5, i) for i in range(trajectory.BLOCK_ROWS + 44)]  # two blocks
         recs = list(sample_ensemble(gen, sched, pol, rho0, seeds, store_states=store_states))
-        for i in (0, 299):
+        for i in (0, len(seeds) - 1):
             rec = recs[i]
             assert isinstance(rec.ledgers, np.recarray) and rec.ledgers.shape == (4,)
             assert np.array_equal(rec.ledgers.sigma_seg, rec.ledgers["sigma_seg"])
@@ -253,7 +280,7 @@ class _RecordingPolicy(FixedPolicy):
 class TestOneCallPerStep:
     def test_sampler_asks_once_per_step_and_block(self):
         pol = _RecordingPolicy([X_INSTR, Z_INSTR, X_INSTR])
-        seeds = [derive_stream_seed(9, i) for i in range(300)]
+        seeds = [derive_stream_seed(9, i) for i in range(trajectory.BLOCK_ROWS + 44)]
         records = list(sample_ensemble(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
                                        DensityOperator.maximally_mixed(2), seeds))
         assert len(pol.calls) == 6  # 2 blocks x 3 steps
@@ -623,6 +650,68 @@ class TestBatchInvariance:
             self.assert_same(rec, self.one(seeds[0], forced_outcomes=target.outcomes))
             assert rec.outcomes == target.outcomes
             assert np.array_equal(rec.ledgers, target.ledgers)
+
+
+class TestBlocks:
+    """``sample_blocks`` columns against the records of ``sample_ensemble``."""
+
+    GEN, SCHED, RHO0 = TestBatchInvariance.GEN, TestBatchInvariance.SCHED, TestBatchInvariance.RHO0
+    OPTIONS = TestBatchInvariance.OPTIONS
+    SEEDS = [derive_stream_seed(79, i) for i in range(20)]
+
+    def blocks(self, **options):
+        return list(sample_blocks(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, self.SEEDS,
+                                  **self.OPTIONS, **options))
+
+    def records(self, **options):
+        return list(sample_ensemble(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, self.SEEDS,
+                                    **self.OPTIONS, **options))
+
+    @pytest.mark.parametrize("store_states", [True, False])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_columns_equal_records_bit_for_bit(self, monkeypatch, store_states, forced):
+        options = dict(store_states=store_states)
+        if forced:
+            options["forced_outcomes"] = self.records()[5].outcomes
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 7)
+        blocks, records = self.blocks(**options), self.records(**options)
+        assert [b.first for b in blocks] == [0, 7, 14]
+        assert [len(b.log_prob) for b in blocks] == [7, 7, 6]
+        for block in blocks:
+            for j, rec in enumerate(records[block.first:block.first + len(block.log_prob)]):
+                assert tuple(block.ledger["outcome"][j].tolist()) == rec.outcomes
+                assert tuple(block.kinds[j]) == rec.kinds
+                assert block.log_prob[j] == rec.log_prob
+                assert block.ledger[j].tobytes() == rec.ledgers.tobytes()
+                assert block.final_states[j].tobytes() == rec.final_state.tobytes()
+                if store_states:
+                    assert block.states[j].tobytes() == rec.states.tobytes()
+            if not store_states:
+                assert block.states is None
+        if forced:
+            assert {rec.outcomes for rec in records} == {options["forced_outcomes"]}
+
+    def test_broken_law_names_its_seed_across_blocks(self, monkeypatch):
+        records = self.records()
+        firsts = {}
+        for i, rec in enumerate(records):
+            firsts.setdefault(rec.outcomes, i)
+        # a sequence first seen in the third block, not in its first row
+        target, row = next((o, i) for o, i in firsts.items() if i > 14)
+        close = trajectory.entropy_production_step
+
+        def break_target(ledger, beta):
+            hit = (ledger["outcome"] == np.array(target)).all(axis=1)
+            ledger["w_seg"][hit, 1] += 1.0
+            return close(ledger, beta)
+
+        monkeypatch.setattr(trajectory, "entropy_production_step", break_target)
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 7)
+        with pytest.raises(ThermoError, match="on step 2$") as info:
+            for _ in sample_blocks(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, self.SEEDS,
+                                   **self.OPTIONS):
+                pass
+        assert info.value.row == row
 
 
 class TestScheduleValidation:
