@@ -235,7 +235,9 @@ def _write_summary(out_dir: str, payload: dict):
 
 def _write_columns(path: str, columns: dict):
     """CSV from named columns; numbers go through ``fmt``, strings as they are."""
-    cells = [[v if isinstance(v, str) else fmt(v) for v in col] for col in columns.values()]
+    cells = [[v if isinstance(v, str) else fmt(v)
+              for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+             for col in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(columns))

@@ -126,10 +126,11 @@ def _ordered_sum(a, axis: int) -> np.ndarray:
 
     numpy's reduction may pair the terms otherwise, which moves the last bit.
     """
-    terms = np.moveaxis(np.asarray(a), axis, 0)
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    a = np.asarray(a)
+    lead = (slice(None),) * (axis % a.ndim)
+    total = a[(*lead, 0)]
+    for j in range(1, a.shape[axis]):
+        total = total + a[(*lead, j)]
     return total
 
 

@@ -8,8 +8,8 @@ estimate and holds off for another ``delay_d`` steps after each feedback
 atom.
 
 Everything the controller sees is diagonal in the number basis, so the
-production path evolves bare population vectors; the full density-matrix
-path through the generic engine exists to validate it and must reproduce
+production path steps bare population vectors through the engine's step
+loop; the same loop on density matrices validates it and must reproduce
 the same outcome sequences from the same seeds.
 """
 
@@ -24,26 +24,26 @@ import numpy as np
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
 from ..lindblad import _diagonal_product, _diagonals
-from ..qmath import DensityOperator, shannon_entropy
-from ..thermo import (
-    FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, entropy_production_step, first_law_residual,
-)
+from ..qmath import DensityOperator, shannon_entropy, _ordered_sum
+from ..thermo import FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, first_law_residual
 from ..trajectory import (
     ControlSchedule,
     EnsembleReport,
     FeedbackPolicy,
     Moments,
     StepPlan,
-    choose_branch,
     derive_stream_seeds,
-    sample_blocks,
     stream_uniforms,
-    _record,
+    _MATRICES,
+    _Run,
+    _block,
     _records,
+    _sampled,
+    _stepped,
 )
 
 # Atom kinds are their positions in ATOM_KINDS inside the samplers; the
-# names appear only in records and output files.
+# names appear in records, output files and the kinds a policy reads.
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
 TRUNCATION_LEAK = 1e-6
@@ -181,15 +181,10 @@ def feedback_decision(estimate, target_nt: int) -> np.ndarray:
                     np.where(p[..., :target_nt].sum(axis=-1) > p_target, EMITTER, SENSOR))
 
 
-def kind_codes(kinds) -> np.ndarray:
-    """Codes of an array of atom-kind names."""
-    return np.vectorize(ATOM_KINDS.index, otypes=[np.int8])(kinds)
-
-
 def number_populations(states) -> np.ndarray:
-    """Number-basis populations of (steps, dim) population vectors or (steps, dim, dim) matrices."""
+    """Number-basis populations of real (..., dim) vectors or complex (..., dim, dim) matrices."""
     m = np.asarray(states)
-    return np.real(np.diagonal(m, axis1=-2, axis2=-1)) if m.ndim == 3 else np.real(m)
+    return np.real(np.diagonal(m, axis1=-2, axis2=-1)) if np.iscomplexobj(m) else m
 
 
 class CavityPolicy(FeedbackPolicy):
@@ -198,28 +193,21 @@ class CavityPolicy(FeedbackPolicy):
     def __init__(self, target_nt: int, delay: int, instruments: dict | None = None):
         self.target_nt = target_nt
         self.delay = delay
-        # the engine's plans, from each kind's operator form, indexed by ``decide``'s codes
+        # the engine's plans, from each kind's operator form, indexed by kind code
         self.plans = (tuple(StepPlan(instruments[kind], kind) for kind in ATOM_KINDS)
                       if instruments else ())
 
-    def decide(self, step: int, populations, kinds) -> np.ndarray:
-        """Atom kind code(s) for ``step`` from ``(..., dim)`` population estimates.
-
-        ``kinds`` lists the codes of the kinds sent so far, step first: a
-        sequence for one trajectory, a ``(step - 1, ...)`` array for a batch.
-        """
-        # hold off iff a feedback atom went out within the last `delay` steps
-        recent = np.asarray(kinds[max(0, step - self.delay - 1) : step - 1], dtype=np.int8)
-        held = (recent != SENSOR).any(axis=0)
-        return np.where(held, SENSOR, feedback_decision(populations, self.target_nt))
-
     def plan(self, step, estimates, outcomes, kinds):
+        """The steering rule's kind code for each row, on estimates as density matrices or
+        population vectors; a row holds off (sends a sensor) while a feedback atom went out
+        within the last ``delay`` steps, which only the rows the rule would steer look up."""
         if not self.plans:
             raise RuntimeError("policy was built without instrument operators")
-        # decide reads only the kinds sent after step `first`, so only those are coded
-        first = max(0, step - self.delay - 1)
-        codes = kind_codes(kinds[:, first:]).T
-        return self.plans, self.decide(step - first, number_populations(estimates), codes)
+        codes = feedback_decision(number_populations(estimates), self.target_nt)
+        steer = codes.nonzero()[0]  # the sensor's code is 0
+        recent = kinds[steer, max(0, step - self.delay - 1):]
+        codes[steer[(recent != "sensor").any(axis=1)]] = SENSOR
+        return self.plans, codes
 
 
 def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
@@ -235,32 +223,6 @@ def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
 def thermal_populations(beta: float, dim: int) -> np.ndarray:
     w = np.exp(-beta * np.arange(dim))
     return w / w.sum()
-
-
-def _check_leak(populations, i: int) -> None:
-    """Raise ``TruncationLeakError`` on the first step of trajectory ``i``'s (steps, dim)
-    populations whose cutoff level holds more than ``TRUNCATION_LEAK``."""
-    top = populations[:, -1]
-    leaking = top > TRUNCATION_LEAK
-    if leaking.any():
-        k = int(np.argmax(leaking))
-        raise TruncationLeakError(
-            f"trajectory {i}: population {top[k]:.2e} at the cutoff level on step {k + 1}"
-        )
-
-
-def _close_chunk(ledger, pops, indices, beta: float):
-    """Close a chunk's ``(n, steps)`` ledgers in one call and check its ``(n, steps, dim)``
-    populations for leaks, failing as a run one trajectory at a time would: the
-    lowest failing trajectory, and on it a leak before a broken law."""
-    leaks = np.flatnonzero((pops[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
-    try:
-        entropy_production_step(ledger, beta)
-    except ThermoError as exc:
-        if not leaks.size or exc.row < leaks[0]:
-            raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
-    if leaks.size:
-        _check_leak(pops[leaks[0]], indices[leaks[0]])
 
 
 @dataclass(frozen=True)
@@ -310,132 +272,104 @@ class _Tally:
         )
 
 
-def _kept(record, indices, keep_records: bool) -> list:
-    """A block's records to keep, built by ``record(j)`` for row ``j``: every row's,
-    or trajectory 0's alone, which ``trajectory.csv`` needs, copied so that it
-    does not pin the block's arrays."""
-    if keep_records:
-        return [record(j) for j in range(len(indices))]
-    return [replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
-                    final_state=rec.final_state.copy())
-            for rec in map(record, range(int(indices[0] == 0)))]
+class _Populations:
+    """Number-basis populations, ``(dim,)`` per row: the cavity's state representation.
 
-
-def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
-    """Sample the population path of trajectories ``indices`` in one pass over the steps.
-
-    Each trajectory draws its uniforms from its own stream, and every
-    per-trajectory number comes from elementwise products and last-axis
-    sums, so a trajectory does not depend on the block it was sampled in.
-    The drift map and the atom transfers act through their nonzero
-    diagonals: the first-order map is tridiagonal, each transfer has at
-    most one off-diagonal, and the dense exact map takes the same route.
+    Every segment drifts by the map of one ``step_ta``.  It and the atom transfers act
+    through their nonzero diagonals, every row's atom in one call, kinds coded in
+    ``ATOM_KINDS`` order.  Each atom outcome moves the cavity by a definite photon number,
+    so a plan's work is that number averaged over the outcomes: exactly zero for a sensor.
     """
-    gen = config.generator()
-    rates = classical_rate_matrix(gen)
-    if config.exact_propagator:
-        step_map = expm(rates * config.step_ta)
-    else:
-        step_map = np.eye(config.dim) + rates * config.step_ta
-    drift = _diagonals(step_map)
-    # bands of every kind's (2, dim, dim) transfer, indexed by kind code
-    dense = np.stack([atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS])
-    offsets, transfers = _diagonals(dense)
-    n_vec = np.arange(config.dim, dtype=float)
-    # each kind's work from level m, sum_i (n_i - n_m) (M0 + M1)[i, m]; exactly 0 for sensors
-    shift = ((n_vec[:, None] - n_vec) * dense.sum(axis=1)).sum(axis=-2)
-    policy = CavityPolicy(config.target_nt, config.delay_d)
-    n, steps, delay = len(indices), config.steps, config.delay_d
-    uniforms = stream_uniforms(derive_stream_seeds(config.seed, indices), steps)
-    p0 = thermal_populations(gen.beta, config.dim)
-    p = np.tile(p0, (n, 1))
-    states = np.empty((n, steps, config.dim))
-    kinds = np.empty((steps, n), dtype=np.int8)
-    ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
-    ledger["step"] = np.arange(1, steps + 1)
-    rows = np.arange(n)
-    log_prob = np.zeros(n)
-    e_start, s_start = (n_vec * p).sum(axis=-1), shannon_entropy(p)
-    for k in range(steps):
-        p_mid = _diagonal_product(*drift, p)
-        e_pre = (n_vec * p_mid).sum(axis=-1)
-        s_pre = log_prob + shannon_entropy(p_mid)
-        estimate = p_mid if delay == 0 else (states[:, k - delay] if k >= delay else p0)
-        kind = policy.decide(k + 1, estimate, kinds[:k])
-        # joint (outcome, post level) weights of the step
-        weights = _diagonal_product(offsets, transfers[kind], p_mid[:, None, :])
+
+    kinds = ATOM_KINDS
+    fields = ("state",)
+
+    def __init__(self, config: CavityConfig):
+        rdt = classical_rate_matrix(config.generator()) * config.step_ta
+        self.drift = _diagonals(expm(rdt) if config.exact_propagator else np.eye(len(rdt)) + rdt)
+        # bands of every kind's (2, dim, dim) transfer, indexed by kind code
+        self.offsets, self.transfers = _diagonals(np.stack(
+            [atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS]))
+        # photons each (kind, outcome) adds: minus the offset of its one nonzero diagonal
+        moves = self.transfers.any(axis=-1).argmax(axis=-1)
+        self.photons = (-np.asarray(self.offsets)[moves]).astype(float)
+        self.n = np.arange(config.dim, dtype=float)
+
+    def initial(self, rho0):
+        return number_populations(rho0.matrix)
+
+    def start(self, run, rows):
+        """A population row has no fields of its own."""
+
+    def energy(self, rows) -> np.ndarray:
+        return np.einsum("...i,i->...", rows.state, self.n)  # n . p of each row on its own
+
+    def entropy(self, run, rows) -> np.ndarray:
+        return shannon_entropy(rows.state)
+
+    def propagate(self, run, rows, dt: float) -> float:
+        """Drift every row by one step; a population row has no Hamiltonian to switch."""
+        rows.state = _diagonal_product(*self.drift, rows.state)
+        return 0.0
+
+    def groups(self, run, rows, plans, which, kind) -> list:
+        return [(np.arange(len(kind)), kind)]  # every row, in order
+
+    def branches(self, run, rows, idx, kind) -> tuple:
+        # joint (outcome, post level) weights of every row
+        weights = _diagonal_product(self.offsets, self.transfers[kind], rows.state[:, None, :])
         probs = weights.sum(axis=-1)
-        w_ctrl = (shift[kind] * p_mid).sum(axis=-1)
-        e_avg_post = e_pre + w_ctrl
-        label = choose_branch(probs, uniforms[:, k])
-        prob = probs[rows, label]
-        post = weights[rows, label] / prob[:, None]
-        e_end = (n_vec * post).sum(axis=-1)
-        logp_inc = -np.log(prob) + 0.0  # avoid -0.0 for certain outcomes
-        log_prob = log_prob + logp_inc
-        s_end = log_prob + shannon_entropy(post)
-        row = ledger[:, k]  # the sigma columns are filled on closing
-        row["outcome"], row["logp_increment"] = label, logp_inc
-        row["e_sys_start"], row["e_sys_pre"], row["e_sys_end"] = e_start, e_pre, e_end
-        row["q_seg"], row["w_ctrl_sys"], row["q_ctrl_sys"] = (
-            e_pre - e_start, w_ctrl, e_end - e_avg_post
-        )
-        row["s_start"], row["s_pre"], row["s_end"] = s_start, s_pre, s_end
-        states[:, k] = post
-        kinds[k] = kind
-        p, e_start, s_start = post, e_end, s_end
 
-    _close_chunk(ledger, states, indices, gen.beta)
-    ledger = ledger.view(np.recarray)
-    times = tuple((i + 1) * config.step_ta for i in range(steps))
-    names = np.array(ATOM_KINDS, dtype=object)  # one str object per kind
+        def pick(at, branch, p):
+            return {"state": weights[at, branch] / p[:, None]}
 
-    def record(j):
-        return _record(ledger[j].outcome.tolist(), names[kinds[:, j]], float(log_prob[j]),
-                       ledger[j], states[j], states[j, -1], times)
-
-    return _Tally.of(ledger, states, kinds.T, _kept(record, indices, keep_records))
+        return (probs, _ordered_sum(probs * self.photons[kind], 1),
+                np.einsum("...i,i->...", weights, self.n), (0, 1), pick)
 
 
-def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
-    """``_diagonal_chunk`` on the density-matrix path of the generic engine.
-
-    The tally reads the engine's block columns; records are built only for
-    the trajectories kept.  A block's broken law is reported before its leaks.
-    """
+def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Tally:
+    """Tally trajectories ``indices``, each on its own stream, stepped on representation
+    ``rep``.  It fails as one trajectory at a time would: at the lowest failing one, with a
+    leak before a broken law.  Records are kept for every trajectory, or (copied, so as
+    not to pin the chunk) trajectory 0's alone, which ``trajectory.csv`` needs."""
     gen = config.generator()
-    instruments = {
-        kind: atom_instrument(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS
-    }
+    instruments = {kind: atom_instrument(kind, config.target_nt, config.cutoff)
+                   for kind in ATOM_KINDS}
     policy = CavityPolicy(config.target_nt, config.delay_d, instruments=instruments)
     schedule = ControlSchedule.uniform(config.steps, config.step_ta)
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
-    blocks, pops = [], []
+    run = _Run(gen, schedule, policy, rho0, rep, method=config.method)
+    uniforms = stream_uniforms(derive_stream_seeds(config.seed, indices), config.steps)
+    rows = _stepped(run, len(indices), _sampled(uniforms))
+    pops = np.ascontiguousarray(number_populations(rows.states))
+    leaks = np.flatnonzero((pops[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
     try:
-        for block in sample_blocks(gen, schedule, policy, rho0,
-                                   derive_stream_seeds(config.seed, indices),
-                                   method=config.method):
-            p = np.ascontiguousarray(block.states.diagonal(axis1=-2, axis2=-1).real)
-            leaks = np.flatnonzero((p[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
-            if leaks.size:
-                _check_leak(p[leaks[0]], indices[block.first + leaks[0]])
-            blocks.append(block)
-            pops.append(p)
+        block = _block(run, rows)
     except ThermoError as exc:
-        if exc.row is None:
-            raise
-        raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
-    size = len(blocks[0].log_prob)  # rows of every block but the last
+        if not leaks.size or exc.row < leaks[0]:
+            raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
+    if leaks.size:
+        top = pops[leaks[0], :, -1]
+        k = int(np.argmax(top > TRUNCATION_LEAK))
+        raise TruncationLeakError(f"trajectory {indices[leaks[0]]}: population {top[k]:.2e} "
+                                  f"at the cutoff level on step {k + 1}")
+    if keep_records:
+        records = _records(block, schedule.times)
+    else:
+        records = [replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
+                           final_state=rec.final_state.copy())
+                   for rec in _records(block, schedule.times, range(int(indices[0] == 0)))]
+    return _Tally.of(block.ledger, pops, rows.codes, records)
 
-    def record(j):
-        return _records(blocks[j // size], schedule.times, [j % size])[0]
 
-    return _Tally.of(
-        np.concatenate([b.ledger for b in blocks]),
-        np.concatenate(pops),
-        kind_codes(np.concatenate([b.kinds for b in blocks])),
-        _kept(record, indices, keep_records),
-    )
+def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
+    """Sample trajectories ``indices`` on number-basis populations, the production path."""
+    return _chunk(config, indices, keep_records, _Populations(config))
+
+
+def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
+    """``_diagonal_chunk`` on density matrices, the oracle of the population path."""
+    return _chunk(config, indices, keep_records, _MATRICES)
 
 
 @dataclass(frozen=True)

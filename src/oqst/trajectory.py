@@ -4,9 +4,10 @@ A run alternates Lindblad propagation with instrument applications chosen
 by a feedback policy from a delayed state estimate.  Outcomes are sampled
 by inverse CDF from a counter-based per-trajectory stream, replayed from a
 given sequence, or the whole outcome tree is enumerated exactly.  All
-three step a batch of trajectories, held in columns, through one kernel
-that asks the policy once per step, so the sampler can be checked against
-the enumeration oracle.
+three step a batch of trajectories, held in columns, through one loop
+that asks the policy once per step and writes each ledger column in one
+place, over a state representation: density matrices here, number-basis
+populations for the cavity scenario.
 
 State tracking is system-only until an instrument with more than one
 Kraus operator per outcome shows up; the units of such operations stay
@@ -24,14 +25,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
-from .lindblad import ThermalGenerator, _drift_energetics, _propagate_matrix
+from .lindblad import ThermalGenerator, _propagate_matrix
 from .qmath import (
     DensityOperator,
     density_spectrum,
     hermitize,
     shannon_entropy,
-    von_neumann_entropy,
     _expectation,
+    _ordered_sum,
     _partial_trace_matrix,
     _trace,
 )
@@ -40,8 +41,8 @@ from .thermo import (
     LOG_PROB_FLOOR,
     ThermoError,
     entropy_production_step,
-    system_energetics,
     unit_energetics,
+    _check_average_heat,
 )
 
 MAX_TREE_LEAVES = 10**6
@@ -125,9 +126,12 @@ def choose_branch(probs, u):
     if (cum[..., -1] < 1e-12).any():
         raise EngineError("no branch carries probability mass; broken instrument")
     k = probs.shape[-1]
-    # labels at or below the searchsorted(side="right") position, capped at k - 1
-    reach = np.arange(k) <= (cum <= np.asarray(u)[..., None]).sum(axis=-1, keepdims=True)
-    viable = reach & (probs >= IMPOSSIBLE_BRANCH)
+    # the searchsorted(side="right") position, capped at k - 1: mostly a viable label
+    at = np.minimum((cum <= np.asarray(u)[..., None]).sum(axis=-1), k - 1)
+    flat = probs.reshape(-1, k)
+    if (flat[np.arange(len(flat)), at.reshape(-1)] >= IMPOSSIBLE_BRANCH).all():
+        return at
+    viable = (np.arange(k) <= at[..., None]) & (probs >= IMPOSSIBLE_BRANCH)
     if not viable.any(axis=-1).all():
         raise EngineError("impossible-branch selection; broken instrument")
     return k - 1 - viable[..., ::-1].argmax(axis=-1)
@@ -186,10 +190,12 @@ class StepPlan:
 class FeedbackPolicy:
     """Deterministic rule planning control ``step`` for every row of a batch in one call.
 
-    ``plan`` gets the rows' delayed estimates ``(n, d, d)`` and their outcome
-    labels and plan kinds so far, each ``(n, step - 1)``; it returns a
-    sequence of ``StepPlan`` and an ``(n,)`` integer array indexing it, the
-    plan of each row, which must be a pure function of that row's arguments.
+    ``plan`` gets the rows' delayed estimates in the representation's state
+    shape, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations,
+    and their outcome labels and plan kinds so far, each ``(n, step - 1)``;
+    it returns a sequence of ``StepPlan`` and an ``(n,)`` integer array
+    indexing it, the plan of each row, which must be a pure function of
+    that row's arguments.
     ``delay`` selects which past post-control state the estimate is; with
     delay 0 it is the current pre-control state.
     """
@@ -249,9 +255,9 @@ BLOCK_ROWS = 1024
 
 
 class _Run:
-    """The inputs all rows share, with the keywords of :func:`sample_blocks`."""
+    """The inputs all rows share: the keywords of :func:`sample_blocks` and a representation."""
 
-    def __init__(self, gen, schedule, policy, rho0, *, method="exact", substeps=1,
+    def __init__(self, gen, schedule, policy, rho0, rep, *, method="exact", substeps=1,
                  retain_efficient_units=False, max_units=4, store_states=True,
                  hamiltonian0=None):
         if rho0.dim != gen.dim:
@@ -262,32 +268,33 @@ class _Run:
         self.method, self.substeps, self.max_units = method, substeps, max_units
         self.retain, self.store_states = retain_efficient_units, store_states
         self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, complex)
+        self.rep, self.state0 = rep, rep.initial(rho0)
         self.units = {(): 0}  # code of each tracked-unit signature, in code order
+        self.kinds = {kind: code for code, kind in enumerate(rep.kinds)}  # likewise, plan kinds
+        self.names = np.array(list(self.kinds), dtype=object)  # the kinds in code order
 
 
 class _Rows:
     """Per-row state of trajectories stepped together; the row leads every array.
 
-    ``kinds`` holds the plan kinds so far, ``joint`` a row's state of system
-    and tracked units (None while only the system is tracked), ``units`` the
-    code in ``run.units`` of those units' dimensions, nearest first, and
-    ``pending`` the Hamiltonian its next segment switches to (``h`` if none).
+    ``state`` holds the system states in the run's representation, ``energy``
+    their energies, ``s_prev`` the stochastic entropy after the last control,
+    and ``codes`` and ``kinds`` the plan kinds so far, as codes in
+    ``run.kinds`` and as names.  The representation adds its own fields.
     """
 
     def __init__(self, run: _Run, n: int):
-        d, steps = run.gen.dim, run.schedule.n_steps
-        self.mat = np.repeat(run.rho0.matrix[None], n, axis=0)
-        self.h = self.pending = np.repeat(run.h0[None], n, axis=0)
+        steps = run.schedule.n_steps
         self.log_prob, self.prob = np.zeros(n), np.ones(n)
-        self.s_prev = np.full(n, von_neumann_entropy(run.rho0.matrix))
-        self.energetic = np.zeros(n, dtype=bool)
         self.ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
         self.ledger["step"] = np.arange(1, steps + 1)
         # post-control states, for the records and for delayed estimates
         kept = steps if run.store_states or run.policy.delay > 0 else 0
-        self.states = np.empty((n, kept, d, d), dtype=complex)
-        self.kinds, self.units = np.empty((n, steps), dtype=object), np.zeros(n, dtype=int)
-        self.joint = [None] * n
+        self.states = np.empty((n, kept) + run.state0.shape, dtype=run.state0.dtype)
+        self.codes, self.kinds = np.zeros((n, steps), dtype=int), np.empty((n, steps), object)
+        self.state = np.repeat(run.state0[None], n, axis=0)
+        run.rep.start(run, self)
+        self.energy, self.s_prev = run.rep.energy(self), run.rep.entropy(run, self)
 
     def take(self, parent) -> "_Rows":
         """The rows ``parent``, in that order; a row may repeat."""
@@ -306,137 +313,181 @@ def _by_units(run: _Run, rows: _Rows) -> list:
 
 def _tracked(rows: _Rows, idx, units: tuple) -> np.ndarray:
     """The tracked states of rows ``idx``: joint with their ``units``, else the system's."""
-    return np.stack([rows.joint[i] for i in idx]) if units else rows.mat[idx]
+    return np.stack([rows.joint[i] for i in idx]) if units else rows.state[idx]
 
 
-def _propagate(run: _Run, rows: _Rows, dt: float):
-    """Drift every row's tracked state for ``dt``, into a new array of system states."""
-    d, sub, mat = run.gen.dim, dt / run.substeps, np.empty_like(rows.mat)
-    for units, idx in _by_units(run, rows):
-        state = _tracked(rows, idx, units)
-        for _ in range(run.substeps):
-            state = _propagate_matrix(run.gen, state, sub, run.method)
-        if units:
-            for i, j in zip(idx, state):
-                rows.joint[i] = j
-            state = hermitize(_partial_trace_matrix(state, [d, *units], [0]))
-        mat[idx] = state
-    rows.mat = mat
+class _Matrices:
+    """Density matrices, ``(d, d)`` per row: the engine's state representation.
+
+    A row also holds its Hamiltonian ``h``, the one its next segment switches to
+    (``pending``), whether a past inefficient unit carries energy (``energetic``) and its
+    ``joint`` state with the tracked units, whose dimensions (nearest first) have the code
+    ``units`` in ``run.units``.  A representation has the plan ``kinds`` it codes first,
+    the row ``fields`` a control replaces, and the methods below.
+    """
+
+    kinds = ()
+    fields = ("state", "joint", "units", "pending", "energetic")
+
+    def initial(self, rho0):
+        return rho0.matrix
+
+    def start(self, run: _Run, rows: _Rows):
+        n = len(rows.state)
+        rows.h = rows.pending = np.repeat(run.h0[None], n, axis=0)
+        rows.energetic, rows.units, rows.joint = np.zeros(n, bool), np.zeros(n, int), [None] * n
+
+    def energy(self, rows: _Rows) -> np.ndarray:
+        return _expectation(rows.h, rows.state)
+
+    def entropy(self, run: _Run, rows: _Rows) -> np.ndarray:
+        """Von Neumann entropy of each row's tracked state; one spectrum per system state
+        serves the positivity check and the entropy of the untracked rows."""
+        s = shannon_entropy(density_spectrum(rows.state))
+        for units, idx in _by_units(run, rows):
+            if units:
+                s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_tracked(rows, idx, units))))
+        return s
+
+    def propagate(self, run: _Run, rows: _Rows, dt: float):
+        """Switch every row to its pending Hamiltonian and drift its tracked state for ``dt``;
+        returns the switch work."""
+        before, h_before, rows.h = rows.state, rows.h, rows.pending
+        d, sub, mat = run.gen.dim, dt / run.substeps, np.empty_like(before)
+        for units, idx in _by_units(run, rows):
+            state = _tracked(rows, idx, units)
+            for _ in range(run.substeps):
+                state = _propagate_matrix(run.gen, state, sub, run.method)
+            if units:
+                for i, j in zip(idx, state):
+                    rows.joint[i] = j
+                state = hermitize(_partial_trace_matrix(state, [d, *units], [0]))
+            mat[idx] = state
+        rows.state = mat
+        return _expectation(rows.h - h_before, before)
+
+    def groups(self, run: _Run, rows: _Rows, plans, which, kind) -> list:
+        """(row positions, what ``branches`` needs of them) of each group of rows."""
+        return [(idx[which[idx] == w], (plans[w], units))
+                for units, idx in _by_units(run, rows) for w in np.unique(which[idx])]
+
+    def branches(self, run: _Run, rows: _Rows, idx, group) -> tuple:
+        """Probabilities, average energy change, unnormalized energies and labels of the
+        branches of rows ``idx``, and ``pick``: the row fields and unit columns of the chosen."""
+        plan, units = group
+        instr, d = plan.instrument, run.gen.dim
+        dev = instr.completeness_deviation
+        if dev > COMPLETENESS_ATOL:
+            raise EngineError(f"instrument fails completeness by {dev:.3e}")
+        if instr.dim != d:
+            raise EngineError("instrument dimension does not match generator")
+        if rows.energetic[idx].any():
+            raise EngineError(
+                "a past inefficient unit carries energy; its conditional energy "
+                "updates are not tracked, so no further controls are allowed"
+            )
+        mat, h = rows.state[idx], rows.h[idx]
+        raws = instr.branch_states(mat)  # the system's; the tracked ones while nothing else is
+        w_unit, q_unit, de_unit = unit_energetics(instr, plan.h_unit, mat)
+        if instr.efficient and not run.retain:
+            post_raws = instr.branch_states(_tracked(rows, idx, units)) if units else raws
+            new_units = units
+        elif len(units) + 1 > run.max_units:
+            raise EngineError(f"joint tracking would exceed max_units={run.max_units}")
+        else:
+            dilation = stinespring_dilate(instr)
+            post_raws = dilation.unitary_readout(_tracked(rows, idx, units), units)[1]
+            new_units = (dilation.unit_dim, *units)
+
+        def pick(at, branch, p):
+            post, n = hermitize(post_raws[at, branch]) / p[:, None, None], len(at)
+            return {
+                "state": hermitize(_partial_trace_matrix(post, [d, *new_units], [0])),
+                "joint": list(post) if new_units else [None] * n,
+                "units": np.full(n, run.units.setdefault(new_units, len(run.units))),
+                "pending": h[at] if plan.next_hamiltonian is None else np.broadcast_to(
+                    np.asarray(plan.next_hamiltonian, dtype=complex), (n, d, d)),
+                "energetic": rows.energetic[idx[at]] | (plan.h_unit is not None
+                                                        and not instr.efficient),
+                "de_unit": de_unit[at, branch], "w_ctrl_unit": w_unit[at],
+                "q_ctrl_unit": q_unit[at, branch],
+            }
+
+        return (_trace(post_raws), _expectation(h, _ordered_sum(raws, 1) - mat),
+                _expectation(h[:, None], raws), instr.labels, pick)
+
+
+_MATRICES = _Matrices()
 
 
 def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     """Switch and drift every row up to control ``k``, filling its segment columns."""
-    led = rows.ledger[:, k]
-    before, h_before, rows.h = rows.mat, rows.h, rows.pending
-    led["e_sys_start"], led["s_start"] = _expectation(h_before, before), rows.s_prev
-    _propagate(run, rows, dt)
-    led["w_seg"], led["q_seg"] = _drift_energetics(h_before, rows.h, before, rows.mat)
-    led["e_sys_pre"] = _expectation(rows.h, rows.mat)
-    # one spectrum per state serves the positivity check and the stochastic entropy
-    s = shannon_entropy(density_spectrum(rows.mat))
-    for units, idx in _by_units(run, rows):
-        if units:
-            s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_tracked(rows, idx, units))))
-    led["s_pre"] = rows.log_prob + s
-
-
-def _branches(run: _Run, instr: Instrument, mat, raws, units: tuple):
-    """Each outcome's unnormalized post state of the tracked state, and the units tracked after.
-
-    ``raws`` are the system's own branch states, which are the answer while
-    nothing but the system is tracked and the instrument is efficient.
-    """
-    if instr.efficient and not run.retain:
-        return (instr.branch_states(mat) if units else raws), units
-    if len(units) + 1 > run.max_units:
-        raise EngineError(f"joint tracking would exceed max_units={run.max_units}")
-    dilation = stinespring_dilate(instr)
-    return dilation.unitary_readout(mat, units)[1], (dilation.unit_dim, *units)
-
-
-def _control_group(run: _Run, rows: _Rows, plan: StepPlan, units: tuple, idx,
-                   step: int, select) -> dict:
-    """The continuing rows of a group that shares a plan and tracked units, as columns."""
-    instr, d = plan.instrument, run.gen.dim
-    dev = instr.completeness_deviation
-    if dev > COMPLETENESS_ATOL:
-        raise EngineError(f"instrument fails completeness by {dev:.3e}")
-    if instr.dim != d:
-        raise EngineError("instrument dimension does not match generator")
-    if rows.energetic[idx].any():
-        raise EngineError(
-            "a past inefficient unit carries energy; its conditional energy "
-            "updates are not tracked, so no further controls are allowed"
-        )
-    mat, h = rows.mat[idx], rows.h[idx]
-    raws = instr.branch_states(mat)
-    _, w_sys, q_sys = system_energetics(h, mat, raws)
-    w_unit, q_unit, de_unit = unit_energetics(instr, plan.h_unit, mat)
-    post_raws, new_units = _branches(run, instr, _tracked(rows, idx, units), raws, units)
-    probs = _trace(post_raws)
-    at, branch = select(step, idx, instr.labels, probs)
-    p = probs[at, branch]
-    post = hermitize(post_raws[at, branch]) / p[:, None, None]
-    sys_post = hermitize(_partial_trace_matrix(post, [d, *new_units], [0]))
-    logp_inc = -np.log(p) + 0.0  # avoid -0.0 for certain outcomes
-    n, parent = len(at), idx[at]
-    pending = h[at] if plan.next_hamiltonian is None else np.broadcast_to(
-        np.asarray(plan.next_hamiltonian, dtype=complex), (n, d, d))
-    return {
-        "parent": parent, "branch": branch, "p": p, "mat": sys_post,
-        "joint": list(post) if new_units else [None] * n, "pending": pending,
-        "units": np.full(n, run.units.setdefault(new_units, len(run.units))),
-        "kind": np.full(n, plan.kind, dtype=object),
-        "energetic": np.full(n, plan.h_unit is not None and not instr.efficient),
-        "outcome": np.asarray(instr.labels)[branch], "logp_increment": logp_inc,
-        "e_sys_end": _expectation(h[at], sys_post), "de_unit": de_unit[at, branch],
-        "w_ctrl_sys": w_sys[at], "w_ctrl_unit": w_unit[at],
-        "q_ctrl_sys": q_sys[at, branch], "q_ctrl_unit": q_unit[at, branch],
-        "s_end": (rows.log_prob[parent] + logp_inc
-                  + shannon_entropy(np.linalg.eigvalsh(hermitize(post)))),
-    }
+    led, e_start = rows.ledger[:, k], rows.energy
+    w = run.rep.propagate(run, rows, dt)
+    e_pre = rows.energy = run.rep.energy(rows)
+    led["e_sys_start"], led["e_sys_pre"], led["s_start"] = e_start, e_pre, rows.s_prev
+    led["w_seg"], led["q_seg"] = w, e_pre - (e_start + w)
+    led["s_pre"] = rows.log_prob + run.rep.entropy(run, rows)
 
 
 def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     """Apply every row's planned control ``k``; returns the rows that continue.
 
-    The policy plans every row in one call, and rows are grouped by their
-    plan and their tracked units.  ``select(step, idx, labels, probs)``
-    picks, from the branch probabilities of the group rows ``idx``, the (row
-    in the group, branch) pairs that continue: one per row when sampling,
-    every viable one when enumerating.
+    The policy plans every row in one call, and the representation groups
+    the rows.  ``select(step, idx, labels, probs)`` picks, from the branch
+    probabilities of the group rows ``idx``, the (row in the group, branch)
+    pairs that continue, in row order: one per row when sampling, every
+    viable one (at least one) when enumerating.  A branch's energy is its
+    unnormalized energy over its probability, and its heat what the first
+    law leaves of the energy change past the work.
     """
     step, delay = k + 1, run.policy.delay
     past = step - delay  # a delayed estimate is the state after control `past`; 0 is the start
-    estimates = (rows.mat if delay <= 0 else rows.states[:, past - 1] if past > 0
-                 else np.broadcast_to(run.rho0.matrix, rows.mat.shape))
-    outcomes = rows.ledger["outcome"][:, :k]
-    plans, which = run.policy.plan(step, estimates, outcomes, rows.kinds[:, :k])
-    parts = [_control_group(run, rows, plans[w], units, idx[which[idx] == w], step, select)
-             for units, idx in _by_units(run, rows) for w in np.unique(which[idx])]
-    order = np.lexsort((np.concatenate([p["branch"] for p in parts]),
-                        np.concatenate([p["parent"] for p in parts])))
-    kids = {}
-    for key, first in parts[0].items():
-        if isinstance(first, list):
-            flat = [x for part in parts for x in part[key]]
-            kids[key] = [flat[i] for i in order]
-        else:
-            kids[key] = np.concatenate([part[key] for part in parts])[order]
-    if not np.array_equal(kids["parent"], np.arange(len(rows.mat))):
+    estimates = (rows.state if delay <= 0 else rows.states[:, past - 1] if past > 0
+                 else np.broadcast_to(run.state0, rows.state.shape))
+    plans, which = run.policy.plan(step, estimates, rows.ledger["outcome"][:, :k],
+                                   rows.kinds[:, :k])
+    kind = np.array([run.kinds.setdefault(p.kind, len(run.kinds)) for p in plans])[which]
+    if len(run.names) < len(run.kinds):
+        run.names = np.array(list(run.kinds), dtype=object)
+    parts = []
+    for idx, group in run.rep.groups(run, rows, plans, which, kind):
+        probs, work, e_raws, labels, pick = run.rep.branches(run, rows, idx, group)
+        _check_average_heat(probs, e_raws, rows.energy[idx] + work)
+        at, branch = select(step, idx, labels, probs)
+        p, parent = probs[at, branch], idx[at]
+        outcome = branch if labels == tuple(range(len(labels))) else np.asarray(labels)[branch]
+        parts.append({"parent": parent, "branch": branch, "p": p, "kind": kind[parent],
+                      "outcome": outcome, "logp_increment": -np.log(p) + 0.0,  # never -0.0
+                      "w_ctrl_sys": work[at], "e_sys_end": e_raws[at, branch] / p,
+                      **pick(at, branch, p)})
+    kids = parts[0]
+    if len(parts) > 1:
+        order = np.lexsort((np.concatenate([p["branch"] for p in parts]),
+                            np.concatenate([p["parent"] for p in parts])))
+        kids = {}
+        for key, first in parts[0].items():
+            if isinstance(first, list):
+                flat = [x for part in parts for x in part[key]]
+                kids[key] = [flat[i] for i in order]
+            else:
+                kids[key] = np.concatenate([part[key] for part in parts])[order]
+    if len(kids["parent"]) != len(rows.state):  # else every row continues, in place
         rows = rows.take(kids["parent"])
-    rows.mat, rows.joint, rows.units, rows.pending, rows.s_prev = (
-        kids["mat"], kids["joint"], kids["units"], kids["pending"], kids["s_end"])
-    rows.log_prob = rows.log_prob + kids["logp_increment"]
-    rows.prob = rows.prob * kids["p"]
-    rows.energetic = rows.energetic | kids["energetic"]
-    led = rows.ledger[:, k]
-    for col in ("outcome", "logp_increment", "e_sys_end", "de_unit", "w_ctrl_sys",
-                "w_ctrl_unit", "q_ctrl_sys", "q_ctrl_unit", "s_end"):
-        led[col] = kids[col]
-    rows.kinds[:, k] = kids["kind"]
+    for key in run.rep.fields:
+        setattr(rows, key, kids[key])
+    rows.log_prob, rows.prob = rows.log_prob + kids["logp_increment"], rows.prob * kids["p"]
+    rows.codes[:, k], rows.kinds[:, k] = kids["kind"], run.names[kids["kind"]]
+    led, e_end, w = rows.ledger[:, k], kids["e_sys_end"], kids["w_ctrl_sys"]
+    led["outcome"], led["logp_increment"] = kids["outcome"], kids["logp_increment"]
+    led["e_sys_end"], led["w_ctrl_sys"], led["q_ctrl_sys"] = e_end, w, e_end - (rows.energy + w)
+    led["s_end"] = rows.s_prev = rows.log_prob + run.rep.entropy(run, rows)
+    for col in ("de_unit", "w_ctrl_unit", "q_ctrl_unit"):  # zero for a representation without
+        if col in kids:
+            led[col] = kids[col]
+    rows.energy = e_end
     if rows.states.shape[1]:
-        rows.states[:, k] = rows.mat
+        rows.states[:, k] = rows.state
     return rows
 
 
@@ -446,11 +497,11 @@ def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES) -> _Row
     for k, t in enumerate(run.schedule.times):
         _segment(run, rows, k, t - t_prev)
         rows, t_prev = _control(run, rows, k, select), t
-        if len(rows.mat) > max_rows:
+        if len(rows.state) > max_rows:
             raise EngineError(f"outcome tree exceeds {max_rows} leaves")
     t_final = run.schedule.t_final
     if t_final is not None and t_final > t_prev:
-        _propagate(run, rows, t_final - t_prev)
+        run.rep.propagate(run, rows, t_final - t_prev)
     return rows
 
 
@@ -481,16 +532,11 @@ def _block(run: _Run, rows: _Rows, first: int = 0) -> TrajectoryBlock:
         exc.row += first
         raise
     states = rows.states if run.store_states else None
-    return TrajectoryBlock(first, ledger, rows.kinds, rows.log_prob, states, rows.mat)
+    return TrajectoryBlock(first, ledger, rows.kinds, rows.log_prob, states, rows.state)
 
 
 _NO_STATES = np.array([])
 _NO_STATES.setflags(write=False)
-
-
-def _record(outcomes, kinds, *fields) -> TrajectoryRecord:
-    """A record from sequences of outcomes and kinds: the one place their tuples are built."""
-    return TrajectoryRecord(tuple(outcomes), tuple(kinds), *fields)
 
 
 def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
@@ -503,8 +549,8 @@ def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
     row_of, ledger = np.ndarray.__getitem__, block.ledger
     states = block.states if block.states is not None else [_NO_STATES] * len(block.log_prob)
     return [
-        _record(outcomes, kinds, log_prob, row_of(ledger, j), states[j], block.final_states[j],
-                times)
+        TrajectoryRecord(tuple(outcomes), tuple(kinds), log_prob, row_of(ledger, j), states[j],
+                         block.final_states[j], times)
         for j, outcomes, kinds, log_prob in zip(
             rows.tolist(), ledger["outcome"][rows].tolist(), block.kinds[rows].tolist(),
             block.log_prob[rows].tolist())
@@ -553,7 +599,7 @@ def sample_blocks(gen: ThermalGenerator, schedule: ControlSchedule, policy: Feed
     block.  A ledger that breaks a law raises ``ThermoError`` whose ``row``
     is the trajectory's position in ``seeds``.
     """
-    run = _Run(gen, schedule, policy, rho0, **options)
+    run = _Run(gen, schedule, policy, rho0, _MATRICES, **options)
     if forced_outcomes is not None and len(forced_outcomes) != schedule.n_steps:
         raise EngineError(f"{len(forced_outcomes)} forced outcomes for {schedule.n_steps} steps")
     if not isinstance(seeds, np.ndarray):
@@ -598,7 +644,7 @@ def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fee
     to the discarded sub-floor branches; each record's ``log_prob`` is the
     exact -ln(probability).
     """
-    run = _Run(gen, schedule, policy, rho0, **options)
+    run = _Run(gen, schedule, policy, rho0, _MATRICES, **options)
     rows = _stepped(run, 1, _expanded, max_rows=max_leaves)
     records = _records(_block(run, rows), schedule.times)
     return [(rec.outcomes, float(p), rec) for rec, p in zip(records, rows.prob)]

@@ -34,6 +34,7 @@ from oqst.trajectory import (
     ControlSchedule,
     FixedPolicy,
     derive_stream_seed,
+    derive_stream_seeds,
     enumerate_tree,
     sample_ensemble,
     sample_trajectory,
@@ -268,7 +269,7 @@ def _frequency_check(gen, sched, pol, rho0, samples, seed_tag, **kwargs):
     leaves = enumerate_tree(gen, sched, pol, rho0, **kwargs)
     probs = {o: p for o, p, _ in leaves}
     counts: dict = {}
-    seeds = [derive_stream_seed(seed_tag, i) for i in range(samples)]
+    seeds = derive_stream_seeds(seed_tag, range(samples)).tolist()
     for rec in sample_ensemble(gen, sched, pol, rho0, seeds, store_states=False, **kwargs):
         counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
     worst = 0.0

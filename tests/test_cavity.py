@@ -25,7 +25,6 @@ from oqst.scenarios import cavity
 from oqst.scenarios.cavity import (
     ATOM_KINDS,
     classical_rate_matrix,
-    kind_codes,
     sensor_weights,
     thermal_populations,
 )
@@ -109,13 +108,18 @@ class TestFeedbackDecision:
         assert ATOM_KINDS[feedback_decision(est, NT)] == "sensor"
 
     def test_cooldown_forces_sensor(self):
-        pol = CavityPolicy(target_nt=NT, delay=5)
-        est = np.zeros(9)
-        est[1] = 1.0
-        kinds = kind_codes(("sensor", "emitter", "sensor", "sensor"))
-        assert ATOM_KINDS[pol.decide(5, est, kinds)] == "sensor"      # inside hold-off
-        assert ATOM_KINDS[pol.decide(7, est, kinds)] == "sensor"      # still inside
-        assert ATOM_KINDS[pol.decide(8, est, kinds)] == "emitter"     # window expired
+        instruments = {kind: atom_instrument(kind, NT, CUTOFF) for kind in ATOM_KINDS}
+        pol = CavityPolicy(target_nt=NT, delay=5, instruments=instruments)
+        est = np.zeros((1, 9))
+        est[0, 1] = 1.0
+        sent = np.array([["sensor", "emitter"] + ["sensor"] * 5], dtype=object)
+
+        def kind(step):
+            return ATOM_KINDS[pol.plan(step, est, None, sent[:, : step - 1])[1][0]]
+
+        assert kind(5) == "sensor"      # inside hold-off
+        assert kind(7) == "sensor"      # still inside
+        assert kind(8) == "emitter"     # window expired
 
 
 class TestClassicalRateMatrix:

@@ -1,5 +1,6 @@
 """Command-line contract: parsing, outputs, determinism, exit codes."""
 
+import csv
 import dataclasses
 import json
 
@@ -316,3 +317,113 @@ class TestExecution:
         assert code == EXIT_OK
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_passed"] is True
+
+
+class TestCavityOutputOracle:
+    """Every emitted cavity number, recomputed from the run's records by another route.
+
+    260 trajectories make two reduction leaves (256 + 4), so the leaf merge
+    is on the path; the CLI reduces with ``keep_records=False`` while the
+    records come from a ``keep_records=True`` run of the same config.
+    """
+
+    STEPS, TRAJ, SEED, TARGET = 5, 260, 3, 2
+    PREP_WORK = {"sensor": 0.5, "emitter": 1.0, "absorber": 0.0}
+
+    @pytest.fixture(scope="class")
+    def emitted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("oracle")
+        code = main(["run", "cavity", "--steps", str(self.STEPS), "--traj", str(self.TRAJ),
+                     "--seed", str(self.SEED), "--out", str(out)])
+        assert code == EXIT_OK
+        report = run_cavity(CavityConfig(steps=self.STEPS, trajectories=self.TRAJ,
+                                         seed=self.SEED, target_nt=self.TARGET))
+        assert len(report.records) == self.TRAJ
+        return out, report
+
+    @staticmethod
+    def read_csv(path) -> dict:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        return {col: [row[col] for row in rows] for col in rows[0]}
+
+    @staticmethod
+    def assert_close(emitted_values, expected, what):
+        # the files carry 12 significant digits; allow that rounding plus 1e-12
+        for i, (cell, x) in enumerate(zip(emitted_values, np.asarray(expected, dtype=float))):
+            assert abs(float(cell) - x) <= 1e-12 + 6e-12 * abs(x), (what, i, cell, x)
+
+    @staticmethod
+    def populations(rec) -> np.ndarray:
+        states = np.asarray(rec.states)
+        return states.real if states.ndim == 2 else np.einsum("kii->ki", states).real
+
+    def test_trajectory_csv(self, emitted):
+        out, report = emitted
+        rec = report.records[0]
+        cols = self.read_csv(out / "trajectory.csv")
+        assert cols["atom_kind"] == list(rec.kinds)
+        assert [int(x) for x in cols["outcome"]] == list(rec.outcomes)
+        assert [int(x) for x in cols["step"]] == list(range(1, self.STEPS + 1))
+        self.assert_close(cols["time"], report.times, "time")
+        n = np.arange(report.config.dim, dtype=float)
+        pops = self.populations(rec)
+        mean_n = np.array([sum(n[i] * p[i] for i in range(len(n))) for p in pops])
+        var_n = np.array([sum((n[i] - m) ** 2 * p[i] for i in range(len(n)))
+                          for p, m in zip(pops, mean_n)])
+        self.assert_close(cols["mean_n"], mean_n, "mean_n")
+        self.assert_close(cols["var_n"], var_n, "var_n")
+        ledger = rec.ledgers
+        for col, field in {"W_ctrl": "w_ctrl_sys", "Q_ctrl": "q_ctrl_sys", "W_seg": "w_seg",
+                           "Q_seg": "q_seg", "Sigma_ctrl": "sigma_ctrl",
+                           "Sigma_seg": "sigma_seg", "logp_increment": "logp_increment"}.items():
+            self.assert_close(cols[col], ledger[field], col)
+
+    def test_ensemble_csv(self, emitted):
+        out, report = emitted
+        cols = self.read_csv(out / "ensemble.csv")
+        batch = np.stack([rec.ledgers for rec in report.records])
+        pops = np.stack([self.populations(rec) for rec in report.records])
+        for k in range(4):
+            self.assert_close(cols[f"p{k}"], pops[:, :, k].mean(axis=0), f"p{k}")
+        sigma_ctrl = batch["sigma_ctrl"]
+        self.assert_close(cols["Sigma_ctrl_avg"], sigma_ctrl.mean(axis=0), "Sigma_ctrl_avg")
+        self.assert_close(cols["Sigma_ctrl_se"],
+                          sigma_ctrl.std(axis=0, ddof=1) / np.sqrt(self.TRAJ), "Sigma_ctrl_se")
+        self.assert_close(cols["Sigma_seg_avg"], batch["sigma_seg"].mean(axis=0), "Sigma_seg_avg")
+        # efficiency: free-energy gain over work plus information spent
+        beta, n = report.beta, np.arange(report.config.dim, dtype=float)
+        p_gibbs = np.exp(-beta * n) / np.exp(-beta * n).sum()
+        f_gibbs = p_gibbs @ n + (p_gibbs @ np.log(p_gibbs)) / beta
+        info = np.cumsum(batch["logp_increment"], axis=1)
+        shannon = batch["s_end"] - info  # stochastic entropy less the record's surprisal
+        f_avg = (batch["e_sys_end"] - shannon / beta).mean(axis=0)
+        spent = (np.cumsum(batch["w_ctrl_sys"], axis=1) + info / beta).mean(axis=0)
+        expected = np.where(spent > 1e-12, (f_avg - f_gibbs) / np.where(spent > 1e-12, spent, 1.0),
+                            0.0)
+        self.assert_close(cols["efficiency"], expected, "efficiency")
+
+    def test_summary_totals_and_margins(self, emitted):
+        out, report = emitted
+        summary = json.loads((out / "summary.json").read_text())
+        totals, checks = summary["totals"], summary["law_checks"]
+        batch = np.stack([rec.ledgers for rec in report.records])
+        pops = np.stack([self.populations(rec) for rec in report.records])
+        kinds = [kind for rec in report.records for kind in rec.kinds]
+        expected = {
+            "work_cavity_total": batch["w_ctrl_sys"].mean(axis=0).sum(),
+            "information_total_nats": batch["logp_increment"].mean(axis=0).sum(),
+            "atom_prep_work_total": sum(self.PREP_WORK[k] for k in kinds) / self.TRAJ,
+            "p_target_final": pops[:, -1, self.TARGET].mean(),
+            "sensor_fraction": kinds.count("sensor") / (self.TRAJ * self.STEPS),
+        }
+        assert set(totals) == set(expected)
+        for key, value in expected.items():
+            self.assert_close([totals[key]], [value], key)
+        de = batch["e_sys_end"] - batch["e_sys_start"] + batch["de_unit"]
+        work = batch["w_seg"] + batch["w_ctrl_sys"] + batch["w_ctrl_unit"]
+        heat = batch["q_seg"] + batch["q_ctrl_sys"] + batch["q_ctrl_unit"]
+        self.assert_close([checks["first_law_max_residual"]], [np.abs(de - work - heat).max()],
+                          "first_law_max_residual")
+        self.assert_close([checks["sigma_seg_min"]], [batch["sigma_seg"].min()], "sigma_seg_min")
+        self.assert_close([checks["truncation_max"]], [pops[:, :, -1].max()], "truncation_max")

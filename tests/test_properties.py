@@ -17,7 +17,7 @@ from oqst.channels import random_instrument
 from oqst.lindblad import ThermalGenerator
 from oqst.thermo import FIRST_LAW_ATOL, SEGMENT_EP_FLOOR, first_law_residual
 from oqst.trajectory import (
-    ControlSchedule, EngineError, FixedPolicy, StepPlan, derive_stream_seed, enumerate_tree,
+    ControlSchedule, EngineError, FixedPolicy, StepPlan, derive_stream_seeds, enumerate_tree,
     sample_ensemble,
 )
 
@@ -77,7 +77,7 @@ def test_every_ledger_step_keeps_both_laws(case):
         assert np.abs(first_law_residual(rec.ledgers)).max() <= FIRST_LAW_ATOL
         assert rec.ledgers.sigma_seg.min() >= SEGMENT_EP_FLOOR
     by_outcomes = {outcomes: rec for outcomes, _, rec in leaves}
-    seeds = [derive_stream_seed(schedule.n_steps, i) for i in range(20)]
+    seeds = derive_stream_seeds(schedule.n_steps, range(20)).tolist()
     for rec in sample_ensemble(gen, schedule, FixedPolicy(plans), rho0, seeds,
                                retain_efficient_units=retain, max_units=len(plans)):
         leaf = by_outcomes[rec.outcomes]
