@@ -181,6 +181,8 @@ def parse_config(argv) -> RunConfig:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:  # --help printed; there is nothing to run
+            raise
         # argparse already printed its message; translate the exit code
         raise CliError("invalid arguments") from exc
     if ns.command is None:

@@ -11,6 +11,14 @@ Everything the controller sees is diagonal in the number basis, so the
 production path steps bare population vectors through the engine's step
 loop; the same loop on density matrices validates it and must reproduce
 the same outcome sequences from the same seeds.
+
+A run is cut into leaves of ``BLOCK_ROWS`` trajectories, and a leaf is
+reduced while it is stepped: every few steps its ledger columns and
+populations are closed and folded into per-step sums, so it holds no
+(trajectories x steps) ledger or state history, only the outcome and kind
+histories the policy reads.  Trajectory 0 keeps its full record, which
+``trajectory.csv`` needs; ``keep_records`` keeps every record, and with it
+every ledger.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
 from ..lindblad import _diagonal_product, _diagonals
 from ..qmath import DensityOperator, shannon_entropy, _ordered_sum
-from ..thermo import FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, first_law_residual
+from ..thermo import FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, _FLOAT_LEDGER, _close, _law_error
 from ..trajectory import (
     ControlSchedule,
     EnsembleReport,
@@ -239,25 +247,6 @@ class _Tally:
     truncation_max: float    # largest population at the cutoff level
     records: list
 
-    @classmethod
-    def of(cls, ledger, pops, kinds, records) -> "_Tally":
-        """A block's tally from its closed (n, steps) ledgers, (n, steps, dim) number
-        populations and (n, steps) kind codes, keeping ``records``."""
-        n_vec = np.arange(pops.shape[-1], dtype=float)
-        mean_n = pops @ n_vec
-        var_n = pops @ (n_vec**2) - mean_n**2
-        return cls(
-            columns={col: Moments.of(ledger[col]) for col in LEDGER_DTYPE.names},
-            populations=pops.sum(axis=0),
-            narrow=(var_n < 0.1).sum(axis=0),
-            sensors=int((kinds == SENSOR).sum()),
-            prep_work=float(ATOM_PREP_WORK[kinds].sum()),
-            first_law_max=float(np.abs(first_law_residual(ledger)).max()),
-            sigma_seg_min=float(ledger["sigma_seg"].min()),
-            truncation_max=float(pops[:, :, -1].max()),
-            records=list(records),
-        )
-
     def merge(self, other: "_Tally") -> "_Tally":
         return _Tally(
             columns={col: m.merge(other.columns[col]) for col, m in self.columns.items()},
@@ -327,11 +316,104 @@ class _Populations:
                 np.einsum("...i,i->...", weights, self.n), (0, 1), pick)
 
 
+# Steps a leaf's fold takes in before it reduces them: bounds the fold's memory, and spreads
+# each reduction's per-call cost over that many steps.
+_FOLD_STEPS = 16
+
+
+class _Fold:
+    """A leaf's tally, folded in as the step loop writes each step.
+
+    The columns and number populations of up to ``_FOLD_STEPS`` steps wait in
+    a window.  A full window, and the last, is closed (entropy productions
+    and first-law residuals) and reduced: per-step sums and M2 of every
+    ledger column, population sums, the count with var(n) < 0.1 and the
+    extremes.  Each number is the one a reduction of the whole leaf's
+    ``(n, steps)`` arrays over its rows gives, bit for bit: a sum over the
+    rows in row order, a count or an extreme.  Of the failures it holds the
+    lowest failing row's first, for a broken law and for a leak apart.
+    """
+
+    def __init__(self, run: _Run, n: int):
+        steps, dim = run.schedule.n_steps, len(run.state0)
+        width = min(_FOLD_STEPS, steps)
+        self.beta, self.n, self.steps = run.gen.beta, n, steps
+        self.n_vec = np.arange(dim, dtype=float)
+        self.window = np.empty((n, width, len(LEDGER_DTYPE)))
+        self.pops = np.empty((n, width, dim))
+        self.sums, self.m2 = np.empty((2, len(LEDGER_DTYPE), steps))
+        self.populations, self.narrow = np.empty((steps, dim)), np.empty(steps, np.int64)
+        self.atoms = np.zeros(len(ATOM_KINDS), np.int64)  # atoms sent, by kind code
+        self.first_law_max, self.sigma_seg_min, self.truncation_max = -np.inf, np.inf, -np.inf
+        self.law = self.leak = None  # (row, error) of the lowest row failing so far
+
+    def __call__(self, rows, k: int):
+        j = k % self.window.shape[1]
+        self.window[:, j] = rows.columns
+        self.pops[:, j] = number_populations(rows.state)
+        self.atoms += np.bincount(rows.code, minlength=len(ATOM_KINDS))
+        if j + 1 == self.window.shape[1] or k + 1 == self.steps:
+            self._reduce(slice(k - j, k + 1))
+
+    def _reduce(self, at: slice):
+        """Close and reduce the window's steps ``at``."""
+        width = at.stop - at.start
+        block, pops = self.window[:, :width], self.pops[:, :width]
+        led = block.view(_FLOAT_LEDGER)[..., 0]
+        residual, seg_bad, bad = _close(led, self.beta)
+        sums = block.sum(axis=0)
+        self.sums[:, at], self.m2[:, at] = sums.T, ((block - sums / self.n) ** 2).sum(axis=0).T
+        mean_n = pops @ self.n_vec
+        self.populations[at] = pops.sum(axis=0)
+        self.narrow[at] = np.count_nonzero(pops @ self.n_vec**2 - mean_n**2 < 0.1, axis=0)
+        top = pops[..., -1]
+        self.first_law_max = np.maximum(self.first_law_max, np.abs(residual).max())
+        self.sigma_seg_min = np.minimum(self.sigma_seg_min, led["sigma_seg"].min())
+        self.truncation_max = np.maximum(self.truncation_max, top.max())
+        failing = bad.any(axis=1)
+        if failing.any() and (self.law is None or failing.argmax() < self.law[0]):
+            i = int(failing.argmax())
+            self.law = i, _law_error(led, residual, seg_bad, (i, int(bad[i].argmax())))
+        leaking = top > TRUNCATION_LEAK
+        failing = leaking.any(axis=1)
+        if failing.any() and (self.leak is None or failing.argmax() < self.leak[0]):
+            i = int(failing.argmax())
+            s = int(leaking[i].argmax())
+            self.leak = i, (f"population {top[i, s]:.2e} at the cutoff level "
+                            f"on step {at.start + s + 1}")
+
+    def check(self, indices):
+        """Raise the failure of the lowest failing row, named as trajectory ``indices[row]``;
+        a leak before a broken law."""
+        if self.law is not None and (self.leak is None or self.law[0] < self.leak[0]):
+            row, exc = self.law
+            raise ThermoError(f"trajectory {indices[row]}: {exc}") from exc
+        if self.leak is not None:
+            row, message = self.leak
+            raise TruncationLeakError(f"trajectory {indices[row]}: {message}")
+
+    def tally(self, records) -> _Tally:
+        """The leaf's tally, keeping ``records``."""
+        return _Tally(
+            columns={col: Moments(self.n, self.sums[i], self.m2[i])
+                     for i, col in enumerate(LEDGER_DTYPE.names)},
+            populations=self.populations,
+            narrow=self.narrow,
+            sensors=int(self.atoms[SENSOR]),
+            prep_work=float(self.atoms @ ATOM_PREP_WORK),
+            first_law_max=float(self.first_law_max),
+            sigma_seg_min=float(self.sigma_seg_min),
+            truncation_max=float(self.truncation_max),
+            records=list(records),
+        )
+
+
 def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Tally:
     """Tally trajectories ``indices``, each on its own stream, stepped on representation
-    ``rep``.  It fails as one trajectory at a time would: at the lowest failing one, with a
-    leak before a broken law.  Records are kept for every trajectory, or (copied, so as
-    not to pin the chunk) trajectory 0's alone, which ``trajectory.csv`` needs."""
+    ``rep`` and reduced step by step.  It fails as one trajectory at a time would: at the
+    lowest failing one, with a leak before a broken law.  Records are kept for every
+    trajectory, or for trajectory 0's alone, which ``trajectory.csv`` needs; no other
+    history outlives the fold's window."""
     gen = config.generator()
     instruments = {kind: atom_instrument(kind, config.target_nt, config.cutoff)
                    for kind in ATOM_KINDS}
@@ -340,26 +422,11 @@ def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Tally:
     rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
     run = _Run(gen, schedule, policy, rho0, rep, method=config.method)
     uniforms = stream_uniforms(derive_stream_seeds(config.seed, indices), config.steps)
-    rows = _stepped(run, len(indices), _sampled(uniforms))
-    pops = np.ascontiguousarray(number_populations(rows.states))
-    leaks = np.flatnonzero((pops[:, :, -1] > TRUNCATION_LEAK).any(axis=1))
-    try:
-        block = _block(run, rows)
-    except ThermoError as exc:
-        if not leaks.size or exc.row < leaks[0]:
-            raise ThermoError(f"trajectory {indices[exc.row]}: {exc}") from exc
-    if leaks.size:
-        top = pops[leaks[0], :, -1]
-        k = int(np.argmax(top > TRUNCATION_LEAK))
-        raise TruncationLeakError(f"trajectory {indices[leaks[0]]}: population {top[k]:.2e} "
-                                  f"at the cutoff level on step {k + 1}")
-    if keep_records:
-        records = _records(block, schedule.times)
-    else:
-        records = [replace(rec, ledgers=rec.ledgers.copy(), states=rec.states.copy(),
-                           final_state=rec.final_state.copy())
-                   for rec in _records(block, schedule.times, range(int(indices[0] == 0)))]
-    return _Tally.of(block.ledger, pops, rows.codes, records)
+    fold = _Fold(run, len(indices))
+    kept = len(indices) if keep_records else int(indices[0] == 0)
+    rows = _stepped(run, len(indices), _sampled(uniforms), kept=kept, fold=fold)
+    fold.check(indices)
+    return fold.tally(_records(_block(run, rows), schedule.times))
 
 
 def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
@@ -480,7 +547,7 @@ def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityRepo
     """Run the stabilization experiment and reduce it to an ensemble report.
 
     Trajectories are sampled in blocks of ``BLOCK_ROWS``, and each block is
-    reduced to a tally as soon as it is sampled.  Tallies merge in block
+    reduced to a tally while it is sampled.  Tallies merge in block
     order, so the report is bit-identical for any ``workers``, which only
     spreads runs of two blocks or more over processes: a block is never cut,
     and a one-block run stays in-process.  The report's records are every

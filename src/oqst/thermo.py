@@ -205,6 +205,11 @@ LEDGER_DTYPE = np.dtype(
         "q_ctrl_unit", "s_start", "s_pre", "s_end", "sigma_ctrl", "sigma_seg",
     )]
 )
+# The same columns, all float64: a batch's row of them is one float block, which one sum
+# over the rows reduces.  A step is written in this form.  Every field of both is 8 bytes at
+# the same offset, so a float history turns into ledgers in place by rewriting its two
+# integer columns.
+_FLOAT_LEDGER = np.dtype([(name, np.float64) for name in LEDGER_DTYPE.names])
 
 
 def first_law_residual(ledger):
@@ -228,24 +233,38 @@ def entropy_production_step(ledger, beta: float) -> np.recarray:
     lowest failing trajectory of a batch, whose row it carries as ``row``.
     """
     ledger = np.asarray(ledger, dtype=LEDGER_DTYPE).view(np.recarray)
-    ledger.sigma_ctrl = (ledger.s_end - ledger.s_pre) - beta * ledger.q_ctrl_sys
-    ledger.sigma_seg = (ledger.s_pre - ledger.s_start) - beta * ledger.q_seg
-    residual = first_law_residual(ledger)
-    seg_bad = ledger.sigma_seg < SEGMENT_EP_FLOOR
-    bad = seg_bad | (np.abs(residual) > FIRST_LAW_ATOL)
+    residual, seg_bad, bad = _close(ledger, beta)
     if bad.any():
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        row = int(i[0]) if bad.ndim == 2 else None
-        if seg_bad[i]:
-            raise ThermoError(
-                f"segment entropy production {ledger.sigma_seg[i]:.3e} below "
-                f"{SEGMENT_EP_FLOOR} on step {ledger.step[i]}", row=row,
-            )
-        raise ThermoError(
-            f"first law residual {residual[i]:.3e} beyond {FIRST_LAW_ATOL} "
-            f"on step {ledger.step[i]}", row=row,
-        )
+        raise _law_error(ledger, residual, seg_bad, i, int(i[0]) if bad.ndim == 2 else None)
     return ledger
+
+
+def _close(ledger, beta: float) -> tuple:
+    """Fill in the entropy productions of ``ledger``, any shape of ledger rows, in place.
+
+    Returns its first-law residuals, where the segment law breaks and where
+    either law does.  ``ledger`` may be a float view of the columns
+    (``_FLOAT_LEDGER``), which is how a streamed reduction closes one step.
+    """
+    ledger["sigma_ctrl"] = (ledger["s_end"] - ledger["s_pre"]) - beta * ledger["q_ctrl_sys"]
+    ledger["sigma_seg"] = (ledger["s_pre"] - ledger["s_start"]) - beta * ledger["q_seg"]
+    residual = first_law_residual(ledger)
+    seg_bad = ledger["sigma_seg"] < SEGMENT_EP_FLOOR
+    return residual, seg_bad, seg_bad | (np.abs(residual) > FIRST_LAW_ATOL)
+
+
+def _law_error(ledger, residual, seg_bad, i, row=None) -> ThermoError:
+    """The error of ledger row ``i`` found failing by :func:`_close`; the segment law first."""
+    if seg_bad[i]:
+        return ThermoError(
+            f"segment entropy production {ledger['sigma_seg'][i]:.3e} below "
+            f"{SEGMENT_EP_FLOOR} on step {int(ledger['step'][i])}", row=row,
+        )
+    return ThermoError(
+        f"first law residual {residual[i]:.3e} beyond {FIRST_LAW_ATOL} "
+        f"on step {int(ledger['step'][i])}", row=row,
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ given sequence, or the whole outcome tree is enumerated exactly.  All
 three step a batch of trajectories, held in columns, through one loop
 that asks the policy once per step and writes each ledger column in one
 place, over a state representation: density matrices here, number-basis
-populations for the cavity scenario.
+populations for the cavity scenario.  A step's columns are one float row
+per trajectory.  Histories of them and of the states are held for the rows
+whose records are wanted, every row here; a caller that only reduces folds
+each step in as it is written, and then no more than the outcome and kind
+histories a policy reads and the last ``delay`` states outlive their step.
 
 State tracking is system-only until an instrument with more than one
 Kraus operator per outcome shows up; the units of such operations stay
@@ -39,6 +43,7 @@ from .qmath import (
 from .thermo import (
     LEDGER_DTYPE,
     LOG_PROB_FLOOR,
+    _FLOAT_LEDGER,
     ThermoError,
     entropy_production_step,
     unit_energetics,
@@ -279,22 +284,39 @@ class _Rows:
 
     ``state`` holds the system states in the run's representation, ``energy``
     their energies, ``s_prev`` the stochastic entropy after the last control,
-    and ``codes`` and ``kinds`` the plan kinds so far, as codes in
-    ``run.kinds`` and as names.  The representation adds its own fields.
+    ``outcomes`` and ``kinds`` the outcome labels and plan kind names so far
+    (what a policy reads), ``code`` the current plan kinds as codes in
+    ``run.kinds`` and ``columns`` the current step's ``_FLOAT_LEDGER`` row as
+    floats, every column of which the step rewrites but the entropy
+    productions (a view of ``ledger`` while every row is kept).
+    ``recent`` holds the last ``delay`` post-control states, control ``k``'s
+    in slot ``k % delay``, for delayed estimates.  The histories of records
+    hold the first ``kept`` rows only: ``ledger``, every step's columns as
+    floats, and with ``store_states`` ``states``, the post-control states.
+    The representation adds its own fields.
     """
 
-    def __init__(self, run: _Run, n: int):
-        steps = run.schedule.n_steps
+    def __init__(self, run: _Run, n: int, kept: int):
+        steps, shape, dtype = run.schedule.n_steps, run.state0.shape, run.state0.dtype
         self.log_prob, self.prob = np.zeros(n), np.ones(n)
-        self.ledger = np.zeros((n, steps), dtype=LEDGER_DTYPE)
-        self.ledger["step"] = np.arange(1, steps + 1)
-        # post-control states, for the records and for delayed estimates
-        kept = steps if run.store_states or run.policy.delay > 0 else 0
-        self.states = np.empty((n, kept) + run.state0.shape, dtype=run.state0.dtype)
-        self.codes, self.kinds = np.zeros((n, steps), dtype=int), np.empty((n, steps), object)
+        self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.empty((n, steps), object)
+        self.ledger = np.zeros((kept, steps, len(_FLOAT_LEDGER)))
+        self.states = np.empty((kept if run.store_states else 0, steps) + shape, dtype)
+        self.recent = np.empty((n, max(0, min(run.policy.delay, steps))) + shape, dtype)
+        self.columns = np.zeros((n, len(_FLOAT_LEDGER)))
         self.state = np.repeat(run.state0[None], n, axis=0)
         run.rep.start(run, self)
         self.energy, self.s_prev = run.rep.energy(self), run.rep.entropy(run, self)
+
+    def keep(self, k: int):
+        """Hold step ``k``'s columns and post-control states in the histories."""
+        kept = len(self.ledger)
+        if kept:  # onto itself when the step was written in place, but not after `take`
+            self.ledger[:, k] = self.columns[:kept]
+        if len(self.states):
+            self.states[:, k] = self.state[:kept]
+        if self.recent.shape[1]:
+            self.recent[:, k % self.recent.shape[1]] = self.state
 
     def take(self, parent) -> "_Rows":
         """The rows ``parent``, in that order; a row may repeat."""
@@ -422,7 +444,11 @@ _MATRICES = _Matrices()
 
 def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     """Switch and drift every row up to control ``k``, filling its segment columns."""
-    led, e_start = rows.ledger[:, k], rows.energy
+    e_start = rows.energy
+    if len(rows.ledger) == len(e_start):  # every row kept: write in place
+        rows.columns = rows.ledger[:, k]
+    led = rows.columns.view(_FLOAT_LEDGER)[:, 0]
+    led["step"] = k + 1
     w = run.rep.propagate(run, rows, dt)
     e_pre = rows.energy = run.rep.energy(rows)
     led["e_sys_start"], led["e_sys_pre"], led["s_start"] = e_start, e_pre, rows.s_prev
@@ -442,11 +468,10 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     law leaves of the energy change past the work.
     """
     step, delay = k + 1, run.policy.delay
-    past = step - delay  # a delayed estimate is the state after control `past`; 0 is the start
-    estimates = (rows.state if delay <= 0 else rows.states[:, past - 1] if past > 0
+    # a delayed estimate is the state after control k - delay (slot k % delay), or the start
+    estimates = (rows.state if delay <= 0 else rows.recent[:, k % delay] if k >= delay
                  else np.broadcast_to(run.state0, rows.state.shape))
-    plans, which = run.policy.plan(step, estimates, rows.ledger["outcome"][:, :k],
-                                   rows.kinds[:, :k])
+    plans, which = run.policy.plan(step, estimates, rows.outcomes[:, :k], rows.kinds[:, :k])
     kind = np.array([run.kinds.setdefault(p.kind, len(run.kinds)) for p in plans])[which]
     if len(run.names) < len(run.kinds):
         run.names = np.array(list(run.kinds), dtype=object)
@@ -477,26 +502,34 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     for key in run.rep.fields:
         setattr(rows, key, kids[key])
     rows.log_prob, rows.prob = rows.log_prob + kids["logp_increment"], rows.prob * kids["p"]
-    rows.codes[:, k], rows.kinds[:, k] = kids["kind"], run.names[kids["kind"]]
-    led, e_end, w = rows.ledger[:, k], kids["e_sys_end"], kids["w_ctrl_sys"]
-    led["outcome"], led["logp_increment"] = kids["outcome"], kids["logp_increment"]
+    rows.code, rows.kinds[:, k] = kids["kind"], run.names[kids["kind"]]
+    led, e_end, w = rows.columns.view(_FLOAT_LEDGER)[:, 0], kids["e_sys_end"], kids["w_ctrl_sys"]
+    rows.outcomes[:, k] = led["outcome"] = kids["outcome"]
+    led["logp_increment"] = kids["logp_increment"]
     led["e_sys_end"], led["w_ctrl_sys"], led["q_ctrl_sys"] = e_end, w, e_end - (rows.energy + w)
     led["s_end"] = rows.s_prev = rows.log_prob + run.rep.entropy(run, rows)
     for col in ("de_unit", "w_ctrl_unit", "q_ctrl_unit"):  # zero for a representation without
-        if col in kids:
-            led[col] = kids[col]
+        led[col] = kids.get(col, 0.0)
     rows.energy = e_end
-    if rows.states.shape[1]:
-        rows.states[:, k] = rows.state
     return rows
 
 
-def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES) -> _Rows:
-    """``n`` rows from the initial state, stepped through the whole schedule."""
-    rows, t_prev = _Rows(run, n), run.schedule.t0
+def _stepped(run: _Run, n: int, select, max_rows: int = MAX_TREE_LEAVES, *,
+             kept: int | None = None, fold=None) -> _Rows:
+    """``n`` rows from the initial state, stepped through the whole schedule.
+
+    The histories hold the first ``kept`` rows (all by default, which
+    enumeration needs, as its rows multiply).  ``fold(rows, k)``, if given,
+    sees every step once it is written: that is how a reduction that keeps
+    no history reads the run.
+    """
+    rows, t_prev = _Rows(run, n, n if kept is None else kept), run.schedule.t0
     for k, t in enumerate(run.schedule.times):
         _segment(run, rows, k, t - t_prev)
         rows, t_prev = _control(run, rows, k, select), t
+        if fold is not None:
+            fold(rows, k)
+        rows.keep(k)
         if len(rows.state) > max_rows:
             raise EngineError(f"outcome tree exceeds {max_rows} leaves")
     t_final = run.schedule.t_final
@@ -525,14 +558,19 @@ class TrajectoryBlock:
 
 
 def _block(run: _Run, rows: _Rows, first: int = 0) -> TrajectoryBlock:
-    """Close the rows' ledgers in one call; a broken law names its row counted from ``first``."""
+    """The block of the kept rows, their ledgers closed in one call; a broken law names its
+    row counted from ``first``.  The float history becomes the ledger in place."""
+    kept = len(rows.ledger)
+    ledger = rows.ledger.view(LEDGER_DTYPE)[..., 0]
+    ledger["step"], ledger["outcome"] = np.arange(1, ledger.shape[1] + 1), rows.outcomes[:kept]
     try:
-        ledger = entropy_production_step(rows.ledger, run.gen.beta)
+        ledger = entropy_production_step(ledger, run.gen.beta)
     except ThermoError as exc:
         exc.row += first
         raise
     states = rows.states if run.store_states else None
-    return TrajectoryBlock(first, ledger, rows.kinds, rows.log_prob, states, rows.state)
+    return TrajectoryBlock(first, ledger, rows.kinds[:kept], rows.log_prob[:kept], states,
+                           rows.state[:kept])
 
 
 _NO_STATES = np.array([])

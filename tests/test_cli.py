@@ -194,6 +194,20 @@ class TestExecution:
         assert main(["run", "nonsense"]) == EXIT_CONFIG
         assert main([]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "cavity", "--help"], ["verify", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 0
+        assert "usage:" in out
+        assert "error" not in err
+
+    @pytest.mark.parametrize("argv", [["run", "cavity", "--steps", "many"], ["--bogus"]])
+    def test_invalid_arguments_exit_code(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "error: invalid arguments" in capsys.readouterr().err
+
     def test_invalid_cavity_config_exit_code(self, tmp_path):
         code = main(["run", "cavity", "--target", "6", "--cutoff", "8",
                      "--out", str(tmp_path)])
