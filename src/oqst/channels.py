@@ -30,6 +30,8 @@ from .qmath import (
     dag,
     hermitize,
     is_unitary,
+    _complex,
+    _gaussian,
     _insert_unit,
     _partial_trace_matrix,
     _sandwich,
@@ -411,13 +413,14 @@ def _random_kraus(rng: np.random.Generator, dim: int, total: int) -> np.ndarray:
 
 
 def _kraus_draws(rng: np.random.Generator, dim: int, total: int) -> np.ndarray:
-    """The Gaussian (dim * total, dim) matrix behind :func:`_random_kraus`."""
-    return rng.normal(size=(dim * total, dim)) + 1j * rng.normal(size=(dim * total, dim))
+    """The Gaussian draws (2, dim * total, dim) behind :func:`_random_kraus`."""
+    return _gaussian(rng, (dim * total, dim))
 
 
-def _isometry_kraus(g: np.ndarray) -> np.ndarray:
-    """Kraus stacks (..., total, dim, dim) from draws (..., dim * total, dim):
-    the isometry Q of each draw's QR, cut into dim x dim blocks."""
+def _isometry_kraus(draws: np.ndarray) -> np.ndarray:
+    """Kraus stacks (..., total, dim, dim) from draws (..., 2, dim * total, dim): the
+    isometry Q of the QR of each draw's complex matrix, cut into dim x dim blocks."""
+    g = _complex(draws)
     dim = g.shape[-1]
     return np.linalg.qr(g)[0].reshape(*g.shape[:-2], -1, dim, dim)
 

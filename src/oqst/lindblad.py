@@ -38,7 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .qmath import HERMITICITY_ATOL, DensityOperator, _expectation, _matmul, _trace, dag, hermitize
+from .qmath import (
+    HERMITICITY_ATOL, DensityOperator, _eigvalsh, _expectation, _matmul, _trace, dag, hermitize,
+)
 
 # First-order steps may leak positivity at this scale before it is a bug.
 FIRST_ORDER_LEAK = 1e-9
@@ -265,7 +267,7 @@ def _clamp_negative(mat: np.ndarray) -> np.ndarray:
     low = diag.real.min(axis=-1)
     full = np.abs(rows - diag[..., None] * np.eye(mat.shape[-1])).max(axis=(-2, -1)) >= 1e-14
     if full.any():
-        low[full] = np.linalg.eigvalsh(rows[full])[:, 0]
+        low[full] = _eigvalsh(rows[full])[:, 0]
     if low.min() >= 0.0:
         return mat
     if low.min() < -FIRST_ORDER_LEAK:

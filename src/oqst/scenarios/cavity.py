@@ -363,9 +363,12 @@ class _Fold:
         residual, seg_bad, bad = _close(led, self.beta)
         sums = block.sum(axis=0)
         self.sums[:, at], self.m2[:, at] = sums.T, ((block - sums / self.n) ** 2).sum(axis=0).T
-        mean_n = pops @ self.n_vec
+        # elementwise sums over the levels: a matrix-vector product's last bit depends on
+        # the window's shape
+        mean_n = _ordered_sum(pops * self.n_vec, -1)
         self.populations[at] = pops.sum(axis=0)
-        self.narrow[at] = np.count_nonzero(pops @ self.n_vec**2 - mean_n**2 < 0.1, axis=0)
+        var_n = _ordered_sum(pops * self.n_vec**2, -1) - mean_n**2
+        self.narrow[at] = np.count_nonzero(var_n < 0.1, axis=0)
         top = pops[..., -1]
         self.first_law_max = np.maximum(self.first_law_max, np.abs(residual).max())
         self.sigma_seg_min = np.minimum(self.sigma_seg_min, led["sigma_seg"].min())

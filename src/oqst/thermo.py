@@ -26,6 +26,7 @@ from .qmath import (
     hermitize,
     shannon_entropy,
     von_neumann_entropy,
+    _eigvalsh,
     _expectation,
     _ordered_sum,
     _partial_trace_matrix,
@@ -281,7 +282,7 @@ def _branch_entropies(raws):
     probs = _trace(raws)
     viable = probs >= IMPOSSIBLE_BRANCH
     p = np.where(viable, probs, 1.0)
-    spectra = np.linalg.eigvalsh(hermitize(raws) / p[..., None, None])
+    spectra = _eigvalsh(hermitize(raws) / p[..., None, None])
     return probs, np.where(viable, p * shannon_entropy(spectra), 0.0).sum(axis=-1)
 
 

@@ -35,6 +35,7 @@ from .qmath import (
     density_spectrum,
     hermitize,
     shannon_entropy,
+    _eigvalsh,
     _expectation,
     _ordered_sum,
     _partial_trace_matrix,
@@ -94,15 +95,31 @@ def stream_rng(seed: int) -> Generator:
     return Generator(Philox(key=seed & _M128))
 
 
+# Streams of at most this many uniforms (two Philox counters) take one array pass.
+_SHORT_STREAM = 8
+# Philox4x64's multipliers and key increments (Salmon et al., SC 2011), as (2, 1, 1)
+# arrays that act on the counter's even words and on the key's two words at once.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+
+
 def stream_uniforms(seeds, steps: int) -> np.ndarray:
     """``stream_rng(seed).random(steps)`` for each seed, as the rows of an (N, steps) array.
 
-    One Philox bit generator is re-keyed for every seed (counter 0, empty
-    buffer), which draws the same numbers as a fresh ``stream_rng`` without
-    the OS entropy a fresh generator gathers for its unused seed sequence.
-    The state is one dict of Python ints with its key rewritten in place,
-    which the state setter reads faster than fresh arrays.
+    A stream of at most ``_SHORT_STREAM`` uniforms is computed for all seeds
+    in one array pass of Philox4x64-10 (Salmon, Moraes, Dror & Shaw,
+    "Parallel random numbers: as easy as 1, 2, 3", SC 2011), bit for bit
+    as numpy's ``Philox`` draws it.  A longer one re-keys one Philox bit
+    generator per seed (counter 0, empty buffer), which draws the same
+    numbers as a fresh ``stream_rng`` without the OS entropy a fresh
+    generator gathers for its unused seed sequence.  The state is one dict
+    of Python ints with its key rewritten in place, which the state setter
+    reads faster than fresh arrays.  The array pass costs a fixed number of
+    array operations per counter, so it loses to the generator on long
+    streams; which one runs depends on ``steps`` alone.
     """
+    if steps <= _SHORT_STREAM:
+        return _philox_uniforms(*_philox_keys(seeds), steps)
     bits = Philox(key=0)
     draw = Generator(bits)
     key = [0, 0]
@@ -116,6 +133,48 @@ def stream_uniforms(seeds, steps: int) -> np.ndarray:
         bits.state = state
         draw.random(out=row)
     return out
+
+
+def _philox_keys(seeds) -> tuple:
+    """The low and high uint64 words of each seed's 128-bit Philox key."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds, np.zeros_like(seeds)
+    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
+    return (np.array([seed & _M64 for seed in seeds], np.uint64),
+            np.array([(seed & _M128) >> 64 for seed in seeds], np.uint64))
+
+
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple:
+    """The high and low words of the 128-bit products ``m * x`` of uint64 arrays; the high
+    word from the products of 32-bit halves, none of whose partial sums overflows."""
+    u, low = np.uint64, np.uint64(0xFFFFFFFF)
+    m0, m1, x0, x1 = m & low, m >> u(32), x & low, x >> u(32)
+    t = m1 * x0 + ((m0 * x0) >> u(32))
+    w = (t & low) + m0 * x1
+    return m1 * x1 + (t >> u(32)) + (w >> u(32)), m * x
+
+
+def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, steps: int) -> np.ndarray:
+    """The first ``steps`` uniforms of numpy's ``Philox`` keyed ``(k0, k1)`` per row, for
+    all rows in one pass of wrapping uint64 arithmetic.
+
+    Counter ``c`` (from 1; only its first word is nonzero) gives four words through ten
+    rounds of Philox4x64, and a word ``x`` the uniform ``(x >> 11) * 2**-53``.  A round
+    maps the words ``(c0, c1, c2, c3)`` to ``(hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``; the even and the odd words are each one array.
+    """
+    u, n, counters = np.uint64, len(k0), -(-steps // 4)
+    even = np.zeros((2, n, counters), u)  # (c0, c2)
+    even[0] = np.arange(1, counters + 1, dtype=u)
+    odd = np.zeros_like(even)  # (c1, c3)
+    key = np.stack([k0, k1])[..., None]
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    return (words.reshape(n, 4 * counters)[:, :steps] >> u(11)) * (1.0 / 2**53)
 
 
 def choose_branch(probs, u):
@@ -254,7 +313,7 @@ class TrajectoryRecord:
 # The batched stepping kernel shared by sampling, replay and enumeration.
 
 # Rows sampled together.  Every per-row number comes from that row's own
-# elementwise products, multiply-adds and eigvalsh, so a record depends
+# elementwise products, multiply-adds and spectra, so a record depends
 # neither on this size nor on its batch-mates; the size bounds memory only.
 BLOCK_ROWS = 1024
 
@@ -329,6 +388,8 @@ class _Rows:
 
 def _by_units(run: _Run, rows: _Rows) -> list:
     """(tracked unit dimensions, row positions) of each group of rows that share them."""
+    if len(run.units) == 1:  # no row has ever tracked a unit
+        return [((), np.arange(len(rows.units)))]
     table = list(run.units)
     return [(table[c], np.flatnonzero(rows.units == c)) for c in np.unique(rows.units)]
 
@@ -368,7 +429,7 @@ class _Matrices:
         s = shannon_entropy(density_spectrum(rows.state))
         for units, idx in _by_units(run, rows):
             if units:
-                s[idx] = shannon_entropy(np.linalg.eigvalsh(hermitize(_tracked(rows, idx, units))))
+                s[idx] = shannon_entropy(_eigvalsh(hermitize(_tracked(rows, idx, units))))
         return s
 
     def propagate(self, run: _Run, rows: _Rows, dt: float):

@@ -8,8 +8,10 @@ The random-case checks run in two phases.  They first draw every case one
 by one, in a fixed order, from the check's own generator; then they group
 the cases by shape (dimensions, outcome count, Kraus count) and evaluate
 each group in one call to the library's batched kernels.  A random
-instrument is drawn as its Gaussian matrix, and one stacked QR per group
-turns those into Kraus operators, bit for bit as one QR per case would.
+instrument or state is drawn as its Gaussian matrix only.  One stacked QR
+per group turns the instruments' draws into Kraus operators, and one
+stacked product g g† / tr(g g†) the states' draws into states, each bit
+for bit as one call per case would.
 The one-state functions (``apply_instrument``, ``control_energetics`` and
 the like) are those kernels' N = 1 case, and the tests' oracle for these
 checks.
@@ -17,7 +19,6 @@ checks.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,13 @@ from .qmath import (
     mutual_information,
     random_unitary,
     shannon_entropy,
+    _complex,
+    _eigvalsh,
+    _gaussian,
     _ordered_sum,
     _partial_trace_matrix,
-    _random_density_matrix,
     _trace,
+    _wishart,
 )
 from .scenarios import CavityConfig, RateModel, law_flags, run_cavity
 from .scenarios import run_classical_limit, run_tpm_jarzynski
@@ -63,8 +67,13 @@ class CheckResult:
 
 
 def _random_hermitian(rng, dim):
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (h + dag(h))
+    return _hermitian(_gaussian(rng, (dim, dim)))
+
+
+def _hermitian(draws):
+    """(g + g†)/2 for the complex matrix g of Gaussian draws, or of each in a stack."""
+    g = _complex(draws)
+    return 0.5 * (g + dag(g))
 
 
 def _by_shape(cases) -> dict:
@@ -102,14 +111,15 @@ def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
     cases = []
     for _ in range(samples):
         d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
-        joint = _random_density_matrix(rng, d1 * d2)
-        cases.append(((d1, d2, int(rng.integers(0, 2))), (joint,)))
+        state_draws = _gaussian(rng, (d1 * d2,) * 2)
+        cases.append(((d1, d2, int(rng.integers(0, 2))), (state_draws,)))
 
-    def kernel(d1, d2, keep, joints):
+    def kernel(d1, d2, keep, state_draws):
+        joints = _wishart(state_draws)
         density_spectrum(joints)
         out = _partial_trace_matrix(joints, [d1, d2], [keep])
         density_spectrum(out)
-        return np.stack([np.abs(_trace(out) - 1.0), np.linalg.eigvalsh(out)[:, 0]], axis=-1)
+        return np.stack([np.abs(_trace(out) - 1.0), _eigvalsh(out)[:, 0]], axis=-1)
 
     values = _evaluate(cases, kernel, shape=(2,))
     worst_trace, worst_eig = values[:, 0].max(), values[:, 1].min()
@@ -121,23 +131,25 @@ def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
 
 
 def _draw_instrument_case(rng, dims, outcomes, kraus_per_outcome):
-    """One ``((dim, n_outcomes), (draws, rho))`` case, from the draws of
+    """One ``((dim, n_outcomes), (draws, state_draws))`` case, from the draws of
     ``random_instrument(rng, dim, ...)`` and then ``random_density(rng, dim)``.
 
-    ``_isometry_kraus(draws)`` is the instrument's Kraus stack; a kernel
-    takes it for a whole shape group in one stacked QR.
+    ``_isometry_kraus(draws)`` is the instrument's Kraus stack and
+    ``_wishart(state_draws)`` the state; a kernel takes both for a whole
+    shape group at once.
     """
     dim = int(rng.integers(*dims))
     n_out, per = int(rng.integers(*outcomes)), int(rng.integers(*kraus_per_outcome))
     draws = _kraus_draws(rng, dim, n_out * per)
-    return (dim, n_out), (draws, _random_density_matrix(rng, dim))
+    return (dim, n_out), (draws, _gaussian(rng, (dim, dim)))
 
 
 def check_instrument_normalization(seed: int, samples: int = 500) -> CheckResult:
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, draws, rho):
+    def kernel(dim, n_out, draws, state_draws):
+        rho = _wishart(state_draws)
         density_spectrum(rho)
         kraus = _isometry_kraus(draws)
         probs, viable, states = _normalized(
@@ -156,7 +168,8 @@ def check_dilation_consistency(seed: int, samples: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 4), (1, 3), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, draws, rho):
+    def kernel(dim, n_out, draws, state_draws):
+        rho = _wishart(state_draws)
         density_spectrum(rho)
         kraus = _isometry_kraus(draws)
         starts, labels = _instrument(kraus, n_out)
@@ -181,9 +194,10 @@ def check_zero_average_control_heat(seed: int, samples: int = 500) -> CheckResul
     cases = []
     for _ in range(samples):
         (dim, n_out), arrays = _draw_instrument_case(rng, (2, 5), (2, 4), (1, 3))
-        cases.append(((dim, n_out), arrays + (_random_hermitian(rng, dim),)))
+        cases.append(((dim, n_out), arrays + (_gaussian(rng, (dim, dim)),)))
 
-    def kernel(dim, n_out, draws, rho, h):
+    def kernel(dim, n_out, draws, state_draws, h_draws):
+        rho, h = _wishart(state_draws), _hermitian(h_draws)
         density_spectrum(rho)
         kraus = _isometry_kraus(draws)
         probs, _, heat = _instrument_energetics(kraus, _instrument(kraus, n_out)[0], h, rho)
@@ -199,7 +213,8 @@ def check_control_entropy_production(seed: int, samples: int = 500) -> CheckResu
     rng = np.random.default_rng(seed)
     cases = [_draw_instrument_case(rng, (2, 5), (1, 4), (1, 3)) for _ in range(samples)]
 
-    def kernel(dim, n_out, draws, rho):
+    def kernel(dim, n_out, draws, state_draws):
+        rho = _wishart(state_draws)
         density_spectrum(rho)
         kraus = _isometry_kraus(draws)
         return _control_entropy_production(_dilate(kraus, *_instrument(kraus, n_out)), rho)
@@ -216,12 +231,13 @@ def check_entropy_lemma(seed: int, samples: int = 500) -> CheckResult:
     cases = []
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
-        rho = _random_density_matrix(rng, dim)
+        state_draws = _gaussian(rng, (dim, dim))
         n_ops = int(rng.integers(2, 5))
-        g = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_ops)]
-        cases.append(((dim, n_ops), (rho, np.array(g))))
+        # the real then the imaginary part of each operator, operator by operator
+        cases.append(((dim, n_ops), (state_draws, rng.normal(size=(n_ops, 2, dim, dim)))))
 
-    def kernel(dim, n_ops, rho, g):
+    def kernel(dim, n_ops, state_draws, g_draws):
+        rho, g = _wishart(state_draws), _complex(g_draws)
         density_spectrum(rho)
         # A square-root readout: F_n = (S^-1/2 B_n S^-1/2)^1/2 for positive B_n summing to S.
         blocks = g @ dag(g) + 1e-3 * np.eye(dim)
@@ -245,10 +261,11 @@ def check_data_processing(seed: int, samples: int = 500) -> CheckResult:
     for _ in range(samples):
         ds = int(rng.integers(2, 4))
         du = int(rng.integers(2, 4))
-        joint = _random_density_matrix(rng, ds * du)
-        cases.append(((ds, du), (joint, _kraus_draws(rng, ds, int(rng.integers(1, 4))))))
+        state_draws = _gaussian(rng, (ds * du,) * 2)
+        cases.append(((ds, du), (state_draws, _kraus_draws(rng, ds, int(rng.integers(1, 4))))))
 
-    def kernel(ds, du, joint, draws):
+    def kernel(ds, du, state_draws, draws):
+        joint = _wishart(state_draws)
         density_spectrum(joint)
         kraus = _isometry_kraus(draws)
         before = mutual_information(joint, [ds, du], [0])
@@ -325,14 +342,16 @@ def check_sampler_against_tree(seed: int, samples: int = 20000) -> CheckResult:
     sched = ControlSchedule.uniform(2, 1.0)
     rho0 = DensityOperator.pure([1, 1])
     probs = {o: p for o, p, _ in enumerate_tree(gen, sched, pol, rho0)}
-    counts = Counter()
+    # an outcome sequence's mixed-radix code, each step's digit running over its labels
+    radix = np.max(list(probs), axis=0) + 1
+    counts = np.zeros(np.prod(radix), np.int64)
     for block in sample_blocks(gen, sched, pol, rho0, derive_stream_seeds(seed, range(samples)),
                                store_states=False):
-        outcomes, n = np.unique(block.ledger["outcome"], axis=0, return_counts=True)
-        counts.update(dict(zip(map(tuple, outcomes.tolist()), n.tolist())))
+        codes = np.ravel_multi_index(block.ledger["outcome"].astype(np.int64).T, radix)
+        counts += np.bincount(codes, minlength=len(counts))
     worst = 0.0
     for outcome, p in probs.items():
-        freq = counts.get(outcome, 0) / samples
+        freq = counts[np.ravel_multi_index(outcome, radix)] / samples
         se = max(np.sqrt(p * (1 - p) / samples), 1e-9)
         worst = max(worst, abs(freq - p) / se)
     return CheckResult(

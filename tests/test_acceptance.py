@@ -33,7 +33,6 @@ from oqst.thermo import (
 from oqst.trajectory import (
     ControlSchedule,
     FixedPolicy,
-    derive_stream_seed,
     derive_stream_seeds,
     enumerate_tree,
     sample_ensemble,
@@ -130,10 +129,9 @@ def test_criterion_05_first_law_closure(cavity_run):
     gen2 = ThermalGenerator(3, np.diag([0.0, 1.0, 2.0]).astype(complex), (), beta=1.0)
     instr = random_instrument(rng, 3, 2, 2)
     sched2 = ControlSchedule.uniform(3, 1.0)
-    for i in range(20):
+    for seed in derive_stream_seeds(MASTER_SEED, range(20)).tolist():
         rec = sample_trajectory(
-            gen2, sched2, FixedPolicy([instr] * 3), qmath.random_density(rng, 3),
-            seed=derive_stream_seed(MASTER_SEED, i),
+            gen2, sched2, FixedPolicy([instr] * 3), qmath.random_density(rng, 3), seed=seed,
         )
         for ledger in rec.ledgers:
             worst = max(worst, abs(first_law_residual(ledger)))

@@ -126,3 +126,24 @@ def test_leaf_memory_does_not_grow_with_trajectory_steps():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 256 * 1000, f"{peak / (256 * 1000):.1f} bytes per trajectory-step"
+
+
+def _tally_bytes(tally):
+    """Every number of a tally, as bytes."""
+    return ([(col, m.n, m.sums.tobytes(), m.m2.tobytes()) for col, m in tally.columns.items()]
+            + [tally.populations.tobytes(), tally.narrow.tobytes(), tally.sensors,
+               tally.prep_work, tally.first_law_max, tally.sigma_seg_min, tally.truncation_max])
+
+
+@pytest.mark.parametrize("n, steps", [(4, 50), (260, 17), (1, 5)])
+def test_tally_does_not_depend_on_the_window(monkeypatch, n, steps):
+    """A leaf's whole tally, the var(n) < 0.1 counts included, is the same bit for bit for
+    any window width: no number in it comes from a product whose last bit depends on the
+    window's shape."""
+    config = CavityConfig(steps=steps, trajectories=n, seed=3)
+    tallies = []
+    for width in (1, 5, 16):
+        monkeypatch.setattr(cavity, "_FOLD_STEPS", width)
+        tallies.append(_tally_bytes(cavity._diagonal_chunk(config, range(n),
+                                                           keep_records=False)))
+    assert tallies[0] == tallies[1] == tallies[2]

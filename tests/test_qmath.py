@@ -255,3 +255,102 @@ class TestMultiplyAddKernels:
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         # an (N, D, D, D) product would take D / 4 times this
         assert peak < 4 * n * big**2 * 16
+
+
+class TestSpectrumKernel:
+    """``_eigvalsh``: a closed form for 2 x 2 stacks, LAPACK for every other size."""
+
+    @staticmethod
+    def qubit_matrices(n=10_000):
+        """Random Hermitian 2 x 2 matrices, then diagonal, degenerate, rank-1, nearly
+        degenerate and 1e+-8-scaled ones."""
+        rng = np.random.default_rng(21)
+        g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        herm = 0.5 * (g + qmath.dag(g))
+        diag = np.zeros((200, 2, 2), complex)
+        diag[:, 0, 0], diag[:, 1, 1] = rng.normal(size=(2, 200))
+        diag[:50, 1, 1] = diag[:50, 0, 0]
+        degenerate = rng.normal(size=(100, 1, 1)) * np.eye(2, dtype=complex)
+        v = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+        rank_one = v[:, :, None] * v[:, None, :].conj()
+        near = degenerate.copy()
+        near[:, 1, 0] = 1e-9 * (rng.normal(size=100) + 1j * rng.normal(size=100))
+        near[:, 0, 1] = near[:, 1, 0].conj()
+        return np.concatenate([herm, diag, degenerate, rank_one, near,
+                               1e8 * herm[:500], 1e-8 * herm[500:1000]])
+
+    def test_closed_form_matches_lapack_in_ascending_order(self):
+        # each is within a few eps * ||A|| of the exact spectrum (see the next test), and on
+        # these matrices LAPACK is the one further off, by up to about 6 eps * ||A||
+        mats = self.qubit_matrices()
+        got, want = qmath._eigvalsh(mats), np.linalg.eigvalsh(mats)
+        assert got.shape == want.shape
+        assert (got[:, 0] <= got[:, 1]).all()
+        norm = np.abs(want).max(axis=-1)  # the spectral norm of a Hermitian matrix
+        assert (np.abs(got - want) <= 8 * np.finfo(float).eps * norm[:, None]).all()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_closed_form_is_within_4_eps_of_the_exact_spectrum(self):
+        mats = self.qubit_matrices()
+        a, d, b = (x.astype(np.longdouble) for x in (mats[:, 0, 0].real, mats[:, 1, 1].real,
+                                                    np.abs(mats[:, 1, 0])))
+        radius = np.sqrt(((a - d) / 2) ** 2 + b**2)
+        exact = np.stack([(a + d) / 2 - radius, (a + d) / 2 + radius], axis=-1)
+        norm = np.abs(exact).max(axis=-1)
+        error = np.abs(qmath._eigvalsh(mats) - exact).max(axis=-1)
+        assert (error <= 4 * np.finfo(float).eps * norm).all()
+
+    def test_rows_do_not_depend_on_batch_mates(self):
+        mats = self.qubit_matrices()[:64]
+        whole = qmath._eigvalsh(mats)
+        for i in (0, 5, 63):
+            assert qmath._eigvalsh(mats[i]).tobytes() == whole[i].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 9])
+    def test_other_sizes_go_to_lapack(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(8, d, d)) + 1j * rng.normal(size=(8, d, d))
+        mats = g + qmath.dag(g)
+        assert qmath._eigvalsh(mats).tobytes() == np.linalg.eigvalsh(mats).tobytes()
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_positivity_threshold(self, rotated):
+        u = qmath.random_unitary(np.random.default_rng(2), 2) if rotated else np.eye(2)
+
+        def state(low):
+            return u @ np.diag([1.0 - low, low]).astype(complex) @ qmath.dag(u)
+
+        qmath.density_spectrum(state(-5e-11))
+        with pytest.raises(QmathError, match="eigenvalue .* below -1e-10"):
+            qmath.density_spectrum(state(-2e-10))
+
+
+class TestWishartDraws:
+    """verify draws each state's Gaussian matrix alone and forms the states per shape group."""
+
+    @staticmethod
+    def former_random_density(rng, dim):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ qmath.dag(g)
+        return m / np.trace(m).real
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_stacked_product_matches_one_state_draw_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        draws = np.stack([qmath._gaussian(rng, (dim, dim)) for _ in range(20)])
+        after = rng.random()
+        rng = np.random.default_rng(dim)
+        one_by_one = np.stack([qmath.random_density(rng, dim).matrix for _ in range(20)])
+        assert rng.random() == after  # the same stream consumed
+        assert qmath._wishart(draws).tobytes() == one_by_one.tobytes()
+        rng = np.random.default_rng(dim)
+        former = np.stack([self.former_random_density(rng, dim) for _ in range(20)])
+        assert one_by_one.tobytes() == former.tobytes()
+
+    def test_draws_are_the_two_normal_calls(self):
+        rng = np.random.default_rng(8)
+        draws = qmath._gaussian(rng, (6, 3))
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        assert qmath._complex(draws).tobytes() == g.tobytes()

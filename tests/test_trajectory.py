@@ -94,6 +94,17 @@ class TestStreams:
             assert np.array_equal(row, stream_rng(seed).random(37))
         assert stream_uniforms(seeds[:2], 0).shape == (2, 0)
 
+    @pytest.mark.parametrize("steps", [*range(1, 10), 37, 220])
+    def test_uniforms_match_fresh_generators_on_both_sides_of_the_array_pass(self, steps):
+        # streams of up to 8 uniforms come from one array pass, longer ones from a generator
+        derived = derive_stream_seeds(11, range(1000))
+        small = [0, 1, 2**63, 2**64 - 1]
+        seeds = [*small, 2**128 - 1, *derived.tolist()]
+        want = np.array([stream_rng(seed).random(steps) for seed in seeds])
+        assert np.array_equal(stream_uniforms(seeds, steps), want)
+        as_array = np.concatenate([np.array(small, np.uint64), derived])
+        assert np.array_equal(stream_uniforms(as_array, steps), np.delete(want, 4, axis=0))
+
     @staticmethod
     def splitmix64_reference(master, index):
         """Output ``index + 1`` of splitmix64 from ``master``, in Python ints."""
@@ -173,8 +184,8 @@ class TestSampling:
         pol = FixedPolicy([X_INSTR, Z_INSTR] * 4)
         rho0 = DensityOperator.maximally_mixed(2)
         seqs = {
-            sample_trajectory(gen, sched, pol, rho0, seed=derive_stream_seed(0, i)).outcomes
-            for i in range(20)
+            sample_trajectory(gen, sched, pol, rho0, seed=seed).outcomes
+            for seed in derive_stream_seeds(0, range(20)).tolist()
         }
         assert len(seqs) > 1
 
@@ -220,10 +231,8 @@ class TestSampling:
         sched = ControlSchedule.uniform(20, 82e-6)
         pol = FixedPolicy([fock] * 20)
         rho0 = DensityOperator.from_diagonal(np.ones(6) / 6)
-        for i in range(10):
-            rec = sample_trajectory(
-                gen, sched, pol, rho0, seed=derive_stream_seed(7, i), method="first_order"
-            )
+        for seed in derive_stream_seeds(7, range(10)).tolist():
+            rec = sample_trajectory(gen, sched, pol, rho0, seed=seed, method="first_order")
             for l in rec.ledgers:
                 assert abs(first_law_residual(l)) <= 1e-10
                 assert l.sigma_seg >= -1e-10
@@ -379,9 +388,9 @@ class TestEnsembleStatistics:
         recs = [
             sample_trajectory(
                 gen, sched, pol, DensityOperator.maximally_mixed(2),
-                seed=derive_stream_seed(21, i), store_states=False,
+                seed=seed, store_states=False,
             )
-            for i in range(500)
+            for seed in derive_stream_seeds(21, range(500)).tolist()
         ]
         rep = ensemble_statistics(recs)
         for mean, se in zip(rep.column_means["sigma_ctrl"], rep.column_se["sigma_ctrl"]):
