@@ -7,9 +7,11 @@ Commands::
 
 Shared flags: ``--config PATH`` (JSON, overridden by explicit flags),
 ``--seed U64``, ``--out DIR``, ``--workers N`` (default from OQST_WORKERS).
-Outputs are plain CSV plus a ``summary.json``.  For identical (config,
-seed) the CSV files are byte-identical regardless of worker count;
-``summary.json`` also echoes ``workers`` and ``out``.
+Outputs are plain CSV plus a ``summary.json``.  Each scenario maps its
+report to its files, totals and law checks, and ``emit_outputs`` writes
+them all.  For identical (config, seed) the CSV files are byte-identical
+regardless of worker count; ``summary.json`` also echoes ``workers`` and
+``out``.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
 4 I/O failure.
@@ -246,134 +248,116 @@ def _write_columns(path: str, columns: dict):
         writer.writerows(zip(*cells))
 
 
-def _emit_cavity(report, config: RunConfig, out_dir: str):
+def _cavity_outputs(report):
     rec = report.records[0]
     led = rec.ledgers
     pops = number_populations(rec.states)
     n_vec = np.arange(pops[0].size)
     mean_n = [float(n_vec @ p) for p in pops]
-    _write_columns(os.path.join(out_dir, "trajectory.csv"), {
-        "step": led.step, "time": report.times, "atom_kind": rec.kinds,
-        "outcome": led.outcome, "mean_n": mean_n,
-        "var_n": [float(n_vec**2 @ p - m**2) for p, m in zip(pops, mean_n)],
-        "W_ctrl": led.w_ctrl_sys, "Q_ctrl": led.q_ctrl_sys, "W_seg": led.w_seg,
-        "Q_seg": led.q_seg, "Sigma_ctrl": led.sigma_ctrl, "Sigma_seg": led.sigma_seg,
-        "logp_increment": led.logp_increment,
-    })
     means, ses = report.stats.column_means, report.stats.column_se
-    _write_columns(os.path.join(out_dir, "ensemble.csv"), {
-        "step": range(1, len(report.times) + 1),
-        **{f"p{n}": report.populations[:, n] for n in range(4)},
-        "Sigma_ctrl_avg": means["sigma_ctrl"], "Sigma_ctrl_se": ses["sigma_ctrl"],
-        "Sigma_seg_avg": means["sigma_seg"], "efficiency": report.efficiency,
-    })
+    files = {
+        "trajectory.csv": {
+            "step": led.step, "time": report.times, "atom_kind": rec.kinds,
+            "outcome": led.outcome, "mean_n": mean_n,
+            "var_n": [float(n_vec**2 @ p - m**2) for p, m in zip(pops, mean_n)],
+            "W_ctrl": led.w_ctrl_sys, "Q_ctrl": led.q_ctrl_sys, "W_seg": led.w_seg,
+            "Q_seg": led.q_seg, "Sigma_ctrl": led.sigma_ctrl, "Sigma_seg": led.sigma_seg,
+            "logp_increment": led.logp_increment,
+        },
+        "ensemble.csv": {
+            "step": range(1, len(report.times) + 1),
+            **{f"p{n}": report.populations[:, n] for n in range(4)},
+            "Sigma_ctrl_avg": means["sigma_ctrl"], "Sigma_ctrl_se": ses["sigma_ctrl"],
+            "Sigma_seg_avg": means["sigma_seg"], "efficiency": report.efficiency,
+        },
+    }
     checks = report.law_checks
     flags = law_flags(checks)
-    _write_summary(out_dir, {
-        "config": config.to_json(),
-        "seed": config.seed,
-        "totals": report.totals,
-        "law_checks": {
-            **flags,
-            "first_law_max_residual": checks["first_law_max_residual"],
-            "sigma_seg_min": checks["sigma_seg_min"],
-            "truncation_max": checks["truncation_max"],
-        },
-    })
+    law_checks = {**flags, "first_law_max_residual": checks["first_law_max_residual"],
+                  "sigma_seg_min": checks["sigma_seg_min"],
+                  "truncation_max": checks["truncation_max"]}
     # The efficiency curve is a Monte Carlo estimate: over a few trajectories
     # it can exceed one by sampling noise alone, so it is reported but does
     # not fail the run.
-    return flags["first_law_ok"] and flags["second_law_segment_ok"] and flags["truncation_ok"]
+    passed = flags["first_law_ok"] and flags["second_law_segment_ok"] and flags["truncation_ok"]
+    return files, report.totals, law_checks, passed
 
 
-def _emit_projective(report, config: RunConfig, out_dir: str):
+def _projective_outputs(report):
     labels = report.labels
-    _write_columns(os.path.join(out_dir, "outcomes.csv"), {
+    files = {"outcomes.csv": {
         "outcome": labels, "probability": report.probabilities,
         "Q_ctrl": [report.q_ctrl.get(r, 0.0) for r in labels],
         "Q_closed": [report.q_closed.get(r, 0.0) for r in labels],
         "post_energy": [report.post_energies.get(r, 0.0) for r in labels],
-    })
+    }}
+    totals = {
+        "W_ctrl": report.w_ctrl,
+        "avg_heat": report.avg_heat,
+        "shannon_outcomes": report.shannon_outcomes,
+        "shannon_spectrum": report.shannon_spectrum,
+    }
     flags = {
         "avg_heat_zero": abs(report.avg_heat) <= AVG_HEAT_ATOL,
         "outcome_entropy_dominates": report.entropy_gain >= OUTCOME_ENTROPY_FLOOR,
     }
-    _write_summary(out_dir, {
-        "config": config.to_json(),
-        "seed": config.seed,
-        "totals": {
-            "W_ctrl": report.w_ctrl,
-            "avg_heat": report.avg_heat,
-            "shannon_outcomes": report.shannon_outcomes,
-            "shannon_spectrum": report.shannon_spectrum,
-        },
-        "law_checks": flags,
-    })
-    return all(flags.values())
+    return files, totals, flags, all(flags.values())
 
 
-def _emit_tpm(report, config: RunConfig, out_dir: str):
+def _tpm_outputs(report):
     headers = ("r0", "r1", "probability", "eps0", "eps1", "Q_first", "W_drive", "W_ctrl",
                "Q_ctrl")  # each names a leaf field, lower-cased
-    _write_columns(os.path.join(out_dir, "leaves.csv"), {
-        h: [getattr(leaf, h.lower()) for leaf in report.leaves] for h in headers
-    })
+    files = {"leaves.csv": {h: [getattr(leaf, h.lower()) for leaf in report.leaves]
+                            for h in headers}}
+    totals = {
+        "exp_average": report.exp_average,
+        "z_ratio": report.z_ratio,
+        "identity_residual": report.identity_residual,
+    }
     flags = {"jarzynski_identity_ok": report.identity_residual <= JARZYNSKI_ATOL}
-    _write_summary(out_dir, {
-        "config": config.to_json(),
-        "seed": config.seed,
-        "totals": {
-            "exp_average": report.exp_average,
-            "z_ratio": report.z_ratio,
-            "identity_residual": report.identity_residual,
-        },
-        "law_checks": flags,
-    })
-    return all(flags.values())
+    return files, totals, flags, all(flags.values())
 
 
-def _emit_classical(report, config: RunConfig, out_dir: str):
+def _classical_outputs(report):
     steps = np.arange(1, len(report.sigma_record) + 1)
-    _write_columns(os.path.join(out_dir, "steps.csv"), {
+    files = {"steps.csv": {
         "step": steps, "time": steps * report.dt, "heat_avg": report.heat_avg,
         "Sigma_record": report.sigma_record, "Sigma_state": report.sigma_state,
         "backward_entropy": report.backward_entropy,
         "identity_residual": report.identity_residual,
-    })
+    }}
+    totals = {
+        "max_identity_residual": report.max_identity_residual,
+        "max_redefined_residual": report.max_redefined_residual,
+    }
     flags = {
         "difference_identity_ok": report.max_identity_residual <= CLASSICAL_IDENTITY_ATOL,
         "record_production_nonnegative": bool(
             (report.sigma_record >= RECORD_PRODUCTION_FLOOR).all()
         ),
     }
-    _write_summary(out_dir, {
-        "config": config.to_json(),
-        "seed": config.seed,
-        "totals": {
-            "max_identity_residual": report.max_identity_residual,
-            "max_redefined_residual": report.max_redefined_residual,
-        },
-        "law_checks": flags,
-    })
-    return all(flags.values())
+    return files, totals, flags, all(flags.values())
 
 
 def emit_outputs(report, config: RunConfig, out_dir: str) -> bool:
     """Write a scenario report as plot-ready CSV plus summary.json.
 
+    Each scenario's function gives the report's files (name -> columns), its
+    totals, its law checks and whether the run passed; this writes them all.
     Returns whether the report's law checks all held.
     """
     from .scenarios import CavityReport, ClassicalReport, ProjectiveReport, TpmReport
 
-    if isinstance(report, CavityReport):
-        return _emit_cavity(report, config, out_dir)
-    if isinstance(report, ProjectiveReport):
-        return _emit_projective(report, config, out_dir)
-    if isinstance(report, TpmReport):
-        return _emit_tpm(report, config, out_dir)
-    if isinstance(report, ClassicalReport):
-        return _emit_classical(report, config, out_dir)
-    raise CliError(f"no emitter for report type {type(report).__name__}")
+    outputs = {CavityReport: _cavity_outputs, ProjectiveReport: _projective_outputs,
+               TpmReport: _tpm_outputs, ClassicalReport: _classical_outputs}.get(type(report))
+    if outputs is None:
+        raise CliError(f"no emitter for report type {type(report).__name__}")
+    files, totals, law_checks, passed = outputs(report)
+    for name, columns in files.items():
+        _write_columns(os.path.join(out_dir, name), columns)
+    _write_summary(out_dir, {"config": config.to_json(), "seed": config.seed,
+                             "totals": totals, "law_checks": law_checks})
+    return passed
 
 
 def _prepare_run(config: RunConfig):

@@ -16,9 +16,10 @@ A run is cut into leaves of ``BLOCK_ROWS`` trajectories, and a leaf is
 reduced while it is stepped: every few steps its ledger columns and
 populations are closed and folded into per-step sums, so it holds no
 (trajectories x steps) ledger or state history, only the outcome and kind
-histories the policy reads.  Trajectory 0 keeps its full record, which
-``trajectory.csv`` needs; ``keep_records`` keeps every record, and with it
-every ledger.
+histories the policy reads.  A leaf's fold is its tally: the folds of a
+run merge in leaf order into the one the report reads.  Trajectory 0 keeps
+its full record, which ``trajectory.csv`` needs; ``keep_records`` keeps
+every record, and with it every ledger.
 """
 
 from __future__ import annotations
@@ -198,19 +199,16 @@ def number_populations(states) -> np.ndarray:
 class CavityPolicy(FeedbackPolicy):
     """Delayed-estimate feedback with a post-feedback hold-off window of ``delay`` steps."""
 
-    def __init__(self, target_nt: int, delay: int, instruments: dict | None = None):
+    def __init__(self, target_nt: int, delay: int, instruments: dict):
         self.target_nt = target_nt
         self.delay = delay
         # the engine's plans, from each kind's operator form, indexed by kind code
-        self.plans = (tuple(StepPlan(instruments[kind], kind) for kind in ATOM_KINDS)
-                      if instruments else ())
+        self.plans = tuple(StepPlan(instruments[kind], kind) for kind in ATOM_KINDS)
 
     def plan(self, step, estimates, outcomes, kinds):
         """The steering rule's kind code for each row, on estimates as density matrices or
         population vectors; a row holds off (sends a sensor) while a feedback atom went out
         within the last ``delay`` steps, which only the rows the rule would steer look up."""
-        if not self.plans:
-            raise RuntimeError("policy was built without instrument operators")
         codes = feedback_decision(number_populations(estimates), self.target_nt)
         steer = codes.nonzero()[0]  # the sensor's code is 0
         recent = kinds[steer, max(0, step - self.delay - 1):]
@@ -231,34 +229,6 @@ def classical_rate_matrix(gen: ThermalGenerator) -> np.ndarray:
 def thermal_populations(beta: float, dim: int) -> np.ndarray:
     w = np.exp(-beta * np.arange(dim))
     return w / w.sum()
-
-
-@dataclass(frozen=True)
-class _Tally:
-    """What the report needs of a block of trajectories; blocks merge in order."""
-
-    columns: dict            # ledger column -> Moments over trajectories, per step
-    populations: np.ndarray  # (steps, dim) number populations summed over trajectories
-    narrow: np.ndarray       # (steps,) trajectories with var(n) < 0.1
-    sensors: int             # sensor atoms sent
-    prep_work: float         # atom preparation work summed over trajectories
-    first_law_max: float     # largest |first-law residual|
-    sigma_seg_min: float
-    truncation_max: float    # largest population at the cutoff level
-    records: list
-
-    def merge(self, other: "_Tally") -> "_Tally":
-        return _Tally(
-            columns={col: m.merge(other.columns[col]) for col, m in self.columns.items()},
-            populations=self.populations + other.populations,
-            narrow=self.narrow + other.narrow,
-            sensors=self.sensors + other.sensors,
-            prep_work=self.prep_work + other.prep_work,
-            first_law_max=max(self.first_law_max, other.first_law_max),
-            sigma_seg_min=min(self.sigma_seg_min, other.sigma_seg_min),
-            truncation_max=max(self.truncation_max, other.truncation_max),
-            records=self.records + other.records,
-        )
 
 
 class _Populations:
@@ -322,30 +292,34 @@ _FOLD_STEPS = 16
 
 
 class _Fold:
-    """A leaf's tally, folded in as the step loop writes each step.
+    """A leaf's tally, folded in as the step loop writes each step; leaves merge in order.
 
     The columns and number populations of up to ``_FOLD_STEPS`` steps wait in
     a window.  A full window, and the last, is closed (entropy productions
-    and first-law residuals) and reduced: per-step sums and M2 of every
-    ledger column, population sums, the count with var(n) < 0.1 and the
-    extremes.  Each number is the one a reduction of the whole leaf's
-    ``(n, steps)`` arrays over its rows gives, bit for bit: a sum over the
-    rows in row order, a count or an extreme.  Of the failures it holds the
-    lowest failing row's first, for a broken law and for a leak apart.
+    and first-law residuals) and reduced: per-step ``moments`` of every
+    ledger column (``(columns, steps)`` sums and M2), population sums, the
+    count with var(n) < 0.1, the atoms sent by kind and the extremes.  Each
+    number is the one a reduction of the whole leaf's ``(n, steps)`` arrays
+    over its rows gives, bit for bit: a sum over the rows in row order, a
+    count or an extreme.  Of the failures it holds the lowest failing row's
+    first, for a broken law and for a leak apart.  ``close`` keeps the
+    leaf's records and drops the window; ``merge`` then folds in the next
+    leaf.
     """
 
     def __init__(self, run: _Run, n: int):
         steps, dim = run.schedule.n_steps, len(run.state0)
         width = min(_FOLD_STEPS, steps)
-        self.beta, self.n, self.steps = run.gen.beta, n, steps
+        self.beta, self.steps = run.gen.beta, steps
         self.n_vec = np.arange(dim, dtype=float)
         self.window = np.empty((n, width, len(LEDGER_DTYPE)))
         self.pops = np.empty((n, width, dim))
-        self.sums, self.m2 = np.empty((2, len(LEDGER_DTYPE), steps))
+        self.moments = Moments(n, *np.empty((2, len(LEDGER_DTYPE), steps)))
         self.populations, self.narrow = np.empty((steps, dim)), np.empty(steps, np.int64)
         self.atoms = np.zeros(len(ATOM_KINDS), np.int64)  # atoms sent, by kind code
         self.first_law_max, self.sigma_seg_min, self.truncation_max = -np.inf, np.inf, -np.inf
         self.law = self.leak = None  # (row, error) of the lowest row failing so far
+        self.records = []
 
     def __call__(self, rows, k: int):
         j = k % self.window.shape[1]
@@ -361,8 +335,8 @@ class _Fold:
         block, pops = self.window[:, :width], self.pops[:, :width]
         led = block.view(_FLOAT_LEDGER)[..., 0]
         residual, seg_bad, bad = _close(led, self.beta)
-        sums = block.sum(axis=0)
-        self.sums[:, at], self.m2[:, at] = sums.T, ((block - sums / self.n) ** 2).sum(axis=0).T
+        moments = Moments.of(block)
+        self.moments.sums[:, at], self.moments.m2[:, at] = moments.sums.T, moments.m2.T
         # elementwise sums over the levels: a matrix-vector product's last bit depends on
         # the window's shape
         mean_n = _ordered_sum(pops * self.n_vec, -1)
@@ -395,23 +369,25 @@ class _Fold:
             row, message = self.leak
             raise TruncationLeakError(f"trajectory {indices[row]}: {message}")
 
-    def tally(self, records) -> _Tally:
-        """The leaf's tally, keeping ``records``."""
-        return _Tally(
-            columns={col: Moments(self.n, self.sums[i], self.m2[i])
-                     for i, col in enumerate(LEDGER_DTYPE.names)},
-            populations=self.populations,
-            narrow=self.narrow,
-            sensors=int(self.atoms[SENSOR]),
-            prep_work=float(self.atoms @ ATOM_PREP_WORK),
-            first_law_max=float(self.first_law_max),
-            sigma_seg_min=float(self.sigma_seg_min),
-            truncation_max=float(self.truncation_max),
-            records=list(records),
-        )
+    def close(self, records) -> "_Fold":
+        """Keep the leaf's ``records`` and drop the window: what a leaf hands back."""
+        self.records, self.window, self.pops = list(records), None, None
+        return self
+
+    def merge(self, other: "_Fold") -> "_Fold":
+        """Fold in the closed tally of the next leaf, ``other``."""
+        self.moments = self.moments.merge(other.moments)
+        self.populations += other.populations
+        self.narrow += other.narrow
+        self.atoms += other.atoms
+        self.first_law_max = max(self.first_law_max, other.first_law_max)
+        self.sigma_seg_min = min(self.sigma_seg_min, other.sigma_seg_min)
+        self.truncation_max = max(self.truncation_max, other.truncation_max)
+        self.records += other.records
+        return self
 
 
-def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Tally:
+def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Fold:
     """Tally trajectories ``indices``, each on its own stream, stepped on representation
     ``rep`` and reduced step by step.  It fails as one trajectory at a time would: at the
     lowest failing one, with a leak before a broken law.  Records are kept for every
@@ -429,15 +405,15 @@ def _chunk(config: CavityConfig, indices, keep_records: bool, rep) -> _Tally:
     kept = len(indices) if keep_records else int(indices[0] == 0)
     rows = _stepped(run, len(indices), _sampled(uniforms), kept=kept, fold=fold)
     fold.check(indices)
-    return fold.tally(_records(_block(run, rows), schedule.times))
+    return fold.close(_records(_block(run, rows), schedule.times))
 
 
-def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
+def _diagonal_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Fold:
     """Sample trajectories ``indices`` on number-basis populations, the production path."""
     return _chunk(config, indices, keep_records, _Populations(config))
 
 
-def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Tally:
+def _dense_chunk(config: CavityConfig, indices, *, keep_records: bool = True) -> _Fold:
     """``_diagonal_chunk`` on density matrices, the oracle of the population path."""
     return _chunk(config, indices, keep_records, _MATRICES)
 
@@ -495,24 +471,24 @@ def cavity_efficiency(report: CavityReport) -> np.ndarray:
     return eta
 
 
-def _build_report(config: CavityConfig, tally: _Tally) -> CavityReport:
-    n = tally.columns["step"].n
-    populations = tally.populations / n
+def _build_report(config: CavityConfig, fold: _Fold) -> CavityReport:
+    n = fold.moments.n
+    populations = fold.populations / n
     stats = EnsembleReport(
         n_records=n,
-        column_means={col: m.mean for col, m in tally.columns.items()},
-        column_se={col: m.se for col, m in tally.columns.items()},
+        column_means=dict(zip(LEDGER_DTYPE.names, fold.moments.mean)),
+        column_se=dict(zip(LEDGER_DTYPE.names, fold.moments.se)),
         mean_states=None,  # the report's `populations` are the diagonal of the mean state
     )
     n_vec = np.arange(config.dim, dtype=float)
     means = stats.column_means
     report = CavityReport(
         config=config,
-        records=tuple(tally.records),
-        times=np.asarray(tally.records[0].times),
+        records=tuple(fold.records),
+        times=np.asarray(fold.records[0].times),
         populations=populations,
         mean_n_avg=populations @ n_vec,
-        var_below_fraction=tally.narrow / n,
+        var_below_fraction=fold.narrow / n,
         stats=stats,
         efficiency=None,
         beta=config.generator().beta,
@@ -520,17 +496,17 @@ def _build_report(config: CavityConfig, tally: _Tally) -> CavityReport:
         totals={
             "work_cavity_total": float(means["w_ctrl_sys"].sum()),
             "information_total_nats": float(means["logp_increment"].sum()),
-            "atom_prep_work_total": tally.prep_work / n,
+            "atom_prep_work_total": float(fold.atoms @ ATOM_PREP_WORK) / n,
             "p_target_final": float(populations[-1, config.target_nt]),
-            "sensor_fraction": tally.sensors / (n * config.steps),
+            "sensor_fraction": int(fold.atoms[SENSOR]) / (n * config.steps),
         },
     )
     eff = cavity_efficiency(report)  # reads only stats, beta and config
     law_checks = {
-        "first_law_max_residual": tally.first_law_max,
-        "sigma_seg_min": tally.sigma_seg_min,
+        "first_law_max_residual": float(fold.first_law_max),
+        "sigma_seg_min": float(fold.sigma_seg_min),
         "sigma_ctrl_avg_min": float(means["sigma_ctrl"].min()),
-        "truncation_max": tally.truncation_max,
+        "truncation_max": float(fold.truncation_max),
         "efficiency_max": float(eff.max()),
     }
     return replace(report, efficiency=eff, law_checks=law_checks)
@@ -550,7 +526,7 @@ def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityRepo
     """Run the stabilization experiment and reduce it to an ensemble report.
 
     Trajectories are sampled in blocks of ``BLOCK_ROWS``, and each block is
-    reduced to a tally while it is sampled.  Tallies merge in block
+    reduced by its fold while it is sampled.  Folds merge in block
     order, so the report is bit-identical for any ``workers``, which only
     spreads runs of two blocks or more over processes: a block is never cut,
     and a one-block run stays in-process.  The report's records are every
@@ -563,9 +539,9 @@ def run_cavity(config: CavityConfig, *, keep_records: bool = True) -> CavityRepo
                                keep_records=keep_records)
     configs = [config] * len(blocks)
     if config.workers <= 1 or len(blocks) == 1:
-        return _build_report(config, functools.reduce(_Tally.merge, map(sample, configs, blocks)))
+        return _build_report(config, functools.reduce(_Fold.merge, map(sample, configs, blocks)))
     from concurrent.futures import ProcessPoolExecutor  # loaded only by pooled runs
 
     with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
-        tally = functools.reduce(_Tally.merge, pool.map(sample, configs, blocks))
-    return _build_report(config, tally)
+        fold = functools.reduce(_Fold.merge, pool.map(sample, configs, blocks))
+    return _build_report(config, fold)

@@ -201,9 +201,7 @@ def run_classical_limit(
         for i, stream_seed in enumerate(derive_stream_seeds(seed, range(trajectories)).tolist()):
             paths[i] = _gillespie_states(model, stream_rng(stream_seed), p, steps, dt)
         sample_joints = np.zeros((steps, d, d))
-        for n in range(steps):
-            for i in range(trajectories):
-                sample_joints[n, paths[i, n + 1], paths[i, n]] += 1.0
+        np.add.at(sample_joints, (np.arange(steps), paths[:, 1:], paths[:, :-1]), 1.0)
         sample_joints /= trajectories
     elif mode != "enumerate":
         raise ClassicalModelError(f"unknown mode {mode!r}")

@@ -347,7 +347,7 @@ class _Rows:
     (what a policy reads), ``code`` the current plan kinds as codes in
     ``run.kinds`` and ``columns`` the current step's ``_FLOAT_LEDGER`` row as
     floats, every column of which the step rewrites but the entropy
-    productions (a view of ``ledger`` while every row is kept).
+    productions.
     ``recent`` holds the last ``delay`` post-control states, control ``k``'s
     in slot ``k % delay``, for delayed estimates.  The histories of records
     hold the first ``kept`` rows only: ``ledger``, every step's columns as
@@ -370,8 +370,7 @@ class _Rows:
     def keep(self, k: int):
         """Hold step ``k``'s columns and post-control states in the histories."""
         kept = len(self.ledger)
-        if kept:  # onto itself when the step was written in place, but not after `take`
-            self.ledger[:, k] = self.columns[:kept]
+        self.ledger[:, k] = self.columns[:kept]
         if len(self.states):
             self.states[:, k] = self.state[:kept]
         if self.recent.shape[1]:
@@ -506,8 +505,6 @@ _MATRICES = _Matrices()
 def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     """Switch and drift every row up to control ``k``, filling its segment columns."""
     e_start = rows.energy
-    if len(rows.ledger) == len(e_start):  # every row kept: write in place
-        rows.columns = rows.ledger[:, k]
     led = rows.columns.view(_FLOAT_LEDGER)[:, 0]
     led["step"] = k + 1
     w = run.rep.propagate(run, rows, dt)

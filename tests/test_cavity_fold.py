@@ -10,6 +10,7 @@ import pytest
 from oqst import thermo
 from oqst.scenarios import CavityConfig, TruncationLeakError, run_cavity
 from oqst.scenarios import cavity
+from oqst.qmath import _ordered_sum
 from oqst.scenarios.cavity import ATOM_PREP_WORK, number_populations
 from oqst.thermo import LEDGER_DTYPE, ThermoError, first_law_residual
 from oqst.trajectory import Moments
@@ -96,18 +97,21 @@ def test_streamed_tally_equals_batch_moments(dense, exact, delay, steps):
         ledgers = np.stack([rec.ledgers for rec in full.records])
         pops = np.stack([number_populations(rec.states) for rec in full.records])
         kinds = np.array([[cavity.ATOM_KINDS.index(k) for k in rec.kinds] for rec in full.records])
+        # var(n) summed over the levels left to right, as the fold sums them: a matrix-vector
+        # product's last bit would depend on the stacked array's shape
         n_vec = np.arange(config.dim, dtype=float)
-        mean_n = pops @ n_vec
+        mean_n = _ordered_sum(pops * n_vec, -1)
+        var_n = _ordered_sum(pops * n_vec**2, -1) - mean_n**2
         for tally in (full, lean):
-            for col in LEDGER_DTYPE.names:
-                want, got = Moments.of(ledgers[col]), tally.columns[col]
-                assert got.n == want.n == len(leaf)
-                assert got.sums.tobytes() == want.sums.tobytes(), col
-                assert got.m2.tobytes() == want.m2.tobytes(), col
+            assert tally.moments.n == len(leaf)
+            for i, col in enumerate(LEDGER_DTYPE.names):
+                want = Moments.of(ledgers[col])
+                assert tally.moments.sums[i].tobytes() == want.sums.tobytes(), col
+                assert tally.moments.m2[i].tobytes() == want.m2.tobytes(), col
             assert tally.populations.tobytes() == pops.sum(axis=0).tobytes()
-            assert np.array_equal(tally.narrow, (pops @ n_vec**2 - mean_n**2 < 0.1).sum(axis=0))
-            assert tally.sensors == int((kinds == cavity.SENSOR).sum())
-            assert tally.prep_work == float(ATOM_PREP_WORK[kinds].sum())
+            assert np.array_equal(tally.narrow, (var_n < 0.1).sum(axis=0))
+            assert tally.atoms[cavity.SENSOR] == int((kinds == cavity.SENSOR).sum())
+            assert float(tally.atoms @ ATOM_PREP_WORK) == float(ATOM_PREP_WORK[kinds].sum())
             assert tally.first_law_max == float(np.abs(first_law_residual(ledgers)).max())
             assert tally.sigma_seg_min == float(ledgers["sigma_seg"].min())
             assert tally.truncation_max == float(pops[:, :, -1].max())
@@ -130,9 +134,9 @@ def test_leaf_memory_does_not_grow_with_trajectory_steps():
 
 def _tally_bytes(tally):
     """Every number of a tally, as bytes."""
-    return ([(col, m.n, m.sums.tobytes(), m.m2.tobytes()) for col, m in tally.columns.items()]
-            + [tally.populations.tobytes(), tally.narrow.tobytes(), tally.sensors,
-               tally.prep_work, tally.first_law_max, tally.sigma_seg_min, tally.truncation_max])
+    return [tally.moments.n, tally.moments.sums.tobytes(), tally.moments.m2.tobytes(),
+            tally.populations.tobytes(), tally.narrow.tobytes(), tally.atoms.tobytes(),
+            tally.first_law_max, tally.sigma_seg_min, tally.truncation_max]
 
 
 @pytest.mark.parametrize("n, steps", [(4, 50), (260, 17), (1, 5)])
