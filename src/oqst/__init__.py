@@ -22,7 +22,6 @@ from .channels import (
     StinespringDilation,
     apply_instrument,
     average_map,
-    dephasing_map,
     projective_instrument,
     stinespring_dilate,
     verify_instrument,
@@ -51,9 +50,7 @@ from .trajectory import (
     StepPlan,
     TrajectoryBlock,
     TrajectoryRecord,
-    derive_stream_seed,
     derive_stream_seeds,
-    ensemble_statistics,
     enumerate_tree,
     sample_blocks,
     sample_ensemble,
@@ -66,16 +63,14 @@ __all__ = [
     "DensityOperator", "mutual_information", "partial_trace", "shannon_entropy",
     "tensor_product", "von_neumann_entropy",
     "Instrument", "OutcomeBranch", "StinespringDilation", "apply_instrument",
-    "average_map", "dephasing_map", "projective_instrument", "stinespring_dilate",
-    "verify_instrument",
+    "average_map", "projective_instrument", "stinespring_dilate", "verify_instrument",
     "Protocol", "ThermalGenerator", "gibbs_state", "heat_work_segment",
     "propagate", "thermal_cavity_generator",
     "LEDGER_DTYPE", "ControlEnergetics", "check_measurement_entropy_lemma",
     "control_energetics", "entropy_production_step", "first_law_residual",
     "stochastic_entropy",
     "ControlSchedule", "FeedbackPolicy", "FixedPolicy", "StepPlan",
-    "TrajectoryBlock", "TrajectoryRecord", "derive_stream_seed", "derive_stream_seeds",
-    "ensemble_statistics", "enumerate_tree", "sample_blocks", "sample_ensemble",
-    "sample_trajectory",
+    "TrajectoryBlock", "TrajectoryRecord", "derive_stream_seeds", "enumerate_tree",
+    "sample_blocks", "sample_ensemble", "sample_trajectory",
     "__version__",
 ]

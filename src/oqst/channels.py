@@ -65,11 +65,6 @@ class OutcomeBranch:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Unnormalized branch action sum_a A_a mat A_a†."""
-        instr = Instrument(dim=self.kraus[0].shape[0], outcomes=(self,))
-        return instr.branch_states(mat)[..., 0, :, :]
-
 
 @dataclass(frozen=True)
 class Instrument:
@@ -99,10 +94,6 @@ class Instrument:
     @property
     def labels(self) -> tuple:
         return tuple(b.label for b in self.outcomes)
-
-    @property
-    def kraus_count(self) -> int:
-        return sum(len(b.kraus) for b in self.outcomes)
 
     @property
     def efficient(self) -> bool:
@@ -242,12 +233,6 @@ def projective_instrument(basis) -> Instrument:
     return Instrument(dim=dim, outcomes=branches)
 
 
-def dephasing_map(basis, rho: DensityOperator) -> DensityOperator:
-    """Remove off-diagonal elements in the given orthonormal basis. Idempotent."""
-    instr = projective_instrument(basis)
-    return average_map(instr, rho)
-
-
 @dataclass(frozen=True)
 class StinespringDilation:
     """Unit + joint unitary + unit projectors realizing an instrument.
@@ -312,16 +297,9 @@ class StinespringDilation:
         outcome's unnormalized joint state after the readout, shapes
         (N, D', D') and (N, K, D', D'), on system ⊗ unit ⊗ rest.
         """
-        correlated = self._unitary(states, rest)
-        return correlated, self._read_unit(correlated)
-
-    def _unitary(self, states: np.ndarray, rest: tuple = ()) -> np.ndarray:
         extended = _insert_unit(states, [self.system_dim, *rest], self.unit_state.matrix)
-        return _sandwich(self.joint_unitary, extended)
-
-    def joint_after_unitary(self, rho: DensityOperator) -> np.ndarray:
-        """V (rho ⊗ unit_state) V† as a matrix on system ⊗ unit."""
-        return self._unitary(rho.matrix[None])[0]
+        correlated = _sandwich(self.joint_unitary, extended)
+        return correlated, self._read_unit(correlated)
 
     def readout(self, correlated: np.ndarray):
         """Read the unit out of a joint matrix taken after the joint unitary.
@@ -431,7 +409,3 @@ def unitary_kick(u) -> Instrument:
     if not is_unitary(m):
         raise ChannelError("kick operator is not unitary within 1e-10")
     return Instrument(dim=m.shape[0], outcomes=(OutcomeBranch(label=0, kraus=(m,)),))
-
-
-def identity_instrument(dim: int) -> Instrument:
-    return unitary_kick(np.eye(dim, dtype=complex))

@@ -6,12 +6,12 @@ Commands::
     oqst verify [flags]             run the invariant suite, nonzero exit on failure
 
 Shared flags: ``--config PATH`` (JSON, overridden by explicit flags),
-``--seed U64``, ``--out DIR``, ``--workers N`` (default from OQST_WORKERS).
-Outputs are plain CSV plus a ``summary.json``.  Each scenario maps its
-report to its files, totals and law checks, and ``emit_outputs`` writes
-them all.  For identical (config, seed) the CSV files are byte-identical
-regardless of worker count; ``summary.json`` also echoes ``workers`` and
-``out``.
+``--seed U64``, ``--out DIR``; ``run`` also takes ``--workers N`` (default
+from OQST_WORKERS), and ``verify`` runs in one process.  Outputs are plain
+CSV plus a ``summary.json``.  Each scenario maps its report to its files,
+totals and law checks, and ``emit_outputs`` writes them all.  For
+identical (config, seed) the CSV files are byte-identical regardless of
+worker count; a run's ``summary.json`` also echoes ``workers`` and ``out``.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
 4 I/O failure.
@@ -87,8 +87,8 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS + ("verify",):
             raise CliError(f"unknown scenario {self.scenario!r}")
-        if type(self.seed) is not int:
-            raise CliError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise CliError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         defaults = _DEFAULT_PARAMS.get(self.scenario, {})
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -102,19 +102,21 @@ class RunConfig:
                                    f"{_COUNT_MINIMA[key]}, got {value!r}")
             elif key == "mode" and value not in CLASSICAL_MODES:
                 raise CliError(f"mode must be one of {CLASSICAL_MODES}, got {value!r}")
+            # NaN, an infinity or an integer beyond float range, alone or in a list
+            elif any(isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max
+                     for x in (value if isinstance(value, list) else [value])):
+                raise CliError(f"parameter {key} must be finite, got {value!r}")
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 if key in ("beta", "dt", "omega") and value <= 0:
                     raise CliError(f"parameter {key} must be positive")
         object.__setattr__(self, "params", merged)
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "seed": self.seed,
-            "out": self.out_dir,
-            "workers": self.workers,
-        }
+        echo = {"scenario": self.scenario, "params": self.params, "seed": self.seed,
+                "out": self.out_dir}
+        if self.scenario != "verify":  # verify runs in one process
+            echo["workers"] = self.workers
+        return echo
 
 
 def _default_workers() -> int:
@@ -155,12 +157,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: OQST_WORKERS or 1)")
 
     run_p = sub.add_parser("run", help="execute a scenario")
     run_p.add_argument("scenario", choices=SCENARIOS)
     add_shared(run_p)
+    run_p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: OQST_WORKERS or 1)")
     run_p.add_argument("--steps", type=int, default=None)
     run_p.add_argument("--traj", type=int, default=None)
     run_p.add_argument("--target", type=int, default=None)
@@ -203,7 +205,9 @@ def parse_config(argv) -> RunConfig:
                 params[key] = value
     seed = ns.seed if ns.seed is not None else file_cfg.get("seed", 0)
     out_dir = ns.out if ns.out is not None else file_cfg.get("out")
-    workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
+    workers = 1
+    if ns.command == "run":
+        workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
     return RunConfig(
         scenario=scenario, params=params, seed=seed,
         out_dir=out_dir, workers=workers,

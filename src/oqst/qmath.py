@@ -30,11 +30,10 @@ EIG_CLAMP = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
-PROBABILITY_ATOL = 1e-12
 
 
 class QmathError(ValueError):
-    """Raised when a matrix or probability vector violates its contract."""
+    """Raised when a matrix or a subsystem split violates its contract."""
 
 
 def as_matrix(op) -> np.ndarray:
@@ -231,23 +230,8 @@ class DensityOperator:
         """Real expectation value of a Hermitian observable."""
         return float(_expectation(as_matrix(op), self.matrix))
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
-
-
-def assert_probability_vector(p, atol: float = PROBABILITY_ATOL) -> np.ndarray:
-    """Validate nonnegative entries summing to one; returns the float array."""
-    v = np.asarray(p, dtype=float)
-    if v.ndim != 1:
-        raise QmathError("probability vector must be one-dimensional")
-    if np.any(v < -atol):
-        raise QmathError("probability vector has a negative entry")
-    if abs(v.sum() - 1.0) > atol:
-        raise QmathError(f"probabilities sum to {v.sum()!r}, not 1 within {atol}")
-    return v
 
 
 def tensor_product(*ops) -> np.ndarray:
@@ -361,7 +345,3 @@ def _wishart(draws) -> np.ndarray:
     m = g @ dag(g)
     return m / _trace(m)[..., None, None]
 
-
-def random_pure(rng: np.random.Generator, dim: int) -> DensityOperator:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityOperator.pure(v)

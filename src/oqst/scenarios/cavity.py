@@ -424,9 +424,8 @@ class CavityReport:
 
     ``stats`` holds the per-step means and standard errors of every ledger
     column, e.g. ``stats.column_means["sigma_ctrl"]``; the other arrays are
-    the cavity quantities no ledger column gives.  ``stats.mean_states`` is
-    None: the run reduces number populations only, and ``populations`` is
-    the diagonal of the mean state.  ``records`` holds every trajectory in
+    the cavity quantities no ledger column gives; ``populations`` is the
+    diagonal of the mean state.  ``records`` holds every trajectory in
     order, or trajectory 0 alone (see ``run_cavity``).
     """
 
@@ -478,7 +477,6 @@ def _build_report(config: CavityConfig, fold: _Fold) -> CavityReport:
         n_records=n,
         column_means=dict(zip(LEDGER_DTYPE.names, fold.moments.mean)),
         column_se=dict(zip(LEDGER_DTYPE.names, fold.moments.se)),
-        mean_states=None,  # the report's `populations` are the diagonal of the mean state
     )
     n_vec = np.arange(config.dim, dtype=float)
     means = stats.column_means

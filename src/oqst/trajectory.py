@@ -82,11 +82,6 @@ def derive_stream_seeds(master_seed: int, indices) -> np.ndarray:
     return z ^ (z >> u(31))
 
 
-def derive_stream_seed(master_seed: int, index: int) -> int:
-    """The seed of trajectory ``index``: the one-index case of :func:`derive_stream_seeds`."""
-    return int(derive_stream_seeds(master_seed, [index & _M64])[0])
-
-
 _M128 = (1 << 128) - 1
 
 
@@ -303,10 +298,6 @@ class TrajectoryRecord:
             raise EngineError("log_prob must be nonnegative")
         if len(self.ledgers) != len(self.outcomes):
             raise EngineError("ledger count must equal outcome count")
-
-    @property
-    def probability(self) -> float:
-        return float(np.exp(-self.log_prob))
 
 
 # ---------------------------------------------------------------------------
@@ -787,51 +778,9 @@ class Moments:
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Weighted per-step averages over a collection of records."""
+    """Per-step means and standard errors of every ledger column over an ensemble."""
 
     n_records: int
     column_means: dict
     column_se: dict
-    mean_states: np.ndarray | None
 
-
-def ensemble_statistics(records, weights: str = "equal") -> EnsembleReport:
-    """Average ledger columns and conditional states across records.
-
-    ``weights='probability'`` weighs each record by exp(-log_prob), which
-    turns an enumeration into exact ensemble averages; ``'equal'`` is the
-    Monte Carlo estimator and also reports standard errors.
-    """
-    records = list(records)
-    if not records:
-        raise EngineError("cannot average zero records")
-    n_steps = len(records[0].outcomes)
-    for r in records:
-        if len(r.outcomes) != n_steps:
-            raise EngineError("records have mismatched schedule shapes")
-    if weights == "equal":
-        w = np.full(len(records), 1.0 / len(records))
-    elif weights == "probability":
-        w = np.array([r.probability for r in records], dtype=float)
-    else:
-        raise EngineError(f"unknown weights mode {weights!r}")
-    wn = w / w.sum()
-    batch = np.stack([r.ledgers for r in records])  # (N, steps)
-    means: dict = {}
-    ses: dict = {}
-    for col in LEDGER_DTYPE.names:
-        if weights == "equal":
-            moments = Moments.of(batch[col])
-            means[col], ses[col] = moments.mean, moments.se
-        else:
-            means[col], ses[col] = wn @ batch[col], np.zeros(n_steps)
-    mean_states = None
-    if n_steps and all(len(r.states) == n_steps for r in records):
-        # record by record, so no (N, steps, ...) copy of every state is held
-        mean_states = sum(wi * r.states for wi, r in zip(wn, records))
-    return EnsembleReport(
-        n_records=len(records),
-        column_means=means,
-        column_se=ses,
-        mean_states=mean_states,
-    )

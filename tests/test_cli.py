@@ -203,7 +203,8 @@ class TestExecution:
         assert "usage:" in out
         assert "error" not in err
 
-    @pytest.mark.parametrize("argv", [["run", "cavity", "--steps", "many"], ["--bogus"]])
+    @pytest.mark.parametrize("argv", [["run", "cavity", "--steps", "many"], ["--bogus"],
+                                      ["verify", "--workers", "2"]])
     def test_invalid_arguments_exit_code(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
         assert "error: invalid arguments" in capsys.readouterr().err
@@ -272,6 +273,14 @@ class TestExecution:
         {"scenario": "tpm", "seed": "x"},
         {"scenario": "tpm", "params": [1]},
         {"scenario": "classical", "params": {"steps": 5, "mode": "foo"}},
+        {"scenario": "tpm", "seed": -1},
+        {"scenario": "tpm", "seed": 2**64},
+        {"scenario": "projective", "params": {"omega": float("nan")}},
+        {"scenario": "tpm", "params": {"beta": float("inf")}},
+        {"scenario": "tpm", "params": {"beta": float("nan")}},
+        {"scenario": "tpm", "params": {"beta": 10**400}},
+        {"scenario": "classical", "params": {"steps": 5, "beta": float("nan")}},
+        {"scenario": "classical", "params": {"steps": 5, "energies": [float("nan"), 1.0]}},
     ])
     def test_invalid_config_file_value_exit_code(self, tmp_path, config):
         path = tmp_path / "run.json"
@@ -279,6 +288,17 @@ class TestExecution:
         code = main(["run", config["scenario"], "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["projective", "--omega", "nan"],
+        ["tpm", "--beta", "inf"],
+        ["classical", "--beta", "nan"],
+        ["cavity", "--steps", "5", "--traj", "3", "--seed", str(2**64)],
+        ["cavity", "--steps", "5", "--traj", "3", "--seed", "-1"],
+    ])
+    def test_invalid_flag_value_exit_code(self, tmp_path, flags):
+        assert main(["run", *flags, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_io_failure_exit_code(self, tmp_path):
@@ -298,6 +318,17 @@ class TestExecution:
         )
         code = main(["verify", "--out", str(tmp_path)])
         assert code == EXIT_INVARIANT
+
+    def test_verify_runs_in_one_process(self, tmp_path, monkeypatch):
+        # verify reads no worker count and echoes none
+        import oqst.verify as verify_mod
+        from oqst.verify import CheckResult
+
+        monkeypatch.setenv("OQST_WORKERS", "abc")
+        monkeypatch.setattr(verify_mod, "run_all", lambda seed=0: [CheckResult("stub", True, "ok")])
+        assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert "workers" not in config
 
     def test_verify_reports_a_raising_check(self, tmp_path, monkeypatch, capsys):
         import oqst.verify as verify_mod

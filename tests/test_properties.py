@@ -51,7 +51,7 @@ def cases(draw):
         n_outcomes, kraus = draw(st.sampled_from(shapes))
         instr = random_instrument(np.random.default_rng(draw(st.integers(0, 2**32))),
                                   dim, n_outcomes, kraus)
-        unit_dim = max(instr.kraus_count, 2)
+        unit_dim = max(n_outcomes * kraus, 2)
         if kraus > 1 or retain:
             joint_dim *= unit_dim
         h_unit = (np.diag(np.arange(unit_dim, dtype=float)).astype(complex)

@@ -9,10 +9,10 @@ import pytest
 from oqst import qmath
 from oqst.channels import (
     apply_instrument,
-    identity_instrument,
     projective_instrument,
     random_instrument,
     stinespring_dilate,
+    unitary_kick,
 )
 from oqst.qmath import DensityOperator, dag, mutual_information, von_neumann_entropy
 from oqst.thermo import (
@@ -41,7 +41,7 @@ class TestControlEnergetics:
 
     def test_identity_instrument_all_zero(self):
         rho = DensityOperator.pure([1, 2j])
-        ce = control_energetics(identity_instrument(2), 0.5 * SZ, rho)
+        ce = control_energetics(unitary_kick(np.eye(2)), 0.5 * SZ, rho)
         assert ce.w_system == pytest.approx(0.0, abs=1e-14)
         assert ce.q_system[0] == pytest.approx(0.0, abs=1e-14)
         assert ce.w_unit == 0.0
@@ -243,7 +243,6 @@ class TestAverageControlEntropyProduction:
         rng = np.random.default_rng(9)
         rho = qmath.random_density(rng, 3)
         u = qmath.random_unitary(rng, 3)
-        from oqst.channels import unitary_kick
         assert abs(average_control_entropy_production(unitary_kick(u), rho)) <= 1e-10
 
     def test_projective_equals_shannon_minus_spectrum(self):

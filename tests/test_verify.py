@@ -31,7 +31,7 @@ from oqst.thermo import (
     check_measurement_entropy_lemma,
     control_energetics,
 )
-from oqst.trajectory import derive_stream_seed
+from oqst.trajectory import derive_stream_seeds
 
 
 # -- one-state oracles: one value per case, in draw order --------------------
@@ -123,7 +123,7 @@ ORACLES = {
 
 def stream_seed(seed, check):
     """The seed ``verify.run_all(seed)`` gives ``check``."""
-    return derive_stream_seed(seed, verify.ALL_CHECKS.index(check)) % (2**32)
+    return int(derive_stream_seeds(seed, [verify.ALL_CHECKS.index(check)])[0]) % (2**32)
 
 
 def stacked_values(monkeypatch, check, seed):
