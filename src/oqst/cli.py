@@ -207,7 +207,9 @@ def parse_config(argv) -> RunConfig:
     out_dir = ns.out if ns.out is not None else file_cfg.get("out")
     workers = 1
     if ns.command == "run":
-        workers = ns.workers if ns.workers is not None else file_cfg.get("workers", _default_workers())
+        # flag, then file, then environment: the environment is read only when it decides
+        workers = (ns.workers if ns.workers is not None else file_cfg["workers"]
+                   if "workers" in file_cfg else _default_workers())
     return RunConfig(
         scenario=scenario, params=params, seed=seed,
         out_dir=out_dir, workers=workers,

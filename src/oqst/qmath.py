@@ -283,7 +283,7 @@ def shannon_entropy(p):
     A probability vector gives a float, a stack of them one entropy per vector.
     """
     v = np.asarray(p, dtype=float)
-    return -(v * np.log(v, out=np.zeros_like(v), where=v > EIG_CLAMP)).sum(axis=-1)
+    return -(v * np.log(np.where(v > EIG_CLAMP, v, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho):

@@ -9,8 +9,10 @@ atom.
 
 Everything the controller sees is diagonal in the number basis, so the
 production path steps bare population vectors through the engine's step
-loop; the same loop on density matrices validates it and must reproduce
-the same outcome sequences from the same seeds.
+loop, held level-major: one column per trajectory, so that sums over the
+levels and shifts along them are elementwise across the trajectories.  The
+same loop on density matrices validates it and must reproduce the same
+outcome sequences from the same seeds.
 
 A run is cut into leaves of ``BLOCK_ROWS`` trajectories, and a leaf is
 reduced while it is stepped: every few steps its ledger columns and
@@ -32,9 +34,10 @@ import numpy as np
 
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
-from ..lindblad import _diagonal_product, _diagonals
-from ..qmath import DensityOperator, shannon_entropy, _ordered_sum
-from ..thermo import FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, _FLOAT_LEDGER, _close, _law_error
+from ..lindblad import _diagonals
+from ..qmath import EIG_CLAMP, DensityOperator, shannon_entropy, _ordered_sum
+from ..thermo import (FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, _FLOAT_LEDGER, _average_heat,
+                      _close, _law_error)
 from ..trajectory import (
     ControlSchedule,
     EnsembleReport,
@@ -182,12 +185,12 @@ def atom_instrument(kind: str, target_nt: int, cutoff: int) -> Instrument:
 def feedback_decision(estimate, target_nt: int) -> np.ndarray:
     """Kind code(s) of the steering rule on population estimates over the last axis.
 
-    Ties keep measuring.
+    Ties keep measuring.  The levels add up in order, whatever the layout of the estimates.
     """
     p = np.asarray(estimate, dtype=float)
     p_target = p[..., target_nt]
-    return np.where(p[..., target_nt + 1 :].sum(axis=-1) > p_target, ABSORBER,
-                    np.where(p[..., :target_nt].sum(axis=-1) > p_target, EMITTER, SENSOR))
+    return np.where(_ordered_sum(p[..., target_nt + 1 :], -1) > p_target, ABSORBER,
+                    np.where(_ordered_sum(p[..., :target_nt], -1) > p_target, EMITTER, SENSOR))
 
 
 def number_populations(states) -> np.ndarray:
@@ -232,12 +235,20 @@ def thermal_populations(beta: float, dim: int) -> np.ndarray:
 
 
 class _Populations:
-    """Number-basis populations, ``(dim,)`` per row: the cavity's state representation.
+    """Number-basis populations, held level-major: the cavity's state representation.
 
-    Every segment drifts by the map of one ``step_ta``.  It and the atom transfers act
-    through their nonzero diagonals, every row's atom in one call, kinds coded in
-    ``ATOM_KINDS`` order.  Each atom outcome moves the cavity by a definite photon number,
-    so a plan's work is that number averaged over the outcomes: exactly zero for a sensor.
+    The rows' populations are the columns of one ``(dim, n)`` array, which
+    lies between ``pad`` zero levels below and above in the buffer it is a
+    view of (the state's ``base``); the engine holds its ``(n, dim)``
+    transpose and indexes it row-first.  A sum over the levels is then an
+    elementwise sum of the array's rows, each row of the result its column's
+    alone, and a shift along the levels is a slice of the buffer.  Every segment drifts by the
+    map of one ``step_ta``: one product of a band with a shifted slice per
+    nonzero diagonal.  An atom's transfer acts, for each outcome, through
+    the one nonzero diagonal of its kind's map, every row's atom in one
+    call, kinds coded in ``ATOM_KINDS`` order.  Each atom outcome moves the
+    cavity by a definite photon number, so a plan's work is that number
+    averaged over the outcomes: exactly zero for a sensor.
     """
 
     kinds = ATOM_KINDS
@@ -245,45 +256,103 @@ class _Populations:
 
     def __init__(self, config: CavityConfig):
         rdt = classical_rate_matrix(config.generator()) * config.step_ta
-        self.drift = _diagonals(expm(rdt) if config.exact_propagator else np.eye(len(rdt)) + rdt)
-        # bands of every kind's (2, dim, dim) transfer, indexed by kind code
-        self.offsets, self.transfers = _diagonals(np.stack(
-            [atom_transfer(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS]))
-        # photons each (kind, outcome) adds: minus the offset of its one nonzero diagonal
-        moves = self.transfers.any(axis=-1).argmax(axis=-1)
-        self.photons = (-np.asarray(self.offsets)[moves]).astype(float)
-        self.n = np.arange(config.dim, dtype=float)
+        offsets, bands = _diagonals(expm(rdt) if config.exact_propagator
+                                    else np.eye(len(rdt)) + rdt)
+        self.dim = d = config.dim
+        self.pad = pad = max(1, -offsets[0], offsets[-1])
+        self.drift = offsets, bands
+        # each (kind, outcome) transfer's one nonzero diagonal: its offset and its band
+        stack = np.stack([atom_transfer(kind, config.target_nt, config.cutoff)
+                          for kind in ATOM_KINDS])
+        offsets, bands = _diagonals(stack)  # bands (kinds, outcomes, diagonals, dim)
+        nonzero = bands.any(axis=-1)
+        if any(row.count(True) != 1 for row in nonzero.reshape(-1, len(offsets)).tolist()):
+            raise ValueError("each atom outcome must move the cavity by one photon number")
+        one = nonzero.argmax(axis=-1)
+        shift = np.asarray(offsets)[one].T  # (outcomes, kinds)
+        band = np.take_along_axis(bands, one[..., None, None], 2)[:, :, 0]  # (kind, outcome, level)
+        self.bands = band.transpose(1, 2, 0)  # (outcome, level, kind): gathered by kind per step
+        # per outcome, the buffer rows each nonzero shift reads and the kinds that shift
+        self.shifts = [[(slice(pad + k, pad + k + d), shift[r] == k)
+                        for k in sorted(set(shift[r].tolist()) - {0})] for r in range(len(shift))]
+        self.photons = -shift.astype(float)  # photons each outcome adds, by kind code
+        self.n = np.arange(d, dtype=float)[:, None]
 
     def initial(self, rho0):
         return number_populations(rho0.matrix)
 
+    def zeros(self, n: int) -> np.ndarray:
+        """The ``(dim, n)`` populations view of a new zero buffer for ``n`` rows."""
+        return np.zeros((self.dim + 2 * self.pad, n))[self.pad:self.pad + self.dim]
+
     def start(self, run, rows):
-        """A population row has no fields of its own."""
+        """Lay the rows' populations out level-major; a population row has no other fields."""
+        levels = self.zeros(len(rows.state))
+        levels[...] = rows.state.T
+        rows.state = levels.T
 
     def energy(self, rows) -> np.ndarray:
-        return np.einsum("...i,i->...", rows.state, self.n)  # n . p of each row on its own
+        return _level_sum(rows.state.T * self.n)  # n . p
 
     def entropy(self, run, rows) -> np.ndarray:
-        return shannon_entropy(rows.state)
+        p = rows.state.T
+        return -_level_sum(p * np.log(np.where(p > EIG_CLAMP, p, 1.0)))  # as shannon_entropy
 
     def propagate(self, run, rows, dt: float) -> float:
         """Drift every row by one step; a population row has no Hamiltonian to switch."""
-        rows.state = _diagonal_product(*self.drift, rows.state)
+        rows.state = _level_product(*self.drift, rows.state.base, self.pad).T
         return 0.0
 
     def groups(self, run, rows, plans, which, kind) -> list:
         return [(np.arange(len(kind)), kind)]  # every row, in order
 
+    def transfer(self, padded, kind) -> np.ndarray:
+        """Joint (outcome, post level) weights ``(outcomes, dim, n)`` of atoms of kind codes
+        ``kind`` on the populations of the zero-padded buffer ``padded``."""
+        levels = padded[self.pad:self.pad + self.dim]
+        weights = self.bands.take(kind, axis=2)
+        for r, shifts in enumerate(self.shifts):
+            source = levels
+            for part, shifted in shifts:
+                source = np.where(shifted[kind], padded[part], source)
+            weights[r] *= source
+        return weights
+
     def branches(self, run, rows, idx, kind) -> tuple:
-        # joint (outcome, post level) weights of every row
-        weights = _diagonal_product(self.offsets, self.transfers[kind], rows.state[:, None, :])
-        probs = weights.sum(axis=-1)
+        weights = self.transfer(rows.state.base, kind)
+        probs, e_raws = _level_sum(weights, 1).T, _level_sum(weights * self.n, 1).T
+        work = (probs.T * self.photons[:, kind]).sum(axis=0)
 
         def pick(at, branch, p):
-            return {"state": weights[at, branch] / p[:, None]}
+            levels = self.zeros(len(at))
+            np.divide(weights[branch, :, at].T, p, out=levels)
+            return {"state": levels.T}
 
-        return (probs, _ordered_sum(probs * self.photons[kind], 1),
-                np.einsum("...i,i->...", weights, self.n), (0, 1), pick)
+        heat = _average_heat(probs, e_raws, rows.energy + work)
+        return probs, work, e_raws, heat, (0, 1), pick
+
+
+def _level_sum(a, axis: int = 0) -> np.ndarray:
+    """Sum over the levels, ``axis``, of level-major ``a`` whose last axis is the rows', adding
+    level by level in order.  numpy does so along an axis that is not innermost in memory;
+    with one row the levels' axis is innermost, and numpy would add it pairwise."""
+    return a.sum(axis=axis) if a.shape[-1] > 1 else _ordered_sum(a, axis)
+
+
+def _level_product(offsets, bands, padded, pad: int) -> np.ndarray:
+    """``m @ p`` for each column ``p`` of ``padded[pad:-pad]``, with ``offsets, bands =
+    _diagonals(m)`` and no offset beyond ``pad``, into a new zero-padded buffer.
+
+    Each band multiplies the rows of ``padded`` shifted by its offset, and the
+    products add up in offset order, column by column; off the matrix a band
+    is zero and meets a zero level.
+    """
+    d, columns = bands.shape[-1], bands[..., None]
+    levels = np.zeros(padded.shape)[pad:pad + d]
+    np.multiply(columns[0], padded[pad + offsets[0]:pad + offsets[0] + d], out=levels)
+    for j, k in enumerate(offsets[1:], 1):
+        levels += columns[j] * padded[pad + k:pad + k + d]
+    return levels
 
 
 # Steps a leaf's fold takes in before it reduces them: bounds the fold's memory, and spreads
@@ -294,14 +363,15 @@ _FOLD_STEPS = 16
 class _Fold:
     """A leaf's tally, folded in as the step loop writes each step; leaves merge in order.
 
-    The columns and number populations of up to ``_FOLD_STEPS`` steps wait in
-    a window.  A full window, and the last, is closed (entropy productions
-    and first-law residuals) and reduced: per-step ``moments`` of every
-    ledger column (``(columns, steps)`` sums and M2), population sums, the
-    count with var(n) < 0.1, the atoms sent by kind and the extremes.  Each
-    number is the one a reduction of the whole leaf's ``(n, steps)`` arrays
-    over its rows gives, bit for bit: a sum over the rows in row order, a
-    count or an extreme.  Of the failures it holds the lowest failing row's
+    The columns, number populations (level-major, as the populations are
+    held) and atom kinds of up to ``_FOLD_STEPS`` steps wait in a window.  A
+    full window, and the last, is closed (entropy productions and first-law
+    residuals) and reduced: per-step ``moments`` of every ledger column
+    (``(columns, steps)`` sums and M2), population sums, the count with
+    var(n) < 0.1, the atoms sent by kind and the extremes.  Each number is
+    the one a reduction of the whole leaf's ``(n, steps)`` arrays over its
+    rows gives, bit for bit: a sum over the rows in row order, a count or an
+    extreme.  Of the failures it holds the lowest failing row's
     first, for a broken law and for a leak apart.  ``close`` keeps the
     leaf's records and drops the window; ``merge`` then folds in the next
     leaf.
@@ -311,9 +381,9 @@ class _Fold:
         steps, dim = run.schedule.n_steps, len(run.state0)
         width = min(_FOLD_STEPS, steps)
         self.beta, self.steps = run.gen.beta, steps
-        self.n_vec = np.arange(dim, dtype=float)
+        self.n_vec = np.arange(dim, dtype=float)[:, None]
         self.window = np.empty((n, width, len(LEDGER_DTYPE)))
-        self.pops = np.empty((n, width, dim))
+        self.pops, self.codes = np.empty((width, dim, n)), np.empty((width, n), np.int64)
         self.moments = Moments(n, *np.empty((2, len(LEDGER_DTYPE), steps)))
         self.populations, self.narrow = np.empty((steps, dim)), np.empty(steps, np.int64)
         self.atoms = np.zeros(len(ATOM_KINDS), np.int64)  # atoms sent, by kind code
@@ -324,39 +394,40 @@ class _Fold:
     def __call__(self, rows, k: int):
         j = k % self.window.shape[1]
         self.window[:, j] = rows.columns
-        self.pops[:, j] = number_populations(rows.state)
-        self.atoms += np.bincount(rows.code, minlength=len(ATOM_KINDS))
+        self.pops[j] = number_populations(rows.state).T
+        self.codes[j] = rows.code
         if j + 1 == self.window.shape[1] or k + 1 == self.steps:
             self._reduce(slice(k - j, k + 1))
 
     def _reduce(self, at: slice):
         """Close and reduce the window's steps ``at``."""
         width = at.stop - at.start
-        block, pops = self.window[:, :width], self.pops[:, :width]
+        block, pops = self.window[:, :width], self.pops[:width]
         led = block.view(_FLOAT_LEDGER)[..., 0]
         residual, seg_bad, bad = _close(led, self.beta)
-        moments = Moments.of(block)
-        self.moments.sums[:, at], self.moments.m2[:, at] = moments.sums.T, moments.m2.T
-        # elementwise sums over the levels: a matrix-vector product's last bit depends on
-        # the window's shape
-        mean_n = _ordered_sum(pops * self.n_vec, -1)
-        self.populations[at] = pops.sum(axis=0)
-        var_n = _ordered_sum(pops * self.n_vec**2, -1) - mean_n**2
-        self.narrow[at] = np.count_nonzero(var_n < 0.1, axis=0)
-        top = pops[..., -1]
         self.first_law_max = np.maximum(self.first_law_max, np.abs(residual).max())
         self.sigma_seg_min = np.minimum(self.sigma_seg_min, led["sigma_seg"].min())
-        self.truncation_max = np.maximum(self.truncation_max, top.max())
         failing = bad.any(axis=1)
         if failing.any() and (self.law is None or failing.argmax() < self.law[0]):
             i = int(failing.argmax())
             self.law = i, _law_error(led, residual, seg_bad, (i, int(bad[i].argmax())))
+        moments = Moments.of(block, out=block)  # the window's last use: deviations in place
+        self.moments.sums[:, at], self.moments.m2[:, at] = moments.sums.T, moments.m2.T
+        self.atoms += np.bincount(self.codes[:width].ravel(), minlength=len(ATOM_KINDS))
+        # elementwise sums over the levels: a matrix-vector product's last bit depends on
+        # the window's shape; the rows add up in row order, each a block of a row-major copy
+        mean_n = _ordered_sum(pops * self.n_vec, 1)
+        self.populations[at] = np.ascontiguousarray(pops.transpose(2, 0, 1)).sum(axis=0)
+        var_n = _ordered_sum(pops * self.n_vec**2, 1) - mean_n**2
+        self.narrow[at] = np.count_nonzero(var_n < 0.1, axis=1)
+        top = pops[:, -1]  # (steps, rows)
+        self.truncation_max = np.maximum(self.truncation_max, top.max())
         leaking = top > TRUNCATION_LEAK
-        failing = leaking.any(axis=1)
+        failing = leaking.any(axis=0)
         if failing.any() and (self.leak is None or failing.argmax() < self.leak[0]):
             i = int(failing.argmax())
-            s = int(leaking[i].argmax())
-            self.leak = i, (f"population {top[i, s]:.2e} at the cutoff level "
+            s = int(leaking[:, i].argmax())
+            self.leak = i, (f"population {top[s, i]:.2e} at the cutoff level "
                             f"on step {at.start + s + 1}")
 
     def check(self, indices):
@@ -371,7 +442,7 @@ class _Fold:
 
     def close(self, records) -> "_Fold":
         """Keep the leaf's ``records`` and drop the window: what a leaf hands back."""
-        self.records, self.window, self.pops = list(records), None, None
+        self.records, self.window, self.pops, self.codes = list(records), None, None, None
         return self
 
     def merge(self, other: "_Fold") -> "_Fold":

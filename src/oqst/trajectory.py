@@ -48,6 +48,7 @@ from .thermo import (
     ThermoError,
     entropy_production_step,
     unit_energetics,
+    _average_heat,
     _check_average_heat,
 )
 
@@ -327,6 +328,7 @@ class _Run:
         self.units = {(): 0}  # code of each tracked-unit signature, in code order
         self.kinds = {kind: code for code, kind in enumerate(rep.kinds)}  # likewise, plan kinds
         self.names = np.array(list(self.kinds), dtype=object)  # the kinds in code order
+        self.plans = self.codes = None  # the policy's last plans and their kind codes
 
 
 class _Rows:
@@ -337,13 +339,15 @@ class _Rows:
     ``outcomes`` and ``kinds`` the outcome labels and plan kind names so far
     (what a policy reads), ``code`` the current plan kinds as codes in
     ``run.kinds`` and ``columns`` the current step's ``_FLOAT_LEDGER`` row as
-    floats, every column of which the step rewrites but the entropy
-    productions.
-    ``recent`` holds the last ``delay`` post-control states, control ``k``'s
-    in slot ``k % delay``, for delayed estimates.  The histories of records
-    hold the first ``kept`` rows only: ``ledger``, every step's columns as
-    floats, and with ``store_states`` ``states``, the post-control states.
-    The representation adds its own fields.
+    floats, ``led`` their ledger view.  The step rewrites every column but the
+    entropy productions and the unit columns of a representation without units,
+    which stay zero.
+    The histories of records hold the first ``kept`` rows only: ``ledger``,
+    every step's columns as floats, and with ``store_states`` ``states``, the
+    post-control states.  Delayed estimates are read from ``states`` when it
+    holds every row; else ``recent`` holds the last ``delay`` post-control
+    states, control ``k``'s in slot ``k % delay``.  The representation adds
+    its own fields.
     """
 
     def __init__(self, run: _Run, n: int, kept: int):
@@ -352,11 +356,23 @@ class _Rows:
         self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.empty((n, steps), object)
         self.ledger = np.zeros((kept, steps, len(_FLOAT_LEDGER)))
         self.states = np.empty((kept if run.store_states else 0, steps) + shape, dtype)
-        self.recent = np.empty((n, max(0, min(run.policy.delay, steps))) + shape, dtype)
+        slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
+        self.recent = np.empty((n, slots) + shape, dtype)
         self.columns = np.zeros((n, len(_FLOAT_LEDGER)))
+        self.led = self.columns.view(_FLOAT_LEDGER)[:, 0]
         self.state = np.repeat(run.state0[None], n, axis=0)
         run.rep.start(run, self)
         self.energy, self.s_prev = run.rep.energy(self), run.rep.entropy(run, self)
+
+    def estimates(self, run: _Run, k: int):
+        """The states the policy plans control ``k`` on: those after control ``k - delay``,
+        the initial ones before it, the current ones with no delay."""
+        delay = run.policy.delay
+        if delay <= 0:
+            return self.state
+        if k < delay:
+            return np.broadcast_to(run.state0, self.state.shape)
+        return self.recent[:, k % delay] if self.recent.shape[1] else self.states[:, k - delay]
 
     def keep(self, k: int):
         """Hold step ``k``'s columns and post-control states in the histories."""
@@ -373,6 +389,7 @@ class _Rows:
         for key, value in vars(self).items():
             setattr(new, key, value[parent] if isinstance(value, np.ndarray)
                     else [value[i] for i in parent])
+        new.led = new.columns.view(_FLOAT_LEDGER)[:, 0]
         return new
 
 
@@ -445,8 +462,9 @@ class _Matrices:
                 for units, idx in _by_units(run, rows) for w in np.unique(which[idx])]
 
     def branches(self, run: _Run, rows: _Rows, idx, group) -> tuple:
-        """Probabilities, average energy change, unnormalized energies and labels of the
-        branches of rows ``idx``, and ``pick``: the row fields and unit columns of the chosen."""
+        """Probabilities, average energy change, unnormalized energies, average heat and
+        labels of the branches of rows ``idx``, and ``pick``: the row fields and unit columns
+        of the chosen."""
         plan, units = group
         instr, d = plan.instrument, run.gen.dim
         dev = instr.completeness_deviation
@@ -486,8 +504,10 @@ class _Matrices:
                 "q_ctrl_unit": q_unit[at, branch],
             }
 
-        return (_trace(post_raws), _expectation(h, _ordered_sum(raws, 1) - mat),
-                _expectation(h[:, None], raws), instr.labels, pick)
+        probs, e_raws = _trace(post_raws), _expectation(h[:, None], raws)
+        work = _expectation(h, _ordered_sum(raws, 1) - mat)
+        heat = _average_heat(probs, e_raws, rows.energy[idx] + work)
+        return probs, work, e_raws, heat, instr.labels, pick
 
 
 _MATRICES = _Matrices()
@@ -495,8 +515,7 @@ _MATRICES = _Matrices()
 
 def _segment(run: _Run, rows: _Rows, k: int, dt: float):
     """Switch and drift every row up to control ``k``, filling its segment columns."""
-    e_start = rows.energy
-    led = rows.columns.view(_FLOAT_LEDGER)[:, 0]
+    e_start, led = rows.energy, rows.led
     led["step"] = k + 1
     w = run.rep.propagate(run, rows, dt)
     e_pre = rows.energy = run.rep.energy(rows)
@@ -514,25 +533,27 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     pairs that continue, in row order: one per row when sampling, every
     viable one (at least one) when enumerating.  A branch's energy is its
     unnormalized energy over its probability, and its heat what the first
-    law leaves of the energy change past the work.
+    law leaves of the energy change past the work; the representation's
+    ``branches`` gives each row's average heat too, which must vanish.
     """
-    step, delay = k + 1, run.policy.delay
-    # a delayed estimate is the state after control k - delay (slot k % delay), or the start
-    estimates = (rows.state if delay <= 0 else rows.recent[:, k % delay] if k >= delay
-                 else np.broadcast_to(run.state0, rows.state.shape))
-    plans, which = run.policy.plan(step, estimates, rows.outcomes[:, :k], rows.kinds[:, :k])
-    kind = np.array([run.kinds.setdefault(p.kind, len(run.kinds)) for p in plans])[which]
-    if len(run.names) < len(run.kinds):
-        run.names = np.array(list(run.kinds), dtype=object)
+    step = k + 1
+    plans, which = run.policy.plan(step, rows.estimates(run, k), rows.outcomes[:, :k],
+                                   rows.kinds[:, :k])
+    if plans is not run.plans:  # plans the policy hands out again are coded already
+        run.plans = plans
+        run.codes = np.array([run.kinds.setdefault(p.kind, len(run.kinds)) for p in plans])
+        if len(run.names) < len(run.kinds):
+            run.names = np.array(list(run.kinds), dtype=object)
+    kind = run.codes[which]
     parts = []
     for idx, group in run.rep.groups(run, rows, plans, which, kind):
-        probs, work, e_raws, labels, pick = run.rep.branches(run, rows, idx, group)
-        _check_average_heat(probs, e_raws, rows.energy[idx] + work)
+        probs, work, e_raws, heat, labels, pick = run.rep.branches(run, rows, idx, group)
+        _check_average_heat(heat)
         at, branch = select(step, idx, labels, probs)
         p, parent = probs[at, branch], idx[at]
         outcome = branch if labels == tuple(range(len(labels))) else np.asarray(labels)[branch]
         parts.append({"parent": parent, "branch": branch, "p": p, "kind": kind[parent],
-                      "outcome": outcome, "logp_increment": -np.log(p) + 0.0,  # never -0.0
+                      "outcome": outcome, "logp_increment": 0.0 - np.log(p),  # never -0.0
                       "w_ctrl_sys": work[at], "e_sys_end": e_raws[at, branch] / p,
                       **pick(at, branch, p)})
     kids = parts[0]
@@ -552,13 +573,14 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
         setattr(rows, key, kids[key])
     rows.log_prob, rows.prob = rows.log_prob + kids["logp_increment"], rows.prob * kids["p"]
     rows.code, rows.kinds[:, k] = kids["kind"], run.names[kids["kind"]]
-    led, e_end, w = rows.columns.view(_FLOAT_LEDGER)[:, 0], kids["e_sys_end"], kids["w_ctrl_sys"]
+    led, e_end, w = rows.led, kids["e_sys_end"], kids["w_ctrl_sys"]
     rows.outcomes[:, k] = led["outcome"] = kids["outcome"]
     led["logp_increment"] = kids["logp_increment"]
     led["e_sys_end"], led["w_ctrl_sys"], led["q_ctrl_sys"] = e_end, w, e_end - (rows.energy + w)
     led["s_end"] = rows.s_prev = rows.log_prob + run.rep.entropy(run, rows)
-    for col in ("de_unit", "w_ctrl_unit", "q_ctrl_unit"):  # zero for a representation without
-        led[col] = kids.get(col, 0.0)
+    for col in ("de_unit", "w_ctrl_unit", "q_ctrl_unit"):  # a representation without units
+        if col in kids:                                    # leaves them zero
+            led[col] = kids[col]
     rows.energy = e_end
     return rows
 
@@ -646,7 +668,9 @@ def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
 
 def _sampled(uniforms: np.ndarray):
     def select(step, idx, labels, probs):
-        return np.arange(len(idx)), choose_branch(np.maximum(probs, 0.0), uniforms[idx, step - 1])
+        u = uniforms[:, step - 1]  # every row's; a group of all the rows lists them in order
+        return np.arange(len(idx)), choose_branch(np.maximum(probs, 0.0),
+                                                  u if len(idx) == len(u) else u[idx])
     return select
 
 
@@ -752,11 +776,14 @@ class Moments:
     m2: np.ndarray
 
     @classmethod
-    def of(cls, rows) -> "Moments":
-        """Two-pass moments over the leading axis of ``rows``."""
+    def of(cls, rows, out=None) -> "Moments":
+        """Two-pass moments over the leading axis of ``rows``; ``out``, if given, an array of
+        its shape to hold the squared deviations in (``rows`` itself, if it is no longer
+        needed), spares a fresh allocation of that size."""
         rows = np.asarray(rows, dtype=float)
         sums = rows.sum(axis=0)
-        return cls(len(rows), sums, ((rows - sums / len(rows)) ** 2).sum(axis=0))
+        dev = np.subtract(rows, sums / len(rows), out=out)
+        return cls(len(rows), sums, np.square(dev, out=dev).sum(axis=0))
 
     def merge(self, other: "Moments") -> "Moments":
         n = self.n + other.n

@@ -28,7 +28,7 @@ from oqst.scenarios.cavity import (
     sensor_weights,
     thermal_populations,
 )
-from oqst.thermo import first_law_residual
+from oqst.thermo import ThermoError, first_law_residual
 
 NT, CUTOFF = 2, 8
 
@@ -219,17 +219,30 @@ class TestCavityRun:
         assert (var_n[100:] < 0.1).mean() > 0.75
 
 
-class TestDiagonalProduct:
+def _padded(p, pad):
+    """Rows ``p`` ``(n, dim)`` laid out level-major between ``pad`` zero levels each side."""
+    buf = np.zeros((p.shape[1] + 2 * pad, len(p)))
+    buf[pad:pad + p.shape[1]] = p.T
+    return buf
+
+
+def _random_rows(n=50, dim=CUTOFF + 1, seed=3):
+    p = np.random.default_rng(seed).random((n, dim))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+class TestLevelMajorKernels:
+    """The kernels the population path runs: the drift's band products on shifted slices of
+    the level-major populations, and each atom outcome's one-band transfer."""
+
     @staticmethod
     def assert_matches_dense(m, p):
-        dense = (m * p[..., None, :]).sum(-1)
-        banded = cavity._diagonal_product(*cavity._diagonals(m), p)
-        assert banded.shape == dense.shape
-        assert np.abs(banded - dense).max() <= 1e-15
-
-    def rows(self, n=50, dim=CUTOFF + 1):
-        p = np.random.default_rng(3).random((n, dim))
-        return p / p.sum(axis=-1, keepdims=True)
+        offsets, bands = cavity._diagonals(m)
+        pad = max(abs(k) for k in offsets)
+        levels = cavity._level_product(offsets, bands, _padded(p, pad), pad)
+        assert levels.shape == (len(m), len(p))
+        assert np.abs(levels.T - p @ m.T).max() <= 1e-15
+        assert not levels.base[:pad].any() and not levels.base[pad + len(m):].any()
 
     def test_step_maps(self):
         config = CavityConfig()
@@ -239,24 +252,102 @@ class TestDiagonalProduct:
         assert len(cavity._diagonals(first_order)[0]) == 3
         assert len(cavity._diagonals(exact)[0]) == 2 * config.dim - 1
         for m in (first_order, exact):
-            self.assert_matches_dense(m, self.rows())
+            self.assert_matches_dense(m, _random_rows())
 
-    def test_atom_transfers(self):
+    def test_random_dense_matrix(self):
+        self.assert_matches_dense(np.random.default_rng(5).random((7, 7)), _random_rows(dim=7))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_the_drift_the_population_path_runs(self, exact):
+        config = CavityConfig(exact_propagator=exact)
+        rep = cavity._Populations(config)
+        rates = classical_rate_matrix(config.generator()) * config.step_ta
+        m = expm(rates) if exact else np.eye(config.dim) + rates
+        p = _random_rows()
+        rows = trajectory._Rows.__new__(trajectory._Rows)
+        rows.state = p.copy()
+        rep.start(None, rows)
+        rep.propagate(None, rows, config.step_ta)
+        assert np.abs(rows.state - p @ m.T).max() <= 1e-15
+
+    def test_each_atom_outcome_has_one_band(self):
         offsets = {"sensor": [0], "emitter": [-1, 0], "absorber": [0, 1]}
         for kind in ATOM_KINDS:
             m = atom_transfer(kind, NT, CUTOFF)
             assert cavity._diagonals(m)[0] == offsets[kind]
-            self.assert_matches_dense(m, self.rows()[:, None, :])
+            for r in (0, 1):
+                assert len(cavity._diagonals(m[r])[0]) == 1
 
-    def test_per_row_kinds_and_random_dense_matrix(self):
+    def test_per_row_kinds(self):
+        rep = cavity._Populations(CavityConfig())
         stack = np.stack([atom_transfer(kind, NT, CUTOFF) for kind in ATOM_KINDS])
-        offsets, bands = cavity._diagonals(stack)
         codes = np.random.default_rng(4).integers(0, 3, 50)
-        p = self.rows()
-        dense = (stack[codes] * p[:, None, None, :]).sum(-1)
-        assert np.abs(cavity._diagonal_product(offsets, bands[codes], p[:, None, :])
-                      - dense).max() <= 1e-15
-        self.assert_matches_dense(np.random.default_rng(5).random((7, 7)), self.rows(dim=7))
+        p = _random_rows()
+        weights = rep.transfer(_padded(p, rep.pad), codes)  # (outcome, level, row)
+        dense = (stack[codes] * p[:, None, None, :]).sum(-1)  # (row, outcome, level)
+        # one nonzero product per weight: the dense sum adds exact zeros to it
+        assert np.array_equal(weights.transpose(2, 0, 1), dense)
+
+
+def _population_step(config, p, codes, branch):
+    """Every number one population step computes for rows ``p`` with atoms ``codes``, picking
+    outcome ``branch``: drifted state, its energy and entropy, the atom weights, the branch
+    sums and the post-control state, each with the row leading."""
+    rep = cavity._Populations(config)
+    rows = trajectory._Rows.__new__(trajectory._Rows)
+    rows.state = p.copy()
+    rep.start(None, rows)
+    rep.propagate(None, rows, config.step_ta)
+    rows.energy = rep.energy(rows)
+    entropy = rep.entropy(None, rows)
+    weights = rep.transfer(rows.state.base, codes).transpose(2, 0, 1)
+    at = np.arange(len(codes))
+    probs, work, e_raws, heat, _, pick = rep.branches(None, rows, at, codes)
+    post = pick(at, branch, probs[at, branch])["state"]
+    return [rows.state, rows.energy, entropy, weights, probs, work, e_raws, heat, post]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_stacked_population_step_equals_rows_one_at_a_time(exact):
+    """Each row's numbers come from elementwise operations on that row alone: a stacked step
+    equals the same rows stepped one at a time, bit for bit."""
+    config = CavityConfig(exact_propagator=exact)
+    rng = np.random.default_rng(6)
+    p, codes, branch = _random_rows(n=40), rng.integers(0, 3, 40), rng.integers(0, 2, 40)
+    stacked = _population_step(config, p, codes, branch)
+    for i in range(len(p)):
+        alone = _population_step(config, p[i:i + 1], codes[i:i + 1], branch[i:i + 1])
+        for whole, one in zip(stacked, alone):
+            assert whole[i].tobytes() == one[0].tobytes()
+
+
+def test_a_photon_move_off_by_one_breaks_the_average_heat(monkeypatch):
+    """The population path's average-heat check has power: booking one photon too many for an
+    emitted photon leaves an average control heat, and the run stops on it."""
+    init = cavity._Populations.__init__
+
+    def off_by_one(self, config):
+        init(self, config)
+        self.photons = self.photons + np.where(np.arange(3) == cavity.EMITTER, [[1.0], [0.0]], 0.0)
+
+    monkeypatch.setattr(cavity._Populations, "__init__", off_by_one)
+    with pytest.raises(ThermoError, match=r"^average control heat \S+ is not zero$"):
+        run_cavity(CavityConfig(steps=10, trajectories=4, seed=5))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_delayed_estimates_read_the_same_from_every_history(dense):
+    """A delayed policy reads its estimates from the kept states when every row is kept, else
+    from the ring of the last ``delay`` states: trajectory 0's record is the same bit for bit."""
+    config = CavityConfig(steps=30, trajectories=6, seed=9, delay_d=3, dense=dense)
+    chunk = cavity._dense_chunk if dense else cavity._diagonal_chunk
+    every, first = (chunk(config, range(6), keep_records=keep) for keep in (True, False))
+    assert len(every.records) == 6 and len(first.records) == 1
+    a, b = every.records[0], first.records[0]
+    assert a.outcomes == b.outcomes and a.kinds == b.kinds
+    assert a.ledgers.tobytes() == b.ledgers.tobytes()
+    assert np.asarray(a.states).tobytes() == np.asarray(b.states).tobytes()
+    assert any(kind != "sensor" for kind in a.kinds[config.delay_d:])
 
 
 def _same_records(a, b):

@@ -88,6 +88,29 @@ class TestParsing:
         cfg = parse_config(["run", "tpm"])
         assert cfg.workers == 3
 
+    def test_workers_precedence_flag_file_env(self, monkeypatch, tmp_path):
+        # the environment is read only when neither the flag nor the file gives a count
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"scenario": "cavity", "workers": 2}))
+        monkeypatch.setenv("OQST_WORKERS", "abc")
+        assert parse_config(["run", "cavity", "--config", str(path)]).workers == 2
+        assert parse_config(["run", "cavity", "--config", str(path), "--workers", "3"]).workers == 3
+        monkeypatch.setenv("OQST_WORKERS", "4")
+        assert parse_config(["run", "cavity", "--config", str(path)]).workers == 2
+        path.write_text(json.dumps({"scenario": "cavity"}))
+        assert parse_config(["run", "cavity", "--config", str(path)]).workers == 4
+        monkeypatch.setenv("OQST_WORKERS", "abc")
+        with pytest.raises(CliError, match="OQST_WORKERS"):
+            parse_config(["run", "cavity", "--config", str(path)])
+
+    def test_env_not_read_when_the_file_sets_workers(self, monkeypatch, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"scenario": "cavity", "workers": 2,
+                                    "params": {"steps": 3, "traj": 2}}))
+        monkeypatch.setenv("OQST_WORKERS", "abc")
+        assert main(["run", "cavity", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
     @pytest.mark.parametrize("env", ["0", "-3"])
     def test_env_workers_below_one_exit_code(self, monkeypatch, tmp_path, env):
         # the same count rule as --workers and a config file's "workers"
