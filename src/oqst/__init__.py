@@ -24,7 +24,6 @@ from .channels import (
     average_map,
     projective_instrument,
     stinespring_dilate,
-    verify_instrument,
 )
 from .lindblad import (
     Protocol,
@@ -63,7 +62,7 @@ __all__ = [
     "DensityOperator", "mutual_information", "partial_trace", "shannon_entropy",
     "tensor_product", "von_neumann_entropy",
     "Instrument", "OutcomeBranch", "StinespringDilation", "apply_instrument",
-    "average_map", "projective_instrument", "stinespring_dilate", "verify_instrument",
+    "average_map", "projective_instrument", "stinespring_dilate",
     "Protocol", "ThermalGenerator", "gibbs_state", "heat_work_segment",
     "propagate", "thermal_cavity_generator",
     "LEDGER_DTYPE", "ControlEnergetics", "check_measurement_entropy_lemma",

@@ -70,10 +70,11 @@ class OutcomeBranch:
 class Instrument:
     """Outcome-labeled family of CP maps summing to a CPTP map.
 
-    Construction checks shapes and label ordering only; completeness is the
-    job of :func:`verify_instrument` so that deliberately broken instruments
-    can still be built and reported on.  The completeness deviation and
-    the dilation are computed on first use and kept on the instance.
+    Construction checks shapes and label ordering only, so that deliberately
+    broken instruments can still be built and reported on; their users read
+    ``completeness_deviation`` against ``COMPLETENESS_ATOL``.  The
+    completeness deviation and the dilation are computed on first use and
+    kept on the instance.
     """
 
     dim: int
@@ -151,18 +152,6 @@ def _branch_states(kraus, starts, mat) -> np.ndarray:
     if len(starts) == kraus.shape[-3]:  # one Kraus operator per outcome
         return per_kraus
     return np.add.reduceat(per_kraus, starts, axis=-3)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    max_deviation: float
-
-
-def verify_instrument(instr: Instrument, atol: float = COMPLETENESS_ATOL) -> VerificationReport:
-    """Check sum_{r,a} A_a†(r) A_a(r) == identity within ``atol``."""
-    dev = instr.completeness_deviation
-    return VerificationReport(passed=dev <= atol, max_deviation=dev)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -232,14 +233,14 @@ def _json_ready(obj):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(fmt(float(obj)))
+    if isinstance(obj, (float, np.floating)):  # strict JSON has no infinity or NaN
+        return float(fmt(float(obj))) if math.isfinite(obj) else None
     return obj
 
 
 def _write_summary(out_dir: str, payload: dict):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -6,10 +6,11 @@ superoperator exponential or as the first-order map ``rho + L rho * dt``.
 The generator is the one place that builds its Liouvillian and per-step
 superoperators; it keeps the Liouvillian and the most recently used
 ``STEP_CACHE_SIZE`` step maps, each with its nonzero diagonals.  Every
-drift runs through one banded kernel, ``_propagate_matrix``, which the
-cavity's population path shares; ``apply`` is the generator's action
-L(rho), not a propagator, and ``heat_work_segment`` is the one-state case
-of the stacked segment form ``_segments``.
+drift runs through one banded kernel, ``_banded_product``, on level-major
+columns: ``_propagate_matrix`` lays density matrices out that way, and the
+cavity's population path holds its populations that way.  ``apply`` is the
+generator's action L(rho), not a propagator, and ``heat_work_segment`` is
+the one-state case of the stacked segment form ``_segments``.
 
 The exact map is ``expm(L dt)``, computed here with numpy only: scaling
 and squaring with a diagonal Padé approximant (Higham, "The scaling and
@@ -292,31 +293,42 @@ def _diagonals(m) -> tuple:
     return offsets, bands
 
 
-def _diagonal_product(offsets, bands, p) -> np.ndarray:
-    """``m @ p`` over the last axis of ``p`` for ``offsets, bands = _diagonals(m)``.
+def _padded_levels(d: int, pad: int, n: int, dtype=float) -> np.ndarray:
+    """The ``(d, n)`` middle of a new zero buffer with ``pad`` zero levels below and above."""
+    return np.zeros((d + 2 * pad, n), dtype)[pad:pad + d]
 
-    A shifted elementwise product per diagonal, summed in offset order, so
-    each row's result depends on that row alone.
+
+def _banded_product(offsets, bands, padded, pad: int) -> np.ndarray:
+    """``m @ p`` for each column ``p`` of ``padded[pad:-pad]``, with ``offsets, bands =
+    _diagonals(m)`` and no offset beyond ``pad``, into a new zero-padded buffer.
+
+    Each band multiplies the rows of ``padded`` shifted by its offset, and the
+    products add up in offset order, column by column, so each column's result
+    depends on that column alone; off the matrix a band is zero and meets a
+    zero level.
     """
-    d = p.shape[-1]
-    lo = max(0, -offsets[0])
-    padded = np.zeros(p.shape[:-1] + (lo + d + max(0, offsets[-1]),), dtype=p.dtype)
-    padded[..., lo : lo + d] = p
-    out = bands[..., 0, :] * padded[..., lo + offsets[0] : lo + offsets[0] + d]
+    d, columns = bands.shape[-1], bands[..., None]
+    levels = _padded_levels(d, pad, padded.shape[1], np.result_type(bands, padded))
+    np.multiply(columns[0], padded[pad + offsets[0]:pad + offsets[0] + d], out=levels)
     for j, k in enumerate(offsets[1:], 1):
-        out += bands[..., j, :] * padded[..., lo + k : lo + k + d]
-    return out
+        levels += columns[j] * padded[pad + k:pad + k + d]
+    return levels
 
 
 def _propagate_matrix(gen: ThermalGenerator, mat: np.ndarray, dt: float, method: str) -> np.ndarray:
     """Evolve (..., D, D) states of system ⊗ rest for ``dt``: the system's step map acts
-    through its bands, and the result is hermitized and, for first order, clamped."""
+    through its bands on the vectorised system index, laid out level-major with one column
+    per state and rest index; the result is hermitized and, for first order, clamped."""
     if dt == 0.0 and method in METHODS:  # a zero step builds no map
         return mat
+    offsets, bands = gen._step(dt, method)[1]
     d, rest = gen.dim, mat.shape[-1] // gen.dim
-    vecs = mat.reshape(-1, d, rest, d, rest).transpose(0, 2, 4, 1, 3).reshape(-1, rest, rest, d * d)
-    out = _diagonal_product(*gen._step(dt, method)[1], vecs)
-    out = hermitize(out.reshape(-1, rest, rest, d, d).transpose(0, 3, 1, 4, 2).reshape(mat.shape))
+    pad, split = max(0, -offsets[0], offsets[-1]), (d, d, -1, rest, rest)
+    levels = _padded_levels(d * d, pad, mat.size // (d * d), mat.dtype)
+    levels.reshape(split)[...] = mat.reshape(-1, d, rest, d, rest).transpose(1, 3, 0, 2, 4)
+    out = _banded_product(offsets, bands, levels.base, pad).reshape(split)
+    # one C-order copy back: later sums over a state's entries add in memory order
+    out = hermitize(np.ascontiguousarray(out.transpose(2, 0, 3, 1, 4)).reshape(mat.shape))
     return _clamp_negative(out) if method == "first_order" else out
 
 

@@ -11,8 +11,9 @@ Everything the controller sees is diagonal in the number basis, so the
 production path steps bare population vectors through the engine's step
 loop, held level-major: one column per trajectory, so that sums over the
 levels and shifts along them are elementwise across the trajectories.  The
-same loop on density matrices validates it and must reproduce the same
-outcome sequences from the same seeds.
+drift runs the engine's one banded kernel, ``lindblad._banded_product``, on
+them.  The same loop on density matrices validates it and must reproduce
+the same outcome sequences from the same seeds.
 
 A run is cut into leaves of ``BLOCK_ROWS`` trajectories, and a leaf is
 reduced while it is stepped: every few steps its ledger columns and
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
-from ..lindblad import _diagonals
+from ..lindblad import _banded_product, _diagonals, _padded_levels
 from ..qmath import EIG_CLAMP, DensityOperator, shannon_entropy, _ordered_sum
 from ..thermo import (FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, _FLOAT_LEDGER, _average_heat,
                       _close, _law_error)
@@ -242,9 +243,10 @@ class _Populations:
     view of (the state's ``base``); the engine holds its ``(n, dim)``
     transpose and indexes it row-first.  A sum over the levels is then an
     elementwise sum of the array's rows, each row of the result its column's
-    alone, and a shift along the levels is a slice of the buffer.  Every segment drifts by the
-    map of one ``step_ta``: one product of a band with a shifted slice per
-    nonzero diagonal.  An atom's transfer acts, for each outcome, through
+    alone, and a shift along the levels is a slice of the buffer.  Every
+    segment drifts by the map of one ``step_ta`` through the one banded
+    kernel, ``_banded_product``: one product of a band with a shifted slice
+    per nonzero diagonal.  An atom's transfer acts, for each outcome, through
     the one nonzero diagonal of its kind's map, every row's atom in one
     call, kinds coded in ``ATOM_KINDS`` order.  Each atom outcome moves the
     cavity by a definite photon number, so a plan's work is that number
@@ -283,7 +285,7 @@ class _Populations:
 
     def zeros(self, n: int) -> np.ndarray:
         """The ``(dim, n)`` populations view of a new zero buffer for ``n`` rows."""
-        return np.zeros((self.dim + 2 * self.pad, n))[self.pad:self.pad + self.dim]
+        return _padded_levels(self.dim, self.pad, n)
 
     def start(self, run, rows):
         """Lay the rows' populations out level-major; a population row has no other fields."""
@@ -300,7 +302,7 @@ class _Populations:
 
     def propagate(self, run, rows, dt: float) -> float:
         """Drift every row by one step; a population row has no Hamiltonian to switch."""
-        rows.state = _level_product(*self.drift, rows.state.base, self.pad).T
+        rows.state = _banded_product(*self.drift, rows.state.base, self.pad).T
         return 0.0
 
     def groups(self, run, rows, plans, which, kind) -> list:
@@ -337,22 +339,6 @@ def _level_sum(a, axis: int = 0) -> np.ndarray:
     level by level in order.  numpy does so along an axis that is not innermost in memory;
     with one row the levels' axis is innermost, and numpy would add it pairwise."""
     return a.sum(axis=axis) if a.shape[-1] > 1 else _ordered_sum(a, axis)
-
-
-def _level_product(offsets, bands, padded, pad: int) -> np.ndarray:
-    """``m @ p`` for each column ``p`` of ``padded[pad:-pad]``, with ``offsets, bands =
-    _diagonals(m)`` and no offset beyond ``pad``, into a new zero-padded buffer.
-
-    Each band multiplies the rows of ``padded`` shifted by its offset, and the
-    products add up in offset order, column by column; off the matrix a band
-    is zero and meets a zero level.
-    """
-    d, columns = bands.shape[-1], bands[..., None]
-    levels = np.zeros(padded.shape)[pad:pad + d]
-    np.multiply(columns[0], padded[pad + offsets[0]:pad + offsets[0] + d], out=levels)
-    for j, k in enumerate(offsets[1:], 1):
-        levels += columns[j] * padded[pad + k:pad + k + d]
-    return levels
 
 
 # Steps a leaf's fold takes in before it reduces them: bounds the fold's memory, and spreads

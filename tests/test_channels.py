@@ -5,6 +5,7 @@ import pytest
 
 from oqst import qmath
 from oqst.channels import (
+    COMPLETENESS_ATOL,
     ChannelError,
     Instrument,
     OutcomeBranch,
@@ -15,7 +16,6 @@ from oqst.channels import (
     random_instrument,
     stinespring_dilate,
     unitary_kick,
-    verify_instrument,
 )
 from oqst.qmath import DensityOperator, dag, tensor_product
 
@@ -29,21 +29,18 @@ def scaled(instr, factor):
 
 class TestVerification:
     def test_projective_passes(self):
-        report = verify_instrument(projective_instrument(np.eye(2)))
-        assert report.passed
-        assert report.max_deviation == 0.0
+        assert projective_instrument(np.eye(2)).completeness_deviation == 0.0
 
     def test_scaled_fails(self):
-        report = verify_instrument(scaled(projective_instrument(np.eye(2)), 1.1))
-        assert not report.passed
-        assert report.max_deviation > 0.1
+        deviation = scaled(projective_instrument(np.eye(2)), 1.1).completeness_deviation
+        assert deviation > 0.1 > COMPLETENESS_ATOL
 
     def test_random_instruments_complete(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             dim = int(rng.integers(2, 5))
             instr = random_instrument(rng, dim, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-            assert verify_instrument(instr).passed
+            assert instr.completeness_deviation <= COMPLETENESS_ATOL
 
 
 class TestApplication:
@@ -105,12 +102,12 @@ class TestProjectiveConstruction:
         basis = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         instr = projective_instrument(basis)
         assert instr.efficient
-        assert verify_instrument(instr).passed
+        assert instr.completeness_deviation <= COMPLETENESS_ATOL
 
     def test_fock_basis(self):
         instr = projective_instrument(np.eye(9))
         assert len(instr.outcomes) == 9
-        assert verify_instrument(instr).max_deviation <= 1e-15
+        assert instr.completeness_deviation <= 1e-15
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ChannelError):

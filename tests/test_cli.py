@@ -277,6 +277,18 @@ class TestExecution:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["law_checks"][flag] is False
 
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path):
+        def refuse(name):
+            raise ValueError(f"summary.json holds {name}, which strict JSON has no word for")
+
+        config = RunConfig(scenario="tpm")
+        report = dataclasses.replace(_prepare_run(config)(), z1=np.inf, exp_average=np.nan)
+        assert emit_outputs(report, config, str(tmp_path)) is False
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["totals"] == {"exp_average": None, "z_ratio": None,
+                                     "identity_residual": None}
+        assert summary["law_checks"]["jarzynski_identity_ok"] is False
+
     @pytest.mark.parametrize("scenario, params, workers", [
         ("cavity", {"steps": 5, "traj": 2.5}, 1),
         ("classical", {"steps": 2.5}, 1),

@@ -1,10 +1,14 @@
 """The one drift kernel: the banded step-map product behind every propagation.
 
-``lindblad._propagate_matrix`` applies a generator's step map through the
-map's nonzero diagonals to system states and to joint states of system and
-tracked units.  The oracles are the dense superoperator product and, for
-the first-order step, ``mat + dt * gen.apply(mat)``.
+``lindblad._banded_product`` applies a step map through its nonzero diagonals
+to level-major columns.  ``lindblad._propagate_matrix`` runs it on system
+states and on joint states of system and tracked units, and the cavity's
+population path runs it on number-basis populations.  The oracles are the
+dense superoperator product and, for the first-order step,
+``mat + dt * gen.apply(mat)``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +21,10 @@ from oqst.lindblad import (
     heat_work_segment,
     propagate,
     thermal_cavity_generator,
+    _banded_product,
     _clamp_negative,
-    _diagonal_product,
     _diagonals,
+    _padded_levels,
     _propagate_matrix,
 )
 from oqst.qmath import DensityOperator, dag, hermitize, _partial_trace_matrix
@@ -73,8 +78,12 @@ def test_banded_product_matches_dense_superoperator(method, which):
     rng = np.random.default_rng(which)
     vecs = rng.normal(size=(40, d2)) + 1j * rng.normal(size=(40, d2))
     dense = vecs @ step.T
-    assert np.abs(_diagonal_product(offsets, bands, vecs) - dense).max() <= (
-        BANDED_REL_TOL * scale(step, vecs))
+    pad = max(-offsets[0], offsets[-1])
+    levels = _padded_levels(d2, pad, 40, complex)
+    levels[...] = vecs.T
+    out = _banded_product(offsets, bands, levels.base, pad)
+    assert not out.base[:pad].any() and not out.base[pad + d2:].any()
+    assert np.abs(out.T - dense).max() <= BANDED_REL_TOL * scale(step, vecs)
     mats = random_states(rng, 20, gen.dim)
     flat = mats.reshape(20, d2)
     out = _propagate_matrix(gen, mats, dt, method)
@@ -113,6 +122,7 @@ def test_each_row_of_a_stack_is_its_one_state_call(method, rest):
     for gen, dt in cases():
         stack = random_states(np.random.default_rng(rest), 9, gen.dim * rest)
         out = _propagate_matrix(gen, stack, dt, method)
+        assert out.flags.c_contiguous  # sums over a state's entries add in memory order
         for mat, row in zip(stack, out):
             assert np.array_equal(_propagate_matrix(gen, mat, dt, method), row)
             if rest == 1:
@@ -140,6 +150,46 @@ def test_no_drift_calls_the_generator_action(monkeypatch):
     rho = DensityOperator.basis_state(9, 3)
     heat_work_segment(gen, Protocol.constant(gen.hamiltonian), rho, 0.0, T_STEP, 2,
                       method="first_order")
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Rebind every package reference to ``_banded_product`` to a wrapper that counts its
+    calls; returns the one-element count."""
+    calls = [0]
+    kernel = lindblad._banded_product
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "oqst":
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dense, exact", [(False, False), (False, True), (True, False),
+                                          (True, True)],
+                         ids=["populations", "populations-exact", "dense", "dense-exact"])
+def test_every_cavity_drift_reaches_the_one_kernel(monkeypatch, dense, exact):
+    calls = count_kernel_calls(monkeypatch)
+    run_cavity(CavityConfig(steps=12, trajectories=3, seed=2, dense=dense,
+                            exact_propagator=exact))
+    assert calls[0] == 12  # one leaf, and every row of it drifts in one call per step
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_propagate_and_segments_reach_the_one_kernel(monkeypatch, method):
+    calls = count_kernel_calls(monkeypatch)
+    gen = cavity_generator()
+    rho = DensityOperator.basis_state(9, 3)
+    propagate(gen, rho, T_STEP, method)
+    assert calls[0] == 1
+    heat_work_segment(gen, Protocol.constant(gen.hamiltonian), rho, 0.0, T_STEP, 3,
+                      method=method)
+    assert calls[0] == 4  # one per substep
 
 
 class TestRejectedRequests:

@@ -12,7 +12,6 @@ KEEP = {
     "partial_trace": "one-state oracle of verify's partial-trace check; many test files use it",
     "tensor_product": "builds joint states in many test files",
     "average_map": "documented one-state form of the instrument's average channel",
-    "verify_instrument": "declared per-layer metric channels.verify_instrument.calls_per_step",
     "heat_work_segment": "acceptance-test API; documented one-state segment heat and work",
     "check_measurement_entropy_lemma": "acceptance-test API; documented one-record lemma check",
     "stochastic_entropy": "documented one-record form of the ledger's stochastic entropy",
