@@ -244,10 +244,15 @@ def _write_summary(out_dir: str, payload: dict):
         fh.write("\n")
 
 
+# ``fmt`` of each value of an integer or a float array, bound once per column
+_ARRAY_CELLS = {"i": str, "u": str, "f": "{:.12g}".format}
+
+
 def _write_columns(path: str, columns: dict):
     """CSV from named columns; numbers go through ``fmt``, strings as they are."""
-    cells = [[v if isinstance(v, str) else fmt(v)
-              for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+    cells = [list(map(_ARRAY_CELLS[col.dtype.kind], col.tolist()))
+             if isinstance(col, np.ndarray) and col.dtype.kind in _ARRAY_CELLS
+             else [v if isinstance(v, str) else fmt(v) for v in col]
              for col in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

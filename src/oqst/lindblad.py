@@ -392,9 +392,14 @@ class Protocol:
         return self.hamiltonians[idx]
 
 
+def _switch_work(h_before, h, state) -> np.ndarray:
+    """Work <h - h_before, state> of a sudden switch from ``h_before`` to ``h``."""
+    return _expectation(h - h_before, state)
+
+
 def _drift_energetics(h_before, h, before, after) -> tuple:
-    """Work <h - h_before, before> of a switch and heat <h, after> - <h, before> of a drift."""
-    return (_expectation(h - h_before, before),
+    """Work of a switch (``_switch_work``) and heat <h, after> - <h, before> of a drift."""
+    return (_switch_work(h_before, h, before),
             _expectation(h, after) - _expectation(h, before))
 
 

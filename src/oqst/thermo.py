@@ -137,7 +137,7 @@ def system_energetics(h, mat, raws):
     probs = _trace(raws)
     avg = _ordered_sum(raws, 1)
     e_raws, e_avg = _expectation(h[:, None], raws), _expectation(h, avg)
-    _check_average_heat(_average_heat(probs, e_raws, e_avg))
+    _check_average_heat(_average_heat(probs.T, e_raws.T, e_avg))
     viable = probs >= IMPOSSIBLE_BRANCH
     q_sys = np.where(viable, e_raws / np.where(viable, probs, 1.0) - e_avg[:, None], 0.0)
     return probs, _expectation(h, avg - mat), q_sys
@@ -145,14 +145,14 @@ def system_energetics(h, mat, raws):
 
 def _average_heat(probs, e_raws, e_avg):
     """sum_r p_r (E(post_r) - e_avg) over the outcomes not below ``IMPOSSIBLE_BRANCH``, row by
-    row, from ``(N, K)`` probabilities and unnormalized branch energies ``e_raws`` =
-    p_r E(post_r) and ``(N,)`` average post energies ``e_avg``."""
-    return _ordered_sum((e_raws - probs * e_avg[:, None]) * (probs >= IMPOSSIBLE_BRANCH), 1)
+    row, from outcome-major ``(K, N)`` probabilities and unnormalized branch energies
+    ``e_raws`` = p_r E(post_r) and ``(N,)`` average post energies ``e_avg``."""
+    return _ordered_sum((e_raws - probs * e_avg) * (probs >= IMPOSSIBLE_BRANCH), 0)
 
 
 def _check_average_heat(avg_q):
     """Raise ``ThermoError`` where an average control heat ``avg_q`` is not zero."""
-    if np.abs(avg_q).max(initial=0.0) > AVG_HEAT_ATOL:
+    if np.maximum.reduce(np.abs(avg_q), initial=0.0) > AVG_HEAT_ATOL:
         bad = np.abs(avg_q) > AVG_HEAT_ATOL
         raise ThermoError(f"average control heat {avg_q[bad][0]:.3e} is not zero")
 

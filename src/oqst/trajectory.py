@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
-from .lindblad import ThermalGenerator, _propagate_matrix
+from .lindblad import ThermalGenerator, _propagate_matrix, _switch_work
 from .qmath import (
     DensityOperator,
     density_spectrum,
@@ -174,27 +174,28 @@ def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, steps: int) -> np.ndarray:
 
 
 def choose_branch(probs, u):
-    """Inverse-CDF pick over the last axis in ascending label order.
+    """Inverse-CDF pick over the leading axis in ascending label order.
 
     Ties go to the lower label, and a pick that lands on a sub-floor branch
-    walks back to the nearest lower viable one.  ``probs`` of shape
-    ``(..., k)`` with uniforms ``u`` of shape ``(...)`` give labels of
-    shape ``(...)``.
+    walks back to the nearest lower viable one.  Nonnegative outcome-major
+    ``probs`` of shape ``(k, ...)``, in any memory layout, with uniforms
+    ``u`` of shape ``(...)`` give labels of shape ``(...)``.
     """
     probs = np.asarray(probs, dtype=float)
-    cum = probs.cumsum(axis=-1)
-    if (cum[..., -1] < 1e-12).any():
-        raise EngineError("no branch carries probability mass; broken instrument")
-    k = probs.shape[-1]
+    k, u = len(probs), np.asarray(u)
     # the searchsorted(side="right") position, capped at k - 1: mostly a viable label
-    at = np.minimum((cum <= np.asarray(u)[..., None]).sum(axis=-1), k - 1)
-    flat = probs.reshape(-1, k)
-    if (flat[np.arange(len(flat)), at.reshape(-1)] >= IMPOSSIBLE_BRANCH).all():
+    at, cum = np.zeros(probs.shape[1:], np.intp), probs[0]
+    for j in range(1, k):
+        at += cum <= u
+        cum = cum + probs[j]
+    if np.minimum.reduce(cum, axis=None) < 1e-12:
+        raise EngineError("no branch carries probability mass; broken instrument")
+    if np.minimum.reduce(probs, axis=None) >= IMPOSSIBLE_BRANCH:
         return at
-    viable = (np.arange(k) <= at[..., None]) & (probs >= IMPOSSIBLE_BRANCH)
-    if not viable.any(axis=-1).all():
+    viable = (np.arange(k).reshape((k,) + (1,) * at.ndim) <= at) & (probs >= IMPOSSIBLE_BRANCH)
+    if not viable.any(axis=0).all():
         raise EngineError("impossible-branch selection; broken instrument")
-    return k - 1 - viable[..., ::-1].argmax(axis=-1)
+    return k - 1 - viable[::-1].argmax(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,8 @@ class FeedbackPolicy:
     """Deterministic rule planning control ``step`` for every row of a batch in one call.
 
     ``plan`` gets the rows' delayed estimates in the representation's state
-    shape, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations,
+    shape, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations (views,
+    in the memory layout the step loop holds them in),
     and their outcome labels and plan kinds so far, each ``(n, step - 1)``;
     it returns a sequence of ``StepPlan`` and an ``(n,)`` integer array
     indexing it, the plan of each row, which must be a pure function of
@@ -346,8 +348,8 @@ class _Rows:
     every step's columns as floats, and with ``store_states`` ``states``, the
     post-control states.  Delayed estimates are read from ``states`` when it
     holds every row; else ``recent`` holds the last ``delay`` post-control
-    states, control ``k``'s in slot ``k % delay``.  The representation adds
-    its own fields.
+    states, control ``k``'s in slot ``k % delay``, laid out as the states are.
+    The representation adds its own fields.
     """
 
     def __init__(self, run: _Run, n: int, kept: int):
@@ -356,12 +358,13 @@ class _Rows:
         self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.empty((n, steps), object)
         self.ledger = np.zeros((kept, steps, len(_FLOAT_LEDGER)))
         self.states = np.empty((kept if run.store_states else 0, steps) + shape, dtype)
-        slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
-        self.recent = np.empty((n, slots) + shape, dtype)
         self.columns = np.zeros((n, len(_FLOAT_LEDGER)))
         self.led = self.columns.view(_FLOAT_LEDGER)[:, 0]
         self.state = np.repeat(run.state0[None], n, axis=0)
         run.rep.start(run, self)
+        slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
+        self.recent = np.empty((n, slots) + shape, dtype, "F" if self.state.flags.f_contiguous
+                               else "C")
         self.energy, self.s_prev = run.rep.energy(self), run.rep.entropy(run, self)
 
     def estimates(self, run: _Run, k: int):
@@ -454,7 +457,7 @@ class _Matrices:
                 state = hermitize(_partial_trace_matrix(state, [d, *units], [0]))
             mat[idx] = state
         rows.state = mat
-        return _expectation(rows.h - h_before, before)
+        return _switch_work(h_before, rows.h, before)
 
     def groups(self, run: _Run, rows: _Rows, plans, which, kind) -> list:
         """(row positions, what ``branches`` needs of them) of each group of rows."""
@@ -464,7 +467,7 @@ class _Matrices:
     def branches(self, run: _Run, rows: _Rows, idx, group) -> tuple:
         """Probabilities, average energy change, unnormalized energies, average heat and
         labels of the branches of rows ``idx``, and ``pick``: the row fields and unit columns
-        of the chosen."""
+        of the chosen, which it gets as a select gives them; ``(k, rows)`` outcome-major."""
         plan, units = group
         instr, d = plan.instrument, run.gen.dim
         dev = instr.completeness_deviation
@@ -491,7 +494,9 @@ class _Matrices:
             new_units = (dilation.unit_dim, *units)
 
         def pick(at, branch, p):
-            post, n = hermitize(post_raws[at, branch]) / p[:, None, None], len(at)
+            n = len(branch)
+            at = np.arange(n) if isinstance(at, slice) else at
+            post = hermitize(post_raws[at, branch]) / p[:, None, None]
             return {
                 "state": hermitize(_partial_trace_matrix(post, [d, *new_units], [0])),
                 "joint": list(post) if new_units else [None] * n,
@@ -504,7 +509,7 @@ class _Matrices:
                 "q_ctrl_unit": q_unit[at, branch],
             }
 
-        probs, e_raws = _trace(post_raws), _expectation(h[:, None], raws)
+        probs, e_raws = _trace(post_raws).T, _expectation(h[:, None], raws).T
         work = _expectation(h, _ordered_sum(raws, 1) - mat)
         heat = _average_heat(probs, e_raws, rows.energy[idx] + work)
         return probs, work, e_raws, heat, instr.labels, pick
@@ -528,10 +533,12 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     """Apply every row's planned control ``k``; returns the rows that continue.
 
     The policy plans every row in one call, and the representation groups
-    the rows.  ``select(step, idx, labels, probs)`` picks, from the branch
-    probabilities of the group rows ``idx``, the (row in the group, branch)
-    pairs that continue, in row order: one per row when sampling, every
-    viable one (at least one) when enumerating.  A branch's energy is its
+    the rows.  ``select(step, idx, labels, probs)`` picks, from the
+    outcome-major ``(k, len(idx))`` branch probabilities of the group rows
+    ``idx``, the (row in the group, branch) pairs that continue, in row
+    order: one per row when sampling, every viable one (at least one) when
+    enumerating; ``slice(None)`` for the rows means each once, in order, so
+    that what is taken per row is a view.  A branch's energy is its
     unnormalized energy over its probability, and its heat what the first
     law leaves of the energy change past the work; the representation's
     ``branches`` gives each row's average heat too, which must vanish.
@@ -550,11 +557,12 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
         probs, work, e_raws, heat, labels, pick = run.rep.branches(run, rows, idx, group)
         _check_average_heat(heat)
         at, branch = select(step, idx, labels, probs)
-        p, parent = probs[at, branch], idx[at]
+        pairs = branch, (np.arange(len(branch)) if isinstance(at, slice) else at)
+        p = probs[pairs]
         outcome = branch if labels == tuple(range(len(labels))) else np.asarray(labels)[branch]
-        parts.append({"parent": parent, "branch": branch, "p": p, "kind": kind[parent],
-                      "outcome": outcome, "logp_increment": 0.0 - np.log(p),  # never -0.0
-                      "w_ctrl_sys": work[at], "e_sys_end": e_raws[at, branch] / p,
+        parts.append({"parent": idx[at], "branch": branch, "p": p, "outcome": outcome,
+                      "logp_increment": 0.0 - np.log(p),  # never -0.0
+                      "w_ctrl_sys": work[at], "e_sys_end": e_raws[pairs] / p,
                       **pick(at, branch, p)})
     kids = parts[0]
     if len(parts) > 1:
@@ -568,11 +576,11 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
             else:
                 kids[key] = np.concatenate([part[key] for part in parts])[order]
     if len(kids["parent"]) != len(rows.state):  # else every row continues, in place
-        rows = rows.take(kids["parent"])
+        rows, kind = rows.take(kids["parent"]), kind[kids["parent"]]
     for key in run.rep.fields:
         setattr(rows, key, kids[key])
     rows.log_prob, rows.prob = rows.log_prob + kids["logp_increment"], rows.prob * kids["p"]
-    rows.code, rows.kinds[:, k] = kids["kind"], run.names[kids["kind"]]
+    rows.code, rows.kinds[:, k] = kind, run.names[kind]
     led, e_end, w = rows.led, kids["e_sys_end"], kids["w_ctrl_sys"]
     rows.outcomes[:, k] = led["outcome"] = kids["outcome"]
     led["logp_increment"] = kids["logp_increment"]
@@ -667,26 +675,30 @@ def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
 
 
 def _sampled(uniforms: np.ndarray):
+    """Select by ``choose_branch`` on each row's uniform of the step: one branch per row,
+    every row in order (``slice(None)``)."""
     def select(step, idx, labels, probs):
         u = uniforms[:, step - 1]  # every row's; a group of all the rows lists them in order
-        return np.arange(len(idx)), choose_branch(np.maximum(probs, 0.0),
-                                                  u if len(idx) == len(u) else u[idx])
+        return slice(None), choose_branch(np.maximum(probs, 0.0),
+                                          u if len(idx) == len(u) else u[idx])
     return select
 
 
 def _replayed(forced):
+    """Select the forced outcome of the step on every row, in order."""
     def select(step, idx, labels, probs):
         if forced[step - 1] not in labels:
             raise EngineError(f"forced outcome {forced[step - 1]!r} is no label of step {step}")
         branch = labels.index(forced[step - 1])
-        if (probs[:, branch] < IMPOSSIBLE_BRANCH).any():
+        if (probs[branch] < IMPOSSIBLE_BRANCH).any():
             raise EngineError(f"forced outcome {forced[step - 1]} is impossible")
-        return np.arange(len(idx)), np.full(len(idx), branch)
+        return slice(None), np.full(len(idx), branch)
     return select
 
 
 def _expanded(step, idx, labels, probs):
-    return np.nonzero(probs >= IMPOSSIBLE_BRANCH)
+    """Select every viable branch of every row: (row, branch) positions in row order."""
+    return np.nonzero(probs.T >= IMPOSSIBLE_BRANCH)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqst.channels import COMPLETENESS_ATOL
 from oqst.lindblad import thermal_cavity_generator, _banded_product
@@ -105,6 +106,38 @@ class TestFeedbackDecision:
         est = np.zeros(9)
         est[1] = est[2] = 0.5
         assert ATOM_KINDS[feedback_decision(est, NT)] == "sensor"
+
+    @staticmethod
+    def reference(p, target):
+        """One estimate's kind in plain Python: ``sum`` adds the levels in order."""
+        if sum(p[target + 1:]) > p[target]:
+            return "absorber"
+        return "emitter" if sum(p[:target]) > p[target] else "sensor"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), target=st.integers(1, 4), n=st.integers(1, 9),
+           level_major=st.booleans())
+    def test_matches_python_sum_reference(self, data, target, n, level_major):
+        """Row-major and level-major batches against the reference.  Populations are small
+        multiples of 1/64, so every sum is exact and the ties ``p_above == p_target`` and
+        ``p_below == p_target`` come up often."""
+        dim = target + 5
+        weights = st.lists(st.integers(0, 6), min_size=dim, max_size=dim)
+        est = np.array(data.draw(st.lists(weights, min_size=n, max_size=n))) / 64.0
+        if data.draw(st.booleans()):  # force a tie on one side for the first row
+            side = slice(target + 1, None) if data.draw(st.booleans()) else slice(None, target)
+            est[0, target] = est[0, side].sum()
+        expected = [self.reference(row.tolist(), target) for row in est]
+        batch = np.ascontiguousarray(est.T).T if level_major else est
+        assert [ATOM_KINDS[c] for c in feedback_decision(batch, target)] == expected
+        assert ATOM_KINDS[feedback_decision(est[0], target)] == expected[0]
+
+    def test_exact_ties_keep_measuring(self):
+        est = np.zeros((2, 9))
+        est[0, [1, 2]] = 0.25                     # p_below == p_target
+        est[1, [2, 3, 4]] = 0.25, 0.125, 0.125    # p_above == p_target
+        assert feedback_decision(est, NT).tolist() == [cavity.SENSOR] * 2
+        assert feedback_decision(np.ascontiguousarray(est.T).T, NT).tolist() == [cavity.SENSOR] * 2
 
     def test_cooldown_forces_sensor(self):
         instruments = {kind: atom_instrument(kind, NT, CUTOFF) for kind in ATOM_KINDS}
@@ -302,9 +335,9 @@ def _population_step(config, p, codes, branch):
     entropy = rep.entropy(None, rows)
     weights = rep.transfer(rows.state.base, codes).transpose(2, 0, 1)
     at = np.arange(len(codes))
-    probs, work, e_raws, heat, _, pick = rep.branches(None, rows, at, codes)
-    post = pick(at, branch, probs[at, branch])["state"]
-    return [rows.state, rows.energy, entropy, weights, probs, work, e_raws, heat, post]
+    probs, work, e_raws, heat, _, pick = rep.branches(None, rows, at, codes)  # outcome-major
+    post = pick(at, branch, probs[branch, at])["state"]
+    return [rows.state, rows.energy, entropy, weights, probs.T, work, e_raws.T, heat, post]
 
 
 @pytest.mark.parametrize("exact", [False, True])

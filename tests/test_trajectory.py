@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqst import qmath, trajectory
 from oqst.channels import (
+    IMPOSSIBLE_BRANCH,
     average_map,
     projective_instrument,
     random_instrument,
@@ -60,12 +62,12 @@ class TestChooseBranch:
 
     def test_batch_agrees_with_rows(self):
         # plain picks, a tie, and picks past a short total that walk back over
-        # one and two sub-floor branches
+        # one and two sub-floor branches; one row per column, outcome-major
         probs = np.array([
             [0.2, 0.3, 0.5], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.3, 0.3, 0.0], [0.5, 0.0, 0.0],
         ])
         u = np.array([0.25, 0.5, 0.4999, 0.9, 0.7])
-        picks = choose_branch(probs, u)
+        picks = choose_branch(probs.T, u)
         assert picks.shape == (5,)
         assert picks.tolist() == [choose_branch(p, x) for p, x in zip(probs, u)]
         assert picks.tolist() == [1, 2, 0, 1, 0]
@@ -78,7 +80,49 @@ class TestChooseBranch:
         with pytest.raises(EngineError, match=match):
             choose_branch(np.array(bad_row), u)
         with pytest.raises(EngineError, match=match):
-            choose_branch(np.array([[0.5, 0.5], bad_row]), np.array([0.3, u]))
+            choose_branch(np.array([[0.5, 0.5], bad_row]).T, np.array([0.3, u]))
+
+    @staticmethod
+    def reference(probs, u):
+        """One row's pick in plain Python: the number of cumulative sums (added in label order)
+        not above ``u``, capped at the last label, then back to the nearest viable label."""
+        cum, total = [], 0.0
+        for p in probs:
+            total = p if not cum else total + p
+            cum.append(total)
+        if total < 1e-12:
+            return "no branch carries probability mass"
+        at = min(sum(c <= u for c in cum), len(probs) - 1)
+        while at >= 0 and probs[at] < IMPOSSIBLE_BRANCH:
+            at -= 1
+        return at if at >= 0 else "impossible-branch selection"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 5), n=st.integers(1, 12),
+           row_major=st.booleans())
+    def test_matches_per_row_reference(self, data, k, n, row_major):
+        """Batches in both memory layouts against the per-row reference, with exact zeros,
+        sub-floor branches and uniforms exactly on a cumulative boundary."""
+        entry = st.one_of(st.sampled_from([0.0, 1e-16, 0.25, 0.5]),
+                          st.floats(0.0, 1.0, allow_subnormal=False))
+        rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                  min_size=n, max_size=n))
+        u = []
+        for row in rows:
+            if data.draw(st.booleans()):  # a boundary: one of the row's cumulative sums
+                u.append(float(np.cumsum(row)[data.draw(st.integers(0, k - 1))]))
+            else:
+                u.append(data.draw(st.floats(0.0, 1.0, exclude_max=True)))
+        expected = [self.reference(row, x) for row, x in zip(rows, u)]
+        # outcome-major: the transpose of row-major (n, k) data, or (k, n) data itself
+        probs = np.array(rows).T if row_major else np.ascontiguousarray(np.array(rows).T)
+        errors = {e for e in expected if isinstance(e, str)}
+        if errors:  # a row without mass fails the batch before an impossible pick does
+            match = min(errors, key=lambda e: not e.startswith("no branch"))
+            with pytest.raises(EngineError, match=match):
+                choose_branch(probs, np.array(u))
+        else:
+            assert choose_branch(probs, np.array(u)).tolist() == expected
 
 
 class TestStreams:
