@@ -52,6 +52,8 @@ EXIT_IO = 4
 
 SCENARIOS = ("cavity", "projective", "tpm", "classical")
 CLASSICAL_MODES = ("enumerate", "gillespie")
+_FLOAT_CELL = "{:.12g}".format  # a number's 12 significant digits, stable across runs
+_ARRAY_CELLS = {"i": str, "u": str, "f": _FLOAT_CELL}  # fmt of an array's values, by dtype kind
 
 _DEFAULT_PARAMS = {
     "cavity": {
@@ -221,7 +223,7 @@ def fmt(x) -> str:
     """Floating point with 12 significant digits (stable across runs)."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.12g}"
+    return _FLOAT_CELL(float(x))
 
 
 def _json_ready(obj):
@@ -242,10 +244,6 @@ def _write_summary(out_dir: str, payload: dict):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-# ``fmt`` of each value of an integer or a float array, bound once per column
-_ARRAY_CELLS = {"i": str, "u": str, "f": "{:.12g}".format}
 
 
 def _write_columns(path: str, columns: dict):

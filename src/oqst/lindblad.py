@@ -397,19 +397,13 @@ def _switch_work(h_before, h, state) -> np.ndarray:
     return _expectation(h - h_before, state)
 
 
-def _drift_energetics(h_before, h, before, after) -> tuple:
-    """Work of a switch (``_switch_work``) and heat <h, after> - <h, before> of a drift."""
-    return (_switch_work(h_before, h, before),
-            _expectation(h, after) - _expectation(h, before))
-
-
 def _segments(gen: ThermalGenerator, hams, mats: np.ndarray, taus, method: str) -> tuple:
     """Summed work and heat, and end states, of (N, d, d) states whose substep k switches
     from ``hams[k]`` to ``hams[k + 1]`` and then drifts from ``taus[k]`` to ``taus[k + 1]``."""
     work = heat = 0.0
     for h_before, h, t0, t1 in zip(hams, hams[1:], taus, taus[1:]):
         after = _propagate_matrix(gen, mats, t1 - t0, method)
-        w, q = _drift_energetics(h_before, h, mats, after)
+        w, q = _switch_work(h_before, h, mats), _expectation(h, after) - _expectation(h, mats)
         work, heat, mats = work + w, heat + q, after
     return work, heat, mats
 

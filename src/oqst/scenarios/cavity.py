@@ -189,13 +189,9 @@ def feedback_decision(estimate, target_nt: int) -> np.ndarray:
     Ties keep measuring.  The levels add up in order, whatever the layout of the estimates.
     """
     p = np.asarray(estimate, dtype=float)
-    p_target, below, above = p[..., target_nt], p[..., 0], p[..., target_nt + 1]
-    for j in range(1, target_nt):
-        below = below + p[..., j]
-    for j in range(target_nt + 2, p.shape[-1]):
-        above = above + p[..., j]
-    codes = np.asarray((below > p_target) * EMITTER)  # else SENSOR, code 0
-    codes[above > p_target] = ABSORBER
+    p_target = p[..., target_nt]
+    codes = np.asarray((_ordered_sum(p[..., :target_nt], -1) > p_target) * EMITTER)  # or SENSOR, 0
+    codes[_ordered_sum(p[..., target_nt + 1 :], -1) > p_target] = ABSORBER
     return codes
 
 
@@ -221,7 +217,7 @@ class CavityPolicy(FeedbackPolicy):
         codes = feedback_decision(number_populations(estimates), self.target_nt)
         steer = codes.nonzero()[0]  # the sensor's code is 0
         recent = kinds[steer, max(0, step - self.delay - 1):]
-        codes[steer[np.logical_or.reduce(recent != "sensor", axis=1)]] = SENSOR
+        codes[steer[(recent != "sensor").any(axis=1)]] = SENSOR
         return self.plans, codes
 
 
@@ -297,14 +293,9 @@ class _Populations:
     def energy(self, rows) -> np.ndarray:
         return _level_sum(rows.state.T * self.n)  # n . p
 
-    def entropy(self, run, rows) -> np.ndarray:  # as shannon_entropy, in one buffer
+    def entropy(self, run, rows) -> np.ndarray:
         p = rows.state.T
-        terms = p.copy()
-        np.putmask(terms, terms <= EIG_CLAMP, 1.0)
-        np.log(terms, out=terms)
-        terms *= p
-        s = _level_sum(terms)
-        return np.negative(s, out=s)
+        return -_level_sum(p * np.log(np.where(p > EIG_CLAMP, p, 1.0)))  # as shannon_entropy
 
     def propagate(self, run, rows, dt: float) -> float:
         """Drift every row by one step; a population row has no Hamiltonian to switch."""
@@ -329,11 +320,11 @@ class _Populations:
     def branches(self, run, rows, idx, kind) -> tuple:
         weights = self.transfer(rows.state.base, kind)
         probs, e_raws = _level_sum(weights, 1), _level_sum(weights * self.n, 1)
-        work = np.add.reduce(probs * self.photons.take(kind, axis=1), 0)
+        work = (probs * self.photons.take(kind, axis=1)).sum(axis=0)
 
         def pick(at, branch, p):
-            levels = _padded_levels(self.dim, self.pad, len(branch))
-            np.divide(np.where(branch, weights[1][:, at], weights[0][:, at]), p, out=levels)
+            levels = _padded_levels(self.dim, self.pad, len(at))
+            np.divide(weights[branch, :, at].T, p, out=levels)
             return {"state": levels.T}
 
         heat = _average_heat(probs, e_raws, rows.energy + work)
@@ -344,7 +335,7 @@ def _level_sum(a, axis: int = 0) -> np.ndarray:
     """Sum over the levels, ``axis``, of level-major ``a`` whose last axis is the rows', adding
     level by level in order.  numpy does so along an axis that is not innermost in memory;
     with one row the levels' axis is innermost, and numpy would add it pairwise."""
-    return np.add.reduce(a, axis) if a.shape[-1] > 1 else _ordered_sum(a, axis)
+    return a.sum(axis=axis) if a.shape[-1] > 1 else _ordered_sum(a, axis)
 
 
 # Steps a leaf's fold takes in before it reduces them: bounds the fold's memory, and spreads
@@ -408,10 +399,10 @@ class _Fold:
         self.atoms += np.bincount(self.codes[:width].ravel(), minlength=len(ATOM_KINDS))
         # elementwise sums over the levels: a matrix-vector product's last bit depends on
         # the window's shape; the rows add up in row order, each a block of a row-major copy
-        mean_n = _level_sum(pops * self.n_vec, 1)
+        mean_n = _ordered_sum(pops * self.n_vec, 1)
         self.populations[at] = np.ascontiguousarray(pops.transpose(2, 0, 1)).sum(axis=0)
-        var_n = _level_sum(pops * self.n_vec**2, 1) - mean_n**2
-        self.narrow[at] = np.add.reduce(var_n < 0.1, axis=1)
+        var_n = _ordered_sum(pops * self.n_vec**2, 1) - mean_n**2
+        self.narrow[at] = np.count_nonzero(var_n < 0.1, axis=1)
         top = pops[:, -1]  # (steps, rows)
         self.truncation_max = np.maximum(self.truncation_max, top.max())
         leaking = top > TRUNCATION_LEAK

@@ -152,7 +152,7 @@ def _average_heat(probs, e_raws, e_avg):
 
 def _check_average_heat(avg_q):
     """Raise ``ThermoError`` where an average control heat ``avg_q`` is not zero."""
-    if np.maximum.reduce(np.abs(avg_q), initial=0.0) > AVG_HEAT_ATOL:
+    if np.abs(avg_q).max(initial=0.0) > AVG_HEAT_ATOL:
         bad = np.abs(avg_q) > AVG_HEAT_ATOL
         raise ThermoError(f"average control heat {avg_q[bad][0]:.3e} is not zero")
 

@@ -252,8 +252,7 @@ class FeedbackPolicy:
     """Deterministic rule planning control ``step`` for every row of a batch in one call.
 
     ``plan`` gets the rows' delayed estimates in the representation's state
-    shape, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations (views,
-    in the memory layout the step loop holds them in),
+    shape and any memory layout, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations,
     and their outcome labels and plan kinds so far, each ``(n, step - 1)``;
     it returns a sequence of ``StepPlan`` and an ``(n,)`` integer array
     indexing it, the plan of each row, which must be a pure function of
@@ -348,8 +347,8 @@ class _Rows:
     every step's columns as floats, and with ``store_states`` ``states``, the
     post-control states.  Delayed estimates are read from ``states`` when it
     holds every row; else ``recent`` holds the last ``delay`` post-control
-    states, control ``k``'s in slot ``k % delay``, laid out as the states are.
-    The representation adds its own fields.
+    states, control ``k``'s in slot ``k % delay``.  The representation adds
+    its own fields.
     """
 
     def __init__(self, run: _Run, n: int, kept: int):
@@ -358,13 +357,12 @@ class _Rows:
         self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.empty((n, steps), object)
         self.ledger = np.zeros((kept, steps, len(_FLOAT_LEDGER)))
         self.states = np.empty((kept if run.store_states else 0, steps) + shape, dtype)
+        slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
+        self.recent = np.empty((n, slots) + shape, dtype)
         self.columns = np.zeros((n, len(_FLOAT_LEDGER)))
         self.led = self.columns.view(_FLOAT_LEDGER)[:, 0]
         self.state = np.repeat(run.state0[None], n, axis=0)
         run.rep.start(run, self)
-        slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
-        self.recent = np.empty((n, slots) + shape, dtype, "F" if self.state.flags.f_contiguous
-                               else "C")
         self.energy, self.s_prev = run.rep.energy(self), run.rep.entropy(run, self)
 
     def estimates(self, run: _Run, k: int):
@@ -467,7 +465,7 @@ class _Matrices:
     def branches(self, run: _Run, rows: _Rows, idx, group) -> tuple:
         """Probabilities, average energy change, unnormalized energies, average heat and
         labels of the branches of rows ``idx``, and ``pick``: the row fields and unit columns
-        of the chosen, which it gets as a select gives them; ``(k, rows)`` outcome-major."""
+        of the chosen; ``(k, rows)`` outcome-major."""
         plan, units = group
         instr, d = plan.instrument, run.gen.dim
         dev = instr.completeness_deviation
@@ -494,9 +492,7 @@ class _Matrices:
             new_units = (dilation.unit_dim, *units)
 
         def pick(at, branch, p):
-            n = len(branch)
-            at = np.arange(n) if isinstance(at, slice) else at
-            post = hermitize(post_raws[at, branch]) / p[:, None, None]
+            post, n = hermitize(post_raws[at, branch]) / p[:, None, None], len(at)
             return {
                 "state": hermitize(_partial_trace_matrix(post, [d, *new_units], [0])),
                 "joint": list(post) if new_units else [None] * n,
@@ -533,12 +529,10 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     """Apply every row's planned control ``k``; returns the rows that continue.
 
     The policy plans every row in one call, and the representation groups
-    the rows.  ``select(step, idx, labels, probs)`` picks, from the
-    outcome-major ``(k, len(idx))`` branch probabilities of the group rows
-    ``idx``, the (row in the group, branch) pairs that continue, in row
-    order: one per row when sampling, every viable one (at least one) when
-    enumerating; ``slice(None)`` for the rows means each once, in order, so
-    that what is taken per row is a view.  A branch's energy is its
+    the rows.  ``select(step, idx, labels, probs)`` picks, from the outcome-major
+    ``(k, len(idx))`` branch probabilities of the group rows ``idx``, the (row in the
+    group, branch) pairs that continue, in row order: one per row when sampling, every
+    viable one (at least one) when enumerating.  A branch's energy is its
     unnormalized energy over its probability, and its heat what the first
     law leaves of the energy change past the work; the representation's
     ``branches`` gives each row's average heat too, which must vanish.
@@ -557,12 +551,11 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
         probs, work, e_raws, heat, labels, pick = run.rep.branches(run, rows, idx, group)
         _check_average_heat(heat)
         at, branch = select(step, idx, labels, probs)
-        pairs = branch, (np.arange(len(branch)) if isinstance(at, slice) else at)
-        p = probs[pairs]
+        p = probs[branch, at]
         outcome = branch if labels == tuple(range(len(labels))) else np.asarray(labels)[branch]
         parts.append({"parent": idx[at], "branch": branch, "p": p, "outcome": outcome,
                       "logp_increment": 0.0 - np.log(p),  # never -0.0
-                      "w_ctrl_sys": work[at], "e_sys_end": e_raws[pairs] / p,
+                      "w_ctrl_sys": work[at], "e_sys_end": e_raws[branch, at] / p,
                       **pick(at, branch, p)})
     kids = parts[0]
     if len(parts) > 1:
@@ -675,30 +668,26 @@ def _records(block: TrajectoryBlock, times: tuple, rows=None) -> list:
 
 
 def _sampled(uniforms: np.ndarray):
-    """Select by ``choose_branch`` on each row's uniform of the step: one branch per row,
-    every row in order (``slice(None)``)."""
     def select(step, idx, labels, probs):
         u = uniforms[:, step - 1]  # every row's; a group of all the rows lists them in order
-        return slice(None), choose_branch(np.maximum(probs, 0.0),
-                                          u if len(idx) == len(u) else u[idx])
+        return np.arange(len(idx)), choose_branch(np.maximum(probs, 0.0),
+                                                  u if len(idx) == len(u) else u[idx])
     return select
 
 
 def _replayed(forced):
-    """Select the forced outcome of the step on every row, in order."""
     def select(step, idx, labels, probs):
         if forced[step - 1] not in labels:
             raise EngineError(f"forced outcome {forced[step - 1]!r} is no label of step {step}")
         branch = labels.index(forced[step - 1])
         if (probs[branch] < IMPOSSIBLE_BRANCH).any():
             raise EngineError(f"forced outcome {forced[step - 1]} is impossible")
-        return slice(None), np.full(len(idx), branch)
+        return np.arange(len(idx)), np.full(len(idx), branch)
     return select
 
 
 def _expanded(step, idx, labels, probs):
-    """Select every viable branch of every row: (row, branch) positions in row order."""
-    return np.nonzero(probs.T >= IMPOSSIBLE_BRANCH)
+    return np.nonzero(probs.T >= IMPOSSIBLE_BRANCH)  # (row, branch) pairs in row order
 
 
 # ---------------------------------------------------------------------------

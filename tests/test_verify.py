@@ -334,11 +334,11 @@ def test_segment_check_matches_one_state_calls(monkeypatch, seed):
 
 def test_segment_check_fails_with_the_heat_sign_flipped(monkeypatch):
     assert verify.check_segment_second_law(3, samples=100).passed
-    energetics = lindblad._drift_energetics
+    segments = lindblad._segments
 
     def flipped(*args):
-        work, heat = energetics(*args)
-        return work, -heat
+        work, heat, mats = segments(*args)
+        return work, -heat, mats
 
-    monkeypatch.setattr(lindblad, "_drift_energetics", flipped)
+    monkeypatch.setattr(verify, "_segments", flipped)
     assert not verify.check_segment_second_law(3, samples=100).passed
