@@ -37,8 +37,9 @@ from ..channels import Instrument, OutcomeBranch
 from ..lindblad import ThermalGenerator, expm, thermal_cavity_generator
 from ..lindblad import _banded_product, _diagonals, _padded_levels
 from ..qmath import EIG_CLAMP, DensityOperator, shannon_entropy, _ordered_sum
-from ..thermo import (FIRST_LAW_ATOL, LEDGER_DTYPE, ThermoError, _FLOAT_LEDGER, _average_heat,
-                      _close, _law_error)
+from ..thermo import (EFFICIENCY_CEILING, FIRST_LAW_ATOL, LEDGER_DTYPE, SEGMENT_EP_FLOOR,
+                      TRUNCATION_LEAK, ThermoError, _FLOAT_LEDGER, _average_heat, _close,
+                      _law_error)
 from ..trajectory import (
     ControlSchedule,
     EnsembleReport,
@@ -59,13 +60,9 @@ from ..trajectory import (
 # names appear in records, output files and the kinds a policy reads.
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
-TRUNCATION_LEAK = 1e-6
 # Trajectories per reduction leaf.  Leaves merge in order, so this size fixes
 # the rounding of the reduced outputs and how a run is split over workers.
 BLOCK_ROWS = 256
-# Rounding allowances of the reported law flags (see ``law_flags``).
-SIGMA_SEG_REPORT_FLOOR = -1e-10
-EFFICIENCY_CEILING = 1.0 + 1e-9
 # Ramsey preparation puts sensor atoms in an equal superposition (half a
 # quantum), emitters are prepared excited, absorbers stay in the ground
 # state; informational only, never part of the efficiency.  By kind code.
@@ -565,10 +562,11 @@ def _build_report(config: CavityConfig, fold: _Fold) -> CavityReport:
 
 
 def law_flags(law_checks: dict) -> dict:
-    """The four pass/fail flags of a stabilization run's ``law_checks``."""
+    """The four pass/fail flags of a run's ``law_checks``, against ``thermo``'s bounds.  The fold
+    raises at the first three, so a finished run can fail the efficiency flag alone."""
     return {
         "first_law_ok": law_checks["first_law_max_residual"] <= FIRST_LAW_ATOL,
-        "second_law_segment_ok": law_checks["sigma_seg_min"] >= SIGMA_SEG_REPORT_FLOOR,
+        "second_law_segment_ok": law_checks["sigma_seg_min"] >= SEGMENT_EP_FLOOR,
         "truncation_ok": law_checks["truncation_max"] <= TRUNCATION_LEAK,
         "efficiency_bounded": 0.0 <= law_checks["efficiency_max"] <= EFFICIENCY_CEILING,
     }

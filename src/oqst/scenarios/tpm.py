@@ -36,7 +36,7 @@ class TpmLeaf:
 @dataclass(frozen=True)
 class TpmReport:
     beta: float
-    z0: float
+    z0: float  # z0 and z1: the partition functions, energies counted from h0's ground level
     z1: float
     leaves: tuple
     exp_average: float
@@ -46,8 +46,8 @@ class TpmReport:
         return self.z1 / self.z0
 
     @property
-    def identity_residual(self) -> float:
-        return abs(self.exp_average - self.z_ratio)
+    def identity_residual(self) -> float:  # relative: both sides scale with Z1/Z0
+        return abs(self.exp_average - self.z_ratio) / self.z_ratio
 
 
 def run_tpm_jarzynski(h0, h1, unitary, beta: float) -> TpmReport:
@@ -57,9 +57,10 @@ def run_tpm_jarzynski(h0, h1, unitary, beta: float) -> TpmReport:
         raise ChannelError("drive operator is not unitary within 1e-10")
     eps0, v0 = np.linalg.eigh(hermitize(h0))
     eps1, v1 = np.linalg.eigh(hermitize(h1))
-    weights = np.exp(-beta * eps0)
-    z0 = float(weights.sum())
-    z1 = float(np.exp(-beta * eps1).sum())
+    # energies less their minima g, so no weight overflows; w1 regains exp(-beta (g1 - g0))
+    weights, w1 = np.exp(-beta * (eps0 - eps0.min())), np.exp(-beta * (eps1 - eps1.min()))
+    w1 *= np.exp(-beta * (eps1.min() - eps0.min()))
+    z0, z1 = float(weights.sum()), float(w1.sum())
     p_first = weights / z0
     e_init = float(p_first @ eps0)
     leaves = []
@@ -71,7 +72,7 @@ def run_tpm_jarzynski(h0, h1, unitary, beta: float) -> TpmReport:
         e_drive = float(probs @ eps1)  # <psi|h1|psi>
         for r1 in range(len(eps1)):
             p_leaf = p_first[r0] * probs[r1]
-            exp_avg += p_leaf * np.exp(-beta * (eps1[r1] - eps0[r0]))
+            exp_avg += probs[r1] * w1[r1] / z0  # p_leaf exp(-beta (eps1 - eps0))
             if p_leaf < IMPOSSIBLE_BRANCH:
                 continue
             leaves.append(

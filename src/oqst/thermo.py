@@ -33,15 +33,26 @@ from .qmath import (
     _trace,
 )
 
-FIRST_LAW_ATOL = 1e-10
-AVG_HEAT_ATOL = 1e-10
-SEGMENT_EP_FLOOR = -1e-6
-# Reported law thresholds of the projective, TPM and classical-limit runs.
+# Bounds of the laws and contracts, one row each: the engine, scenarios, CLI and verify read them.
+FIRST_LAW_ATOL = 1e-10  # |dE_sys + dE_unit - W - Q| of a ledger row
+AVG_HEAT_ATOL = 1e-10  # |outcome-averaged control heat|
+SEGMENT_EP_FLOOR = -1e-10  # segment entropy production of a thermal drift
+LOG_PROB_FLOOR = -1e-12  # accumulated -ln p, which may round below zero
+TRUNCATION_LEAK = 1e-6  # cavity population at the number-basis cutoff
+EFFICIENCY_CEILING = 1.0 + 1e-9  # cavity free-energy gain over resources spent
 OUTCOME_ENTROPY_FLOOR = -1e-9  # outcome minus spectrum Shannon entropy
-JARZYNSKI_ATOL = 1e-10  # |<exp(-beta dE)> - Z1/Z0|
+JARZYNSKI_RTOL = 1e-10  # |<exp(-beta dE)> - Z1/Z0| / (Z1/Z0)
 CLASSICAL_IDENTITY_ATOL = 1e-8  # record - state - backward entropy production
 RECORD_PRODUCTION_FLOOR = -1e-10  # record-based entropy production
-LOG_PROB_FLOOR = -1e-12  # accumulated -ln p, which may round below zero
+CONTROL_EP_FLOOR = -1e-10  # outcome-averaged control entropy production
+ENTROPY_LEMMA_FLOOR = -1e-9  # S_Sh(p) + sum_n p_n S(rho_n) - S(rho) of a readout
+PARTIAL_TRACE_ATOL = 1e-12  # |tr - 1| of a partial trace
+REDUCED_EIGENVALUE_FLOOR = -1e-10  # least eigenvalue of a partial trace
+NORMALIZATION_ATOL = 1e-10  # |sum_r p_r - 1| of an instrument's branches
+DILATION_ATOL = 1e-9  # a branch's probability and state, instrument against its dilation
+DATA_PROCESSING_FLOOR = -1e-9  # mutual information lost to a local channel
+DENSE_ORACLE_ATOL = 1e-9  # ledger of the population path against the density matrices'
+SAMPLER_MAX_SE = 3.0  # sampled outcome frequency against the tree, in standard errors
 
 
 class ThermoError(ValueError):
@@ -232,8 +243,9 @@ def entropy_production_step(ledger, beta: float) -> np.recarray:
     a batch, ``(N, steps)``, as ``LEDGER_DTYPE`` tuples or a structured
     array (which is filled in place); the ``sigma_ctrl``/``sigma_seg``
     entries it carries are overwritten.  The segment part must be
-    nonnegative for a thermal generator; a value below
-    ``SEGMENT_EP_FLOOR`` signals a propagation or bookkeeping bug.  Raises
+    nonnegative for a thermal generator; a value below ``SEGMENT_EP_FLOOR``
+    (the one segment floor: the cavity's fold and law flags and ``verify``
+    read it too) signals a propagation or bookkeeping bug.  Raises
     ``ThermoError`` naming the first step that breaks either law, in the
     lowest failing trajectory of a batch, whose row it carries as ``row``.
     """
@@ -290,19 +302,17 @@ def _branch_entropies(raws):
     return probs, np.where(viable, p * shannon_entropy(spectra), 0.0).sum(axis=-1)
 
 
-def check_measurement_entropy_lemma(
-    rho: DensityOperator, positive_ops, slack: float = 1e-9
-) -> LemmaReport:
+def check_measurement_entropy_lemma(rho: DensityOperator, positive_ops) -> LemmaReport:
     """Check S(rho) <= S_Sh(p) + sum_n p_n S(rho_n) for a square-root readout.
 
     ``positive_ops`` must be positive operators whose squares sum to the
-    identity; outcomes with negligible probability are skipped.  The
-    one-state case of :func:`_entropy_lemma`.
+    identity; outcomes with negligible probability are skipped.  Passes at a
+    margin of ``ENTROPY_LEMMA_FLOOR`` or more; the one-state case of :func:`_entropy_lemma`.
     """
     readout = Instrument(rho.dim, tuple(OutcomeBranch(n, (p,)) for n, p in enumerate(positive_ops)))
     lhs, rhs = (float(side[0]) for side in _entropy_lemma(readout._kraus[None], rho.matrix[None]))
     margin = rhs - lhs
-    return LemmaReport(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -slack)
+    return LemmaReport(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= ENTROPY_LEMMA_FLOOR)
 
 
 def _entropy_lemma(ops, mats):

@@ -385,11 +385,11 @@ class _Rows:
             self.recent[:, k % self.recent.shape[1]] = self.state
 
     def take(self, parent) -> "_Rows":
-        """The rows ``parent``, in that order; a row may repeat."""
+        """The rows ``parent``, in that order; a row may repeat.  A history of no rows stays."""
         new = _Rows.__new__(_Rows)
         for key, value in vars(self).items():
-            setattr(new, key, value[parent] if isinstance(value, np.ndarray)
-                    else [value[i] for i in parent])
+            setattr(new, key, value if len(value) == 0 else (
+                value[parent] if isinstance(value, np.ndarray) else [value[i] for i in parent]))
         new.led = new.columns.view(_FLOAT_LEDGER)[:, 0]
         return new
 

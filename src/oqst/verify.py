@@ -43,12 +43,10 @@ from .qmath import (
 from .scenarios import CavityConfig, RateModel, law_flags, run_cavity
 from .scenarios import run_classical_limit, run_tpm_jarzynski
 from .thermo import (
-    AVG_HEAT_ATOL,
-    CLASSICAL_IDENTITY_ATOL,
-    JARZYNSKI_ATOL,
-    _control_entropy_production,
-    _entropy_lemma,
-    _instrument_energetics,
+    AVG_HEAT_ATOL, CLASSICAL_IDENTITY_ATOL, CONTROL_EP_FLOOR, DATA_PROCESSING_FLOOR,
+    DENSE_ORACLE_ATOL, DILATION_ATOL, ENTROPY_LEMMA_FLOOR, JARZYNSKI_RTOL, NORMALIZATION_ATOL,
+    PARTIAL_TRACE_ATOL, REDUCED_EIGENVALUE_FLOOR, SAMPLER_MAX_SE, SEGMENT_EP_FLOOR,
+    _control_entropy_production, _entropy_lemma, _instrument_energetics,
 )
 from .trajectory import (
     ControlSchedule,
@@ -123,7 +121,7 @@ def check_partial_trace(seed: int, samples: int = 500) -> CheckResult:
 
     values = _evaluate(cases, kernel, shape=(2,))
     worst_trace, worst_eig = values[:, 0].max(), values[:, 1].min()
-    ok = worst_trace <= 1e-12 and worst_eig >= -1e-10
+    ok = worst_trace <= PARTIAL_TRACE_ATOL and worst_eig >= REDUCED_EIGENVALUE_FLOOR
     return CheckResult(
         "partial-trace preserves trace and positivity", ok,
         f"max trace drift {worst_trace:.2e}, min eigenvalue {worst_eig:.2e}",
@@ -159,7 +157,7 @@ def check_instrument_normalization(seed: int, samples: int = 500) -> CheckResult
 
     worst = _evaluate(cases, kernel).max()
     return CheckResult(
-        "instrument branch probabilities normalize", worst <= 1e-10,
+        "instrument branch probabilities normalize", worst <= NORMALIZATION_ATOL,
         f"max deviation {worst:.2e}",
     )
 
@@ -184,7 +182,7 @@ def check_dilation_consistency(seed: int, samples: int = 100) -> CheckResult:
 
     worst = _evaluate(cases, kernel).max()
     return CheckResult(
-        "ancilla dilation reproduces each branch", worst <= 1e-9,
+        "ancilla dilation reproduces each branch", worst <= DILATION_ATOL,
         f"max branch deviation {worst:.2e}",
     )
 
@@ -221,7 +219,7 @@ def check_control_entropy_production(seed: int, samples: int = 500) -> CheckResu
 
     worst = _evaluate(cases, kernel).min()
     return CheckResult(
-        "control entropy production positive on average", worst >= -1e-10,
+        "control entropy production positive on average", worst >= CONTROL_EP_FLOOR,
         f"min average {worst:.2e}",
     )
 
@@ -251,7 +249,7 @@ def check_entropy_lemma(seed: int, samples: int = 500) -> CheckResult:
 
     worst = _evaluate(cases, kernel).min()
     return CheckResult(
-        "readout entropy inequality holds", worst >= -1e-9, f"min margin {worst:.2e}"
+        "readout entropy inequality holds", worst >= ENTROPY_LEMMA_FLOOR, f"min margin {worst:.2e}"
     )
 
 
@@ -274,7 +272,7 @@ def check_data_processing(seed: int, samples: int = 500) -> CheckResult:
 
     worst = _evaluate(cases, kernel).min()
     return CheckResult(
-        "local channels cannot raise mutual information", worst >= -1e-9,
+        "local channels cannot raise mutual information", worst >= DATA_PROCESSING_FLOOR,
         f"min contraction {worst:.2e}",
     )
 
@@ -294,7 +292,7 @@ def check_segment_second_law(seed: int, samples: int = 200) -> CheckResult:
 
     worst = _evaluate(cases, kernel).min()
     return CheckResult(
-        "drift entropy production nonnegative", worst >= -1e-10,
+        "drift entropy production nonnegative", worst >= SEGMENT_EP_FLOOR,
         f"min segment production {worst:.2e}",
     )
 
@@ -327,7 +325,7 @@ def check_diagonal_dense_equality(seed: int) -> CheckResult:
         for col in ("w_ctrl_sys", "q_ctrl_sys", "sigma_ctrl", "sigma_seg")
     )
     return CheckResult(
-        "population path matches density-matrix path", worst <= 1e-9,
+        "population path matches density-matrix path", worst <= DENSE_ORACLE_ATOL,
         f"max ledger deviation {worst:.2e}",
     )
 
@@ -355,7 +353,7 @@ def check_sampler_against_tree(seed: int, samples: int = 20000) -> CheckResult:
         se = max(np.sqrt(p * (1 - p) / samples), 1e-9)
         worst = max(worst, abs(freq - p) / se)
     return CheckResult(
-        "sampled frequencies match the outcome tree", worst <= 3.0,
+        "sampled frequencies match the outcome tree", worst <= SAMPLER_MAX_SE,
         f"worst deviation {worst:.2f} standard errors",
     )
 
@@ -372,7 +370,7 @@ def check_jarzynski(seed: int, samples: int = 100) -> CheckResult:
         worst = max(worst, rep.identity_residual)
     return CheckResult(
         "exponentiated energy jumps average to the partition ratio",
-        worst <= JARZYNSKI_ATOL, f"max residual {worst:.2e}",
+        worst <= JARZYNSKI_RTOL, f"max residual {worst:.2e}",
     )
 
 

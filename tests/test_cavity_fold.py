@@ -62,6 +62,21 @@ class TestLowestFailingTrajectory:
                                               rf"beyond \S+ on step {step}$"):
             run_cavity(config)
 
+    def test_segment_law_below_the_reported_floor(self, dense, monkeypatch):
+        # sigma_seg = -1e-8 on step 7 of trajectory 2, which the law flags report as broken,
+        # stops the run with the trajectory and step named
+        close = cavity._close
+
+        def lowered(led, beta):
+            at = (np.arange(len(led))[:, None] == 2) & (led["step"] == 7)
+            led["s_pre"] = np.where(at, led["s_start"] + beta * led["q_seg"] - 1e-8, led["s_pre"])
+            return close(led, beta)
+
+        monkeypatch.setattr(cavity, "_close", lowered)
+        with pytest.raises(ThermoError, match=r"^trajectory 2: segment entropy production "
+                                              r"-1\.000e-08 below -1e-10 on step 7$"):
+            run_cavity(replace(LEAKING, dense=dense))
+
     def test_leak_before_a_broken_law_of_the_same_trajectory(self, dense, monkeypatch):
         # every trajectory breaks the segment law on step 1; trajectory 0 leaks later
         config = replace(LEAKING, dense=dense)

@@ -130,6 +130,15 @@ class TestExecution:
         assert summary["law_checks"]["jarzynski_identity_ok"] is True
         assert summary["totals"]["z_ratio"] == pytest.approx(1.36843304644, abs=1e-9)
 
+    def test_tpm_cold(self, tmp_path):
+        # at beta 800, exp(-beta eps) of h1's ground level is beyond the float range unshifted
+        assert main(["run", "tpm", "--beta", "800", "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert all(np.isfinite(value) for value in summary["totals"].values())
+        assert summary["law_checks"]["jarzynski_identity_ok"] is True
+        # Z1/Z0 = cosh(800) / cosh(400)
+        assert summary["totals"]["z_ratio"] == pytest.approx(np.exp(400.0), rel=1e-9)
+
     def test_cavity_outputs_row_counts(self, tmp_path):
         code = main([
             "run", "cavity", "--steps", "25", "--traj", "3",

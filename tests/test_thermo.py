@@ -157,7 +157,7 @@ class TestEntropyProductionStep:
     @pytest.mark.parametrize("broken, message", [
         (dict(e_sys_end=1.0), "first law residual 5.000e-01 beyond 1e-10 on step 3"),
         (dict(s_pre=-1.0, e_sys_end=0.0, q_ctrl_sys=0.0, s_end=-1.0 + math.log(2)),
-         "segment entropy production -1.000e+00 below -1e-06 on step 3"),
+         "segment entropy production -1.000e+00 below -1e-10 on step 3"),
     ])
     def test_violation_names_the_first_failing_step(self, broken, message):
         ledger = np.concatenate([
@@ -166,6 +166,18 @@ class TestEntropyProductionStep:
         ])
         with pytest.raises(ThermoError, match=re.escape(message)):
             entropy_production_step(ledger, beta=1.0)
+
+    def test_segment_law_breaks_below_the_reported_floor(self):
+        # the engine and the law flags share one floor, -1e-10: -1e-8 breaks the law in both
+        ok = np.concatenate([make_ledger(step=s, q_ctrl_sys=0.0, e_sys_end=0.0)
+                             for s in (1, 2, 3)])
+        bad = ok.copy()
+        bad["s_pre"][1] -= 1e-8
+        bad["s_end"][1] -= 1e-8
+        with pytest.raises(ThermoError, match=re.escape(
+                "segment entropy production -1.000e-08 below -1e-10 on step 2")) as info:
+            entropy_production_step(np.stack([ok, ok, bad, ok]), beta=1.0)
+        assert info.value.row == 2
 
     def test_batch_violation_names_the_lowest_failing_row(self):
         good = np.concatenate([make_ledger(step=1), make_ledger(step=2)])

@@ -678,6 +678,20 @@ class TestBatchInvariance:
             assert rec.outcomes == target.outcomes
             assert np.array_equal(rec.ledgers, target.ledgers)
 
+    def test_tree_without_states_equals_the_tree_with_them(self):
+        # a delayed policy without a state history reads its ring of recent states, and the
+        # branching leaves the empty history empty
+        leaves = enumerate_tree(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, **self.OPTIONS)
+        lean = enumerate_tree(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0,
+                              store_states=False, **self.OPTIONS)
+        assert len(lean) == len(leaves) > 1
+        for (outcomes, p, rec), (lean_outcomes, lean_p, lean_rec) in zip(leaves, lean):
+            assert lean_outcomes == outcomes and lean_p == p
+            assert lean_rec.kinds == rec.kinds
+            assert lean_rec.log_prob == rec.log_prob
+            assert lean_rec.ledgers.tobytes() == rec.ledgers.tobytes()
+        assert {k for _, _, rec in leaves for k in rec.kinds} == {"noisy", "z", "x"}
+
 
 class TestBlocks:
     """``sample_blocks`` columns against the records of ``sample_ensemble``."""
