@@ -13,7 +13,6 @@ from .qmath import (
     mutual_information,
     partial_trace,
     shannon_entropy,
-    tensor_product,
     von_neumann_entropy,
 )
 from .channels import (
@@ -21,7 +20,6 @@ from .channels import (
     OutcomeBranch,
     StinespringDilation,
     apply_instrument,
-    average_map,
     projective_instrument,
     stinespring_dilate,
 )
@@ -36,11 +34,9 @@ from .lindblad import (
 from .thermo import (
     LEDGER_DTYPE,
     ControlEnergetics,
-    check_measurement_entropy_lemma,
     control_energetics,
     entropy_production_step,
     first_law_residual,
-    stochastic_entropy,
 )
 from .trajectory import (
     ControlSchedule,
@@ -53,23 +49,21 @@ from .trajectory import (
     enumerate_tree,
     sample_blocks,
     sample_ensemble,
-    sample_trajectory,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityOperator", "mutual_information", "partial_trace", "shannon_entropy",
-    "tensor_product", "von_neumann_entropy",
+    "von_neumann_entropy",
     "Instrument", "OutcomeBranch", "StinespringDilation", "apply_instrument",
-    "average_map", "projective_instrument", "stinespring_dilate",
+    "projective_instrument", "stinespring_dilate",
     "Protocol", "ThermalGenerator", "gibbs_state", "heat_work_segment",
     "propagate", "thermal_cavity_generator",
-    "LEDGER_DTYPE", "ControlEnergetics", "check_measurement_entropy_lemma",
-    "control_energetics", "entropy_production_step", "first_law_residual",
-    "stochastic_entropy",
+    "LEDGER_DTYPE", "ControlEnergetics", "control_energetics", "entropy_production_step",
+    "first_law_residual",
     "ControlSchedule", "FeedbackPolicy", "FixedPolicy", "StepPlan",
     "TrajectoryBlock", "TrajectoryRecord", "derive_stream_seeds", "enumerate_tree",
-    "sample_blocks", "sample_ensemble", "sample_trajectory",
+    "sample_blocks", "sample_ensemble",
     "__version__",
 ]

@@ -33,7 +33,6 @@ from .qmath import (
     _complex,
     _gaussian,
     _insert_unit,
-    _partial_trace_matrix,
     _sandwich,
     _trace,
 )
@@ -125,12 +124,6 @@ class Instrument:
         see :func:`_branch_states`."""
         return _branch_states(self._kraus, self._starts, mat)
 
-    def branch(self, label: int) -> OutcomeBranch:
-        for b in self.outcomes:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
 
 def _completeness_deviation(kraus) -> np.ndarray:
     """max |sum_a K_a† K_a - 1| of each instrument in a (..., A, d, d) Kraus stack."""
@@ -201,13 +194,6 @@ def _outcomes(labels, raws):
         yield label, p, state if ok else None
 
 
-def average_map(instr: Instrument, rho: DensityOperator) -> DensityOperator:
-    """The outcome-averaged CPTP map applied to ``rho``."""
-    if instr.dim != rho.dim:
-        raise ChannelError(f"instrument dim {instr.dim} != state dim {rho.dim}")
-    return DensityOperator(hermitize(instr.branch_states(rho.matrix).sum(axis=0)))
-
-
 def projective_instrument(basis) -> Instrument:
     """Rank-1 projective instrument from an orthonormal basis (rows or list)."""
     vecs = [np.asarray(v, dtype=complex).ravel() for v in basis]
@@ -232,7 +218,6 @@ class StinespringDilation:
     (..., D, D) stack, one unitary per instrument of a Kraus stack sharing
     the unit and projectors, as :func:`_dilate` builds it;
     :meth:`unitary_readout` then maps a stack of states, one per unitary.
-    The one-state methods take a single unitary.
     """
 
     system_dim: int
@@ -263,10 +248,6 @@ class StinespringDilation:
         object.__setattr__(self, "projectors", tuple(
             (int(label), p) for (label, _), p in zip(self.projectors, stack)))
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.projectors)
-
     def _read_unit(self, correlated: np.ndarray) -> np.ndarray:
         """P_r x P_r† on the unit factor of (N, D, D) states: (N, K, D, D).
 
@@ -289,25 +270,6 @@ class StinespringDilation:
         extended = _insert_unit(states, [self.system_dim, *rest], self.unit_state.matrix)
         correlated = _sandwich(self.joint_unitary, extended)
         return correlated, self._read_unit(correlated)
-
-    def readout(self, correlated: np.ndarray):
-        """Read the unit out of a joint matrix taken after the joint unitary.
-
-        ``correlated`` lives on system ⊗ unit, optionally followed by
-        further factors, which the projectors leave alone.  Yields
-        ``(label, probability, normalized joint state)`` in label order; the
-        state is None for branches below ``IMPOSSIBLE_BRANCH``.
-        """
-        yield from _outcomes(self.labels, self._read_unit(np.asarray(correlated)[None])[0])
-
-    def apply(self, rho: DensityOperator) -> list[BranchResult]:
-        """Reduced branch action; should match :func:`apply_instrument`."""
-        dims, raws = [self.system_dim, self.unit_dim], self.unitary_readout(rho.matrix[None])[1]
-        return [
-            BranchResult(label, p, None if post is None
-                         else DensityOperator(_partial_trace_matrix(post, dims, [0])))
-            for label, p, post in _outcomes(self.labels, raws[0])
-        ]
 
 
 def stinespring_dilate(instr: Instrument) -> StinespringDilation:

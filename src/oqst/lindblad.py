@@ -9,8 +9,9 @@ superoperators; it keeps the Liouvillian and the most recently used
 drift runs through one banded kernel, ``_banded_product``, on level-major
 columns: ``_propagate_matrix`` lays density matrices out that way, and the
 cavity's population path holds its populations that way.  ``apply`` is the
-generator's action L(rho), not a propagator, and ``heat_work_segment`` is
-the one-state case of the stacked segment form ``_segments``.
+generator's action L(rho), not a propagator.  A segment's heat has one
+formula everywhere, what the first law leaves once the switch work is
+booked: ``e_end - (e_start + w)``.
 
 The exact map is ``expm(L dt)``, computed here with numpy only: scaling
 and squaring with a diagonal Padé approximant (Higham, "The scaling and
@@ -398,14 +399,14 @@ def _switch_work(h_before, h, state) -> np.ndarray:
 
 
 def _segments(gen: ThermalGenerator, hams, mats: np.ndarray, taus, method: str) -> tuple:
-    """Summed work and heat, and end states, of (N, d, d) states whose substep k switches
-    from ``hams[k]`` to ``hams[k + 1]`` and then drifts from ``taus[k]`` to ``taus[k + 1]``."""
-    work = heat = 0.0
+    """Summed work, heat and end states of (N, d, d) states whose substep k switches from
+    ``hams[k]`` to ``hams[k + 1]`` and then drifts from ``taus[k]`` to ``taus[k + 1]``.  The
+    heat is the first-law remainder <h_last, end> - (<h_first, start> + work)."""
+    work, start = 0.0, mats
     for h_before, h, t0, t1 in zip(hams, hams[1:], taus, taus[1:]):
-        after = _propagate_matrix(gen, mats, t1 - t0, method)
-        w, q = _switch_work(h_before, h, mats), _expectation(h, after) - _expectation(h, mats)
-        work, heat, mats = work + w, heat + q, after
-    return work, heat, mats
+        work = work + _switch_work(h_before, h, mats)
+        mats = _propagate_matrix(gen, mats, t1 - t0, method)
+    return work, _expectation(hams[-1], mats) - (_expectation(hams[0], start) + work), mats
 
 
 def heat_work_segment(
@@ -419,11 +420,14 @@ def heat_work_segment(
 ) -> tuple[float, float, DensityOperator]:
     """Work and heat over a drift segment, left-endpoint Riemann convention.
 
-    Work accumulates protocol switches against the current state; heat
-    accumulates state changes against the current Hamiltonian, so that
-    ``work + heat`` telescopes exactly to the segment's energy change.
-    The generator drives the state; for protocols that alter the coherent
-    dynamics mid-segment the generator must be built to match.
+    Work accumulates protocol switches against the current state, one at
+    the start of each of ``substeps`` equal substeps; heat is what the
+    first law leaves, <h(t_end), rho_end> - (<h before t_start, rho_start> +
+    work), the formula of every ledger's segment heat.  This is the one
+    form that takes a :class:`Protocol` with switches inside the segment or
+    a callable schedule.  The generator drives the state; for protocols that
+    alter the coherent dynamics mid-segment the generator must be built to
+    match.
     """
     if t_end < t_start:
         raise LindbladError("t_end must not precede t_start")

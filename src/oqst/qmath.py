@@ -234,16 +234,6 @@ class DensityOperator:
         return self.matrix.diagonal().real.copy()
 
 
-def tensor_product(*ops) -> np.ndarray:
-    """Kronecker product of one or more matrices, left factor outermost."""
-    if not ops:
-        raise QmathError("tensor_product needs at least one operand")
-    out = as_matrix(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
-    return out
-
-
 def _partial_trace_matrix(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of a matrix, or of each matrix in a (..., D, D) stack."""
     dims = [int(d) for d in dims]

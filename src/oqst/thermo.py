@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, OutcomeBranch
+from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument
 from .channels import stinespring_dilate, _branch_states, _completeness_deviation
 from .qmath import (
     DensityOperator,
@@ -141,17 +141,19 @@ def system_energetics(h, mat, raws):
     ``(N, K, d, d)``, as :meth:`Instrument.branch_states` gives them.
     Returns ``(probabilities, w_system, q_system)`` of shapes ``(N, K)``,
     ``(N,)`` and ``(N, K)``, with zero heat for outcomes below
-    ``IMPOSSIBLE_BRANCH``.  Every number comes from elementwise products and
-    sums of its own row.  Raises ``ThermoError`` where a row's
-    average heat is not zero.
+    ``IMPOSSIBLE_BRANCH``.  The work is the average energy change; an
+    outcome's heat is what the first law leaves of its energy change past
+    the work, E(post_r) - (E(mat) + W), as the engine's ledger writes it.
+    Every number comes from elementwise products and sums of its own row.
+    Raises ``ThermoError`` where a row's average heat is not zero.
     """
     probs = _trace(raws)
-    avg = _ordered_sum(raws, 1)
-    e_raws, e_avg = _expectation(h[:, None], raws), _expectation(h, avg)
+    work = _expectation(h, _ordered_sum(raws, 1) - mat)
+    e_raws, e_avg = _expectation(h[:, None], raws), _expectation(h, mat) + work
     _check_average_heat(_average_heat(probs.T, e_raws.T, e_avg))
     viable = probs >= IMPOSSIBLE_BRANCH
     q_sys = np.where(viable, e_raws / np.where(viable, probs, 1.0) - e_avg[:, None], 0.0)
-    return probs, _expectation(h, avg - mat), q_sys
+    return probs, work, q_sys
 
 
 def _average_heat(probs, e_raws, e_avg):
@@ -195,17 +197,6 @@ def unit_energetics(instr: Instrument, h_unit, mat):
     e_ur = _expectation(hu, _partial_trace_matrix(raws, dims, [1])) / np.where(viable, probs, 1.0)
     return (e_uv - e_u0, np.where(viable, e_ur - e_uv[:, None], 0.0),
             np.where(viable, e_ur - e_u0, 0.0))
-
-
-def stochastic_entropy(log_prob: float, state) -> float:
-    """Record surprisal plus von Neumann entropy of the tracked state.
-
-    On the efficient fast path the tracked state is the system alone; past
-    units are pure and decorrelated there, so they contribute nothing.
-    """
-    if log_prob < LOG_PROB_FLOOR:
-        raise ThermoError("accumulated -ln p cannot be negative")
-    return float(log_prob) + float(von_neumann_entropy(as_matrix(state)))
 
 
 # One row per interval (segment then control) of a trajectory's ledger.
@@ -284,14 +275,6 @@ def _law_error(ledger, residual, seg_bad, i, row=None) -> ThermoError:
     )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-
 def _branch_entropies(raws):
     """Probabilities of unnormalized branch states ``raws`` (..., K, D, D), and
     sum_r p_r S(raws_r / p_r) over the branches not below ``IMPOSSIBLE_BRANCH``."""
@@ -300,19 +283,6 @@ def _branch_entropies(raws):
     p = np.where(viable, probs, 1.0)
     spectra = _eigvalsh(hermitize(raws) / p[..., None, None])
     return probs, np.where(viable, p * shannon_entropy(spectra), 0.0).sum(axis=-1)
-
-
-def check_measurement_entropy_lemma(rho: DensityOperator, positive_ops) -> LemmaReport:
-    """Check S(rho) <= S_Sh(p) + sum_n p_n S(rho_n) for a square-root readout.
-
-    ``positive_ops`` must be positive operators whose squares sum to the
-    identity; outcomes with negligible probability are skipped.  Passes at a
-    margin of ``ENTROPY_LEMMA_FLOOR`` or more; the one-state case of :func:`_entropy_lemma`.
-    """
-    readout = Instrument(rho.dim, tuple(OutcomeBranch(n, (p,)) for n, p in enumerate(positive_ops)))
-    lhs, rhs = (float(side[0]) for side in _entropy_lemma(readout._kraus[None], rho.matrix[None]))
-    margin = rhs - lhs
-    return LemmaReport(lhs=lhs, rhs=rhs, margin=margin, passed=margin >= ENTROPY_LEMMA_FLOOR)
 
 
 def _entropy_lemma(ops, mats):

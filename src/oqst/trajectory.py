@@ -735,15 +735,6 @@ def sample_ensemble(gen: ThermalGenerator, schedule: ControlSchedule, policy: Fe
         yield from _records(block, schedule.times)
 
 
-def sample_trajectory(gen, schedule, policy, rho0, seed: int, **options) -> TrajectoryRecord:
-    """Sample one trajectory; the seed fixes the entire run bit-exactly.
-
-    The one-seed case of :func:`sample_ensemble`, with its keywords.
-    """
-    (record,) = sample_ensemble(gen, schedule, policy, rho0, [seed], **options)
-    return record
-
-
 def enumerate_tree(gen: ThermalGenerator, schedule: ControlSchedule, policy: FeedbackPolicy,
                    rho0: DensityOperator, *, max_leaves: int = MAX_TREE_LEAVES,
                    **options) -> list:

@@ -13,8 +13,9 @@ per group turns the instruments' draws into Kraus operators, and one
 stacked product g g† / tr(g g†) the states' draws into states, each bit
 for bit as one call per case would.
 The one-state functions (``apply_instrument``, ``control_energetics`` and
-the like) are those kernels' N = 1 case, and the tests' oracle for these
-checks.
+the like), or the kernels on a batch of one where there is no one-state
+form, are the tests' oracle for these checks.  The segment check's heat is
+the first-law remainder, the formula of every ledger's segment heat.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from oqst.scenarios.cavity import (
     sensor_weights,
     thermal_populations,
 )
-from oqst.thermo import ThermoError, first_law_residual
+from oqst.qmath import DensityOperator
+from oqst.thermo import LEDGER_DTYPE, ThermoError, first_law_residual
 
 NT, CUTOFF = 2, 8
 
@@ -554,3 +556,64 @@ class TestConfigValidation:
         with pytest.raises(TruncationLeakError,
                            match=r"^trajectory 1: population \S+ at the cutoff level on step 11$"):
             run_cavity(config)
+
+
+class TestExactTree:
+    """``run_cavity``'s reduced means against the exact outcome tree of the same physics.
+
+    The tree is the engine's enumeration on the population representation:
+    every viable outcome of every step becomes a row, weighed by its
+    probability.  Each per-step mean of every ledger column and of every
+    level's population from a sampled run must lie within z standard errors
+    of the tree's, plus a rounding floor.  The standard errors are the
+    tree's own (the exact spread over trajectories, over sqrt(n)), and z is
+    the Bonferroni bound for a family-wise false-alarm rate ``FAMILY_RATE``
+    over all the compared means, two-sided.
+    """
+
+    CONFIG = CavityConfig(steps=12, trajectories=20000, seed=11)
+    FAMILY_RATE = 1e-3
+    ROUNDING = 1e-12  # step 1's columns have standard errors near 1e-17
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        """Leaf probabilities, closed ledgers ``(leaves, steps)`` and post-control
+        populations ``(leaves, steps, dim)``."""
+        config = self.CONFIG
+        gen = config.generator()
+        policy = CavityPolicy(config.target_nt, config.delay_d, instruments={
+            kind: atom_instrument(kind, config.target_nt, config.cutoff) for kind in ATOM_KINDS})
+        schedule = trajectory.ControlSchedule.uniform(config.steps, config.step_ta)
+        rho0 = DensityOperator.from_diagonal(thermal_populations(gen.beta, config.dim))
+        run = trajectory._Run(gen, schedule, policy, rho0, cavity._Populations(config),
+                              method=config.method)
+        rows = trajectory._stepped(run, 1, trajectory._expanded)
+        return rows.prob, trajectory._block(run, rows).ledger, rows.states
+
+    def z_scores(self, report, tree) -> np.ndarray:
+        """|sampled - exact| less the rounding floor, in exact standard errors, of every
+        compared mean; and the Bonferroni z they must stay within."""
+        prob, ledger, populations = tree
+        sampled = [report.stats.column_means[col] for col in ledger.dtype.names]
+        values = [ledger[col] for col in ledger.dtype.names]
+        sampled.extend(report.populations.T)
+        values.extend(np.moveaxis(populations, -1, 0))
+        sampled, values = np.array(sampled), np.array(values)  # (q, steps), (q, leaves, steps)
+        exact = np.einsum("l,qls->qs", prob, values)
+        spread = np.einsum("l,qls->qs", prob, (values - exact[:, None]) ** 2)
+        se = np.sqrt(spread / report.stats.n_records)
+        excess = np.maximum(np.abs(sampled - exact) - self.ROUNDING, 0.0)
+        z = np.divide(excess, se, out=np.where(excess > 0, np.inf, 0.0), where=se > 0)
+        return z, NormalDist().inv_cdf(1 - self.FAMILY_RATE / (2 * z.size))
+
+    def test_sampled_means_match_the_tree(self, tree):
+        assert tree[0].sum() == pytest.approx(1.0, abs=1e-12)
+        z, bound = self.z_scores(run_cavity(self.CONFIG, keep_records=False), tree)
+        assert z.size == (len(LEDGER_DTYPE) + self.CONFIG.dim) * self.CONFIG.steps
+        assert z.max() <= bound
+
+    def test_a_biased_sampler_fails(self, tree, monkeypatch):
+        uniforms = cavity.stream_uniforms
+        monkeypatch.setattr(cavity, "stream_uniforms", lambda *args: uniforms(*args) ** 1.05)
+        z, bound = self.z_scores(run_cavity(self.CONFIG, keep_records=False), tree)
+        assert z.max() > bound

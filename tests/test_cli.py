@@ -139,6 +139,16 @@ class TestExecution:
         # Z1/Z0 = cosh(800) / cosh(400)
         assert summary["totals"]["z_ratio"] == pytest.approx(np.exp(400.0), rel=1e-9)
 
+    def test_tpm_beyond_the_float_range(self, tmp_path):
+        # at beta 2000, Z1/Z0 = cosh(2000) / cosh(1000) ~ e^1000 is beyond the float range;
+        # the identity is checked before that factor, so it holds, and the two totals that
+        # carry the factor are written as null, with no RuntimeWarning on the way
+        assert main(["run", "tpm", "--beta", "2000", "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["law_checks"]["jarzynski_identity_ok"] is True
+        assert np.isfinite(summary["totals"]["identity_residual"])
+        assert summary["totals"]["exp_average"] is None and summary["totals"]["z_ratio"] is None
+
     def test_cavity_outputs_row_counts(self, tmp_path):
         code = main([
             "run", "cavity", "--steps", "25", "--traj", "3",
@@ -275,7 +285,7 @@ class TestExecution:
 
     @pytest.mark.parametrize("scenario, broken, flag", [
         ("projective", {"avg_heat": 1e-6}, "avg_heat_zero"),
-        ("tpm", {"exp_average": 2.0}, "jarzynski_identity_ok"),
+        ("tpm", {"identity_residual": 1.0}, "jarzynski_identity_ok"),
         ("classical", {"sigma_record": -np.ones(5)}, "record_production_nonnegative"),
     ])
     def test_noncavity_law_flags(self, tmp_path, scenario, broken, flag):
@@ -291,7 +301,8 @@ class TestExecution:
             raise ValueError(f"summary.json holds {name}, which strict JSON has no word for")
 
         config = RunConfig(scenario="tpm")
-        report = dataclasses.replace(_prepare_run(config)(), z1=np.inf, exp_average=np.nan)
+        report = dataclasses.replace(_prepare_run(config)(), z1=np.inf, exp_average=np.nan,
+                                     identity_residual=np.nan)
         assert emit_outputs(report, config, str(tmp_path)) is False
         summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
         assert summary["totals"] == {"exp_average": None, "z_ratio": None,

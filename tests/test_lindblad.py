@@ -20,7 +20,7 @@ from oqst.lindblad import (
 from oqst.qmath import DensityOperator, von_neumann_entropy
 from oqst.scenarios import RateModel
 from oqst.scenarios.cavity import classical_rate_matrix
-from oqst.trajectory import ControlSchedule, FixedPolicy, sample_trajectory
+from oqst.trajectory import ControlSchedule, FixedPolicy, sample_ensemble
 
 OMEGA_C = 2 * np.pi * 51.1e9
 T_ENV = 0.8
@@ -228,8 +228,8 @@ class TestStepMapCache:
         gen = thermal_cavity_generator(OMEGA_C, T_ENV, T_CAV, cutoff=8)
         instr = random_instrument(np.random.default_rng(1), 9, 2, 1)
         schedule = ControlSchedule.uniform(1000, T_STEP)
-        sample_trajectory(gen, schedule, FixedPolicy([instr] * 1000),
-                          DensityOperator.maximally_mixed(9), seed=2)
+        list(sample_ensemble(gen, schedule, FixedPolicy([instr] * 1000),
+                             DensityOperator.maximally_mixed(9), [2]))
         # rounding makes t_k - t_(k-1) take a few distinct values; one exponential each
         lengths = np.diff((0.0,) + schedule.times)
         assert len(calls) == len(set(lengths)) < STEP_CACHE_SIZE
@@ -241,10 +241,10 @@ class TestStepMapCache:
         schedule = ControlSchedule(times=tuple(np.cumsum(rng.uniform(0.5, 1.5, 300)) * T_STEP))
         policy = FixedPolicy([random_instrument(rng, 9, 2, 1)] * 300)
         rho0 = DensityOperator.maximally_mixed(9)
-        rec = sample_trajectory(gen, schedule, policy, rho0, seed=5)
+        (rec,) = sample_ensemble(gen, schedule, policy, rho0, [5])
         assert len(gen._step_maps) == STEP_CACHE_SIZE
         # evicted maps are rebuilt to the same bits
-        again = sample_trajectory(gen, schedule, policy, rho0, seed=5)
+        (again,) = sample_ensemble(gen, schedule, policy, rho0, [5])
         assert np.array_equal(again.ledgers, rec.ledgers)
         # column sums of the ledger computed with an unbounded cache
         assert sum(rec.outcomes) == 146
@@ -302,6 +302,38 @@ class TestHeatWorkSegment:
         e_start = rho.expectation(protocol.hamiltonian_before(0.0))
         e_end = rho_end.expectation(protocol.hamiltonian(T_STEP - 1e-12))
         assert work + heat == pytest.approx(e_end - e_start, abs=1e-10)
+
+    def test_heat_is_the_first_law_remainder_with_a_switch_each_substep(self):
+        # one heat formula: what the first law leaves of the energy change past the work
+        rng = np.random.default_rng(83)
+        for _ in range(100):
+            cutoff, substeps = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            gen = thermal_cavity_generator(OMEGA_C, T_ENV, T_CAV, cutoff)
+            hams = [qmath.hermitize(rng.normal(size=(cutoff + 1,) * 2))
+                    for _ in range(substeps + 1)]
+            taus = np.linspace(0.0, T_STEP, substeps + 1)
+            protocol = Protocol.sudden(hams, taus[:-1])  # a switch as each substep starts
+            rho = qmath.random_density(rng, cutoff + 1)
+            work, heat, rho_end = heat_work_segment(gen, protocol, rho, 0.0, T_STEP, substeps,
+                                                    method="exact")
+            e_start, e_end = rho.expectation(hams[0]), rho_end.expectation(hams[-1])
+            assert heat == e_end - (e_start + work)
+
+    def test_engine_segment_is_the_same_segment_bit_for_bit(self, cavity):
+        # a ledger's first segment (no switch, one substep) is heat_work_segment's, to the bit
+        rng = np.random.default_rng(84)
+        schedule = ControlSchedule.uniform(1, T_STEP)
+        protocol = Protocol.constant(cavity.hamiltonian)
+        for seed in range(20):
+            rho = qmath.random_density(rng, 9)
+            policy = FixedPolicy([random_instrument(rng, 9, 2)])
+            for method in ("exact", "first_order"):
+                (rec,) = sample_ensemble(cavity, schedule, policy, rho, [seed], method=method)
+                work, heat, rho_end = heat_work_segment(
+                    cavity, protocol, rho, schedule.t0, schedule.times[0], 1, method=method)
+                (row,) = rec.ledgers
+                assert (work, heat) == (row.w_seg, row.q_seg)
+                assert rho_end.expectation(cavity.hamiltonian) == row.e_sys_pre
 
     def test_segment_second_law_diagonal_states(self, cavity):
         rng = np.random.default_rng(606)

@@ -10,7 +10,6 @@ from oqst.qmath import (
     mutual_information,
     partial_trace,
     shannon_entropy,
-    tensor_product,
     von_neumann_entropy,
 )
 
@@ -45,38 +44,12 @@ class TestDensityOperator:
             rho.matrix[0, 0] = 0.7
 
 
-class TestTensorProduct:
-    def test_identity_case(self):
-        out = tensor_product(np.eye(2), np.eye(2))
-        assert np.array_equal(out, np.eye(4))
-
-    def test_basis_projectors(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = tensor_product(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.array_equal(out, expected)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = tensor_product(a, b)
-        assert out.shape == (6, 6)
-        # elementwise Kronecker oracle
-        for i in range(6):
-            for j in range(6):
-                assert out[i, j] == pytest.approx(a[i // 3, j // 3] * b[i % 3, j % 3])
-        assert np.trace(out) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-12)
-
-
 class TestPartialTrace:
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(5)
         rho_s = qmath.random_density(rng, 3)
         rho_u = qmath.random_density(rng, 2)
-        joint = DensityOperator(tensor_product(rho_s.matrix, rho_u.matrix))
+        joint = DensityOperator(np.kron(rho_s.matrix, rho_u.matrix))
         out = partial_trace(joint, [3, 2], [0])
         assert np.allclose(out.matrix, rho_s.matrix, atol=1e-12)
 
@@ -152,7 +125,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(4)
         a = qmath.random_density(rng, 2)
         b = qmath.random_density(rng, 3)
-        joint = tensor_product(a.matrix, b.matrix)
+        joint = np.kron(a.matrix, b.matrix)
         assert abs(mutual_information(joint, [2, 3], [0])) <= 1e-10
 
     def test_bell_state(self):

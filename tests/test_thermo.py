@@ -14,15 +14,19 @@ from oqst.channels import (
     stinespring_dilate,
     unitary_kick,
 )
+from oqst.lindblad import ThermalGenerator, _propagate_matrix, thermal_cavity_generator
 from oqst.qmath import DensityOperator, dag, mutual_information, von_neumann_entropy
 from oqst.thermo import (
+    ENTROPY_LEMMA_FLOOR,
     LEDGER_DTYPE,
     ThermoError,
+    _entropy_lemma,
     average_control_entropy_production,
-    check_measurement_entropy_lemma,
     control_energetics,
     entropy_production_step,
-    stochastic_entropy,
+)
+from oqst.trajectory import (
+    ControlSchedule, EngineError, FixedPolicy, TrajectoryRecord, sample_ensemble,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -71,6 +75,27 @@ class TestControlEnergetics:
                 de = res.state.expectation(h) - e_pre
                 assert de == pytest.approx(ce.w_system + ce.q_system[res.label], abs=1e-10)
 
+    def test_engine_pre_control_state_gives_the_ledger_bit_for_bit(self):
+        # one heat formula: control_energetics on the state the engine measured gives the
+        # ledger's control work and heat, the first-law remainder, to the last bit
+        rng = np.random.default_rng(117)
+        for case in range(200):
+            cutoff, steps, dt = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1e-3
+            gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, cutoff)
+            instrs = [random_instrument(rng, cutoff + 1, int(rng.integers(2, 4)))
+                      for _ in range(steps)]
+            rho0 = qmath.random_density(rng, cutoff + 1)
+            schedule = ControlSchedule.uniform(steps, dt)
+            (rec,) = sample_ensemble(gen, schedule, FixedPolicy(instrs), rho0, [case])
+            before, t_prev = rho0.matrix, schedule.t0
+            for k, (t, instr, row) in enumerate(zip(schedule.times, instrs, rec.ledgers)):
+                pre = DensityOperator(_propagate_matrix(gen, before[None], t - t_prev, "exact")[0])
+                assert pre.expectation(gen.hamiltonian) == row.e_sys_pre  # the engine's state
+                ce = control_energetics(instr, gen.hamiltonian, pre)
+                assert ce.w_system == row.w_ctrl_sys
+                assert ce.q_system[row.outcome] == row.q_ctrl_sys
+                before, t_prev = rec.states[k], t
+
     def test_unit_energetics_commuting_projectors(self):
         # diagonal unit Hamiltonian commutes with the readout, so the
         # average unit heat vanishes and the unit first law closes
@@ -97,22 +122,35 @@ class TestControlEnergetics:
 
 
 class TestStochasticEntropy:
+    """The ledger's stochastic entropy: the record's -ln p so far plus the state's entropy."""
+
+    @staticmethod
+    def first_row(rho0, instr):
+        """The ledger row of one control of ``instr`` on ``rho0``, with no drift before it."""
+        gen = ThermalGenerator(2, np.zeros((2, 2)), (), beta=1.0)
+        (rec,) = sample_ensemble(gen, ControlSchedule.uniform(1, 1.0), FixedPolicy([instr]),
+                                 rho0, [0])
+        return rec.ledgers[0]
+
     def test_initial_gibbs(self):
         rho = DensityOperator.from_diagonal([0.7, 0.3])
-        s = stochastic_entropy(0.0, rho)
+        s = self.first_row(rho, unitary_kick(np.eye(2))).s_start
         assert s == pytest.approx(von_neumann_entropy(rho), abs=1e-14)
 
     def test_fair_measurement_pure_outcome(self):
-        s = stochastic_entropy(math.log(2), DensityOperator.basis_state(2, 0))
-        assert s == pytest.approx(math.log(2), abs=1e-12)
+        row = self.first_row(DensityOperator.pure([1, 1]), projective_instrument(np.eye(2)))
+        assert row.logp_increment == pytest.approx(math.log(2), abs=1e-12)
+        assert row.s_end == pytest.approx(math.log(2), abs=1e-12)
 
     def test_deterministic_outcomes_pure_state(self):
-        s = stochastic_entropy(0.0, DensityOperator.basis_state(2, 1))
-        assert s == pytest.approx(0.0, abs=1e-12)
+        row = self.first_row(DensityOperator.basis_state(2, 1), projective_instrument(np.eye(2)))
+        assert row.s_end == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_log_prob_rejected(self):
-        with pytest.raises(ThermoError):
-            stochastic_entropy(-0.5, DensityOperator.maximally_mixed(2))
+        with pytest.raises(EngineError):
+            TrajectoryRecord(outcomes=(), kinds=(), log_prob=-0.5,
+                             ledgers=np.zeros(0, LEDGER_DTYPE), states=np.zeros((0, 2, 2)),
+                             final_state=np.eye(2) / 2, times=())
 
 
 def make_ledger(**overrides):
@@ -208,22 +246,28 @@ def random_sqrt_family(rng, dim, n_ops):
     return family
 
 
+def lemma_sides(rho, family):
+    """S(rho) and S_Sh(p) + sum_n p_n S(rho_n) of one readout, a batch of one."""
+    lhs, rhs = _entropy_lemma(np.array(family, dtype=complex)[None], rho.matrix[None])
+    return lhs[0], rhs[0]
+
+
 class TestMeasurementEntropyLemma:
     def test_maximally_mixed_z_projectors_equality(self):
-        report = check_measurement_entropy_lemma(
+        lhs, rhs = lemma_sides(
             DensityOperator.maximally_mixed(2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         )
-        assert report.passed
-        assert report.lhs == pytest.approx(math.log(2), abs=1e-12)
-        assert report.rhs == pytest.approx(math.log(2), abs=1e-12)
+        assert rhs - lhs >= ENTROPY_LEMMA_FLOOR
+        assert lhs == pytest.approx(math.log(2), abs=1e-12)
+        assert rhs == pytest.approx(math.log(2), abs=1e-12)
 
     def test_pure_state_own_basis(self):
-        report = check_measurement_entropy_lemma(
+        lhs, rhs = lemma_sides(
             DensityOperator.basis_state(2, 0), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         )
-        assert report.passed
-        assert report.lhs == pytest.approx(0.0, abs=1e-12)
-        assert report.rhs == pytest.approx(0.0, abs=1e-12)
+        assert rhs - lhs >= ENTROPY_LEMMA_FLOOR
+        assert lhs == pytest.approx(0.0, abs=1e-12)
+        assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_random_sqrt_families(self):
         rng = np.random.default_rng(2718)
@@ -231,14 +275,12 @@ class TestMeasurementEntropyLemma:
             dim = int(rng.integers(2, 5))
             rho = qmath.random_density(rng, dim)
             family = random_sqrt_family(rng, dim, int(rng.integers(2, 5)))
-            report = check_measurement_entropy_lemma(rho, family)
-            assert report.margin >= -1e-9
+            lhs, rhs = lemma_sides(rho, family)
+            assert rhs - lhs >= -1e-9
 
     def test_invalid_operator_set_rejected(self):
         with pytest.raises(ThermoError):
-            check_measurement_entropy_lemma(
-                DensityOperator.maximally_mixed(2), [np.eye(2), np.eye(2)]
-            )
+            lemma_sides(DensityOperator.maximally_mixed(2), [np.eye(2), np.eye(2)])
 
 
 class TestAverageControlEntropyProduction:

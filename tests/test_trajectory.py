@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from oqst import qmath, trajectory
 from oqst.channels import (
     IMPOSSIBLE_BRANCH,
-    average_map,
     projective_instrument,
     random_instrument,
     unitary_kick,
@@ -27,7 +26,6 @@ from oqst.trajectory import (
     enumerate_tree,
     sample_blocks,
     sample_ensemble,
-    sample_trajectory,
     stream_rng,
     stream_uniforms,
 )
@@ -202,7 +200,7 @@ class TestSampling:
         gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, 5)
         rho0 = DensityOperator.basis_state(6, 3)
         sched = ControlSchedule(times=(), t_final=1e-3)
-        rec = sample_trajectory(gen, sched, FixedPolicy([]), rho0, seed=1)
+        (rec,) = sample_ensemble(gen, sched, FixedPolicy([]), rho0, [1])
         assert rec.outcomes == ()
         assert rec.log_prob == 0.0
         expected = propagate(gen, rho0, 1e-3, "exact")
@@ -213,8 +211,8 @@ class TestSampling:
         sched = ControlSchedule.uniform(5, 1.0)
         pol = FixedPolicy([X_INSTR, Z_INSTR, X_INSTR, Z_INSTR, X_INSTR])
         rho0 = DensityOperator.maximally_mixed(2)
-        a = sample_trajectory(gen, sched, pol, rho0, seed=123)
-        b = sample_trajectory(gen, sched, pol, rho0, seed=123)
+        (a,) = sample_ensemble(gen, sched, pol, rho0, [123])
+        (b,) = sample_ensemble(gen, sched, pol, rho0, [123])
         assert a.outcomes == b.outcomes
         assert a.log_prob == b.log_prob
         for la, lb in zip(a.ledgers, b.ledgers):
@@ -226,8 +224,8 @@ class TestSampling:
         pol = FixedPolicy([X_INSTR, Z_INSTR] * 4)
         rho0 = DensityOperator.maximally_mixed(2)
         seqs = {
-            sample_trajectory(gen, sched, pol, rho0, seed=seed).outcomes
-            for seed in derive_stream_seeds(0, range(20)).tolist()
+            rec.outcomes
+            for rec in sample_ensemble(gen, sched, pol, rho0, derive_stream_seeds(0, range(20)))
         }
         assert len(seqs) > 1
 
@@ -262,7 +260,8 @@ class TestSampling:
             assert np.array_equal(rec.ledgers.sigma_seg, rec.ledgers["sigma_seg"])
             assert rec.ledgers[0].w_seg == rec.ledgers["w_seg"][0]
             assert rec.states.shape == ((4, 2, 2) if store_states else (0,))
-            alone = sample_trajectory(gen, sched, pol, rho0, seeds[i], store_states=store_states)
+            (alone,) = sample_ensemble(gen, sched, pol, rho0, [seeds[i]],
+                                       store_states=store_states)
             assert rec.outcomes == alone.outcomes and rec.log_prob == alone.log_prob
             assert rec.ledgers.tobytes() == alone.ledgers.tobytes()
             assert rec.states.tobytes() == alone.states.tobytes()
@@ -274,7 +273,7 @@ class TestSampling:
         pol = FixedPolicy([fock] * 20)
         rho0 = DensityOperator.from_diagonal(np.ones(6) / 6)
         for seed in derive_stream_seeds(7, range(10)).tolist():
-            rec = sample_trajectory(gen, sched, pol, rho0, seed=seed, method="first_order")
+            (rec,) = sample_ensemble(gen, sched, pol, rho0, [seed], method="first_order")
             for l in rec.ledgers:
                 assert abs(first_law_residual(l)) <= 1e-10
                 assert l.sigma_seg >= -1e-10
@@ -284,9 +283,9 @@ class TestSampling:
         sched = ControlSchedule.uniform(3, 1.0)
         pol = FixedPolicy([Z_INSTR, X_INSTR, Z_INSTR])
         rho0 = DensityOperator.maximally_mixed(2)
-        rec = sample_trajectory(gen, sched, pol, rho0, seed=5)
-        replay = sample_trajectory(
-            gen, sched, pol, rho0, seed=999, forced_outcomes=rec.outcomes
+        (rec,) = sample_ensemble(gen, sched, pol, rho0, [5])
+        (replay,) = sample_ensemble(
+            gen, sched, pol, rho0, [999], forced_outcomes=rec.outcomes
         )
         assert replay.outcomes == rec.outcomes
         assert replay.log_prob == pytest.approx(rec.log_prob, abs=1e-14)
@@ -297,23 +296,23 @@ class TestSampling:
         pol = FixedPolicy([Z_INSTR, Z_INSTR])
         rho0 = DensityOperator.basis_state(2, 0)
         with pytest.raises(EngineError):
-            sample_trajectory(gen, sched, pol, rho0, seed=1, forced_outcomes=(0, 1))
+            list(sample_ensemble(gen, sched, pol, rho0, [1], forced_outcomes=(0, 1)))
 
     @pytest.mark.parametrize("forced", [(0, 0, 0, 0), (0, 0)])
     def test_forced_outcomes_of_the_wrong_length_rejected(self, forced):
         # once cut to the schedule silently, or a bare IndexError
         pol = FixedPolicy([Z_INSTR] * 3)
         with pytest.raises(EngineError, match="3 steps"):
-            sample_trajectory(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
-                              DensityOperator.maximally_mixed(2), seed=1, forced_outcomes=forced)
+            list(sample_ensemble(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                                 DensityOperator.maximally_mixed(2), [1], forced_outcomes=forced))
 
     def test_unknown_forced_label_rejected(self):
         # once a ValueError from tuple.index, which `except EngineError` callers miss
         pol = FixedPolicy([Z_INSTR] * 3)
         with pytest.raises(EngineError, match="step 2"):
-            sample_trajectory(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
-                              DensityOperator.maximally_mixed(2), seed=1,
-                              forced_outcomes=(0, 7, 0))
+            list(sample_ensemble(qubit_generator(), ControlSchedule.uniform(3, 1.0), pol,
+                                 DensityOperator.maximally_mixed(2), [1],
+                                 forced_outcomes=(0, 7, 0)))
 
 
 class _RecordingPolicy(FixedPolicy):
@@ -395,8 +394,9 @@ class TestEnsembleStatistics:
         pol = FixedPolicy([X_INSTR, Z_INSTR])
         rho0 = DensityOperator.pure([1, 0])
         mean_final = sum(p * rec.states[-1] for _, p, rec in enumerate_tree(gen, sched, pol, rho0))
-        expected = average_map(Z_INSTR, average_map(X_INSTR, rho0))
-        assert np.max(np.abs(mean_final - expected.matrix)) <= 1e-10
+        averaged = X_INSTR.branch_states(rho0.matrix).sum(axis=0)  # the outcome-averaged maps
+        expected = Z_INSTR.branch_states(averaged).sum(axis=0)
+        assert np.max(np.abs(mean_final - expected)) <= 1e-10
 
     def test_monte_carlo_averages(self):
         # control entropy production nonnegative and control heat zero,
@@ -404,13 +404,10 @@ class TestEnsembleStatistics:
         gen = qubit_generator()
         sched = ControlSchedule.uniform(3, 1.0)
         pol = FixedPolicy([X_INSTR, Z_INSTR, X_INSTR])
-        recs = [
-            sample_trajectory(
-                gen, sched, pol, DensityOperator.maximally_mixed(2),
-                seed=seed, store_states=False,
-            )
-            for seed in derive_stream_seeds(21, range(500)).tolist()
-        ]
+        recs = list(sample_ensemble(
+            gen, sched, pol, DensityOperator.maximally_mixed(2),
+            derive_stream_seeds(21, range(500)), store_states=False,
+        ))
         ledgers = np.stack([rec.ledgers for rec in recs])
         sigma, heat = Moments.of(ledgers["sigma_ctrl"]), Moments.of(ledgers["q_ctrl_sys"])
         assert (sigma.mean >= -4 * sigma.se - 1e-10).all()
@@ -438,15 +435,15 @@ class TestCausality:
         steps, delay = 8, 3
         sched = ControlSchedule.uniform(steps, 1.0)
         rho0 = DensityOperator.maximally_mixed(2)
-        base = sample_trajectory(gen, sched, _DelayedProbe(delay), rho0, seed=31)
+        (base,) = sample_ensemble(gen, sched, _DelayedProbe(delay), rho0, [31])
         n_probe = 6
         # mutate outcomes newer than the estimate the policy saw at n_probe
         for j in range(n_probe - delay, n_probe):
             mutated = list(base.outcomes)
             mutated[j] = 1 - mutated[j]
             try:
-                replay = sample_trajectory(
-                    gen, sched, _DelayedProbe(delay), rho0, seed=0,
+                (replay,) = sample_ensemble(
+                    gen, sched, _DelayedProbe(delay), rho0, [0],
                     forced_outcomes=tuple(mutated),
                 )
             except EngineError:
@@ -458,7 +455,7 @@ class TestCausality:
         sched = ControlSchedule.uniform(4, 1.0)
         pol = _DelayedProbe(2)
         rho0 = DensityOperator.basis_state(2, 1)
-        rec = sample_trajectory(gen, sched, pol, rho0, seed=3)
+        (rec,) = sample_ensemble(gen, sched, pol, rho0, [3])
         # steps 1 and 2 must see the initial state's excited population
         assert pol.seen[0] == (1, pytest.approx(1.0))
         assert pol.seen[1] == (2, pytest.approx(1.0))
@@ -470,9 +467,9 @@ class TestJointTracking:
         sched = ControlSchedule.uniform(3, 1.0)
         pol = FixedPolicy([X_INSTR, Z_INSTR, X_INSTR])
         rho0 = DensityOperator.maximally_mixed(2)
-        fast = sample_trajectory(gen, sched, pol, rho0, seed=77)
-        slow = sample_trajectory(
-            gen, sched, pol, rho0, seed=77, retain_efficient_units=True
+        (fast,) = sample_ensemble(gen, sched, pol, rho0, [77])
+        (slow,) = sample_ensemble(
+            gen, sched, pol, rho0, [77], retain_efficient_units=True
         )
         assert fast.outcomes == slow.outcomes
         for lf, ls in zip(fast.ledgers, slow.ledgers):
@@ -496,12 +493,12 @@ class TestJointTracking:
         assert avg == pytest.approx(oracle, abs=1e-9)
         # per-outcome joint entropy matches the dilation applied by hand
         from oqst.channels import stinespring_dilate
-        from oqst.qmath import dag, tensor_product
+        from oqst.qmath import dag
 
         dil = stinespring_dilate(instr)
         correlated = dil.unitary_readout(rho_pre.matrix[None])[0][0]
         for (_, p, rec), (label, p_u) in zip(leaves, dil.projectors):
-            p_full = tensor_product(np.eye(2), p_u)
+            p_full = np.kron(np.eye(2), p_u)
             raw = p_full @ correlated @ dag(p_full)
             expected = von_neumann_entropy(raw / np.trace(raw).real)
             s_joint = rec.ledgers[0].s_end - rec.log_prob
@@ -511,7 +508,7 @@ class TestJointTracking:
         # Each leaf's step-2 unit work, heat and energy change against the
         # dilation applied by hand to that leaf's own pre-control state.
         from oqst.channels import stinespring_dilate
-        from oqst.qmath import dag, tensor_product
+        from oqst.qmath import dag
 
         rng = np.random.default_rng(21)
         gen = TestBatchInvariance.GEN
@@ -530,9 +527,9 @@ class TestJointTracking:
         for outcomes, _, rec in leaves:
             rho_pre = propagate(gen, DensityOperator(rec.states[0]), 0.4, "exact").matrix
             pre_states.add(np.round(rho_pre, 6).tobytes())
-            joint = v @ tensor_product(rho_pre, unit0) @ dag(v)
+            joint = v @ np.kron(rho_pre, unit0) @ dag(v)
             e_uv = np.trace(h_unit @ qmath.partial_trace(joint, dims, [1])).real
-            p_full = tensor_product(np.eye(2), dict(dil.projectors)[outcomes[1]])
+            p_full = np.kron(np.eye(2), dict(dil.projectors)[outcomes[1]])
             raw = p_full @ joint @ dag(p_full)
             unit_r = qmath.partial_trace(raw / np.trace(raw).real, dims, [1])
             e_ur = np.trace(h_unit @ unit_r).real
@@ -549,9 +546,9 @@ class TestJointTracking:
         sched = ControlSchedule.uniform(3, 1.0)
         pol = FixedPolicy([instr] * 3)
         with pytest.raises(EngineError):
-            sample_trajectory(
-                gen, sched, pol, DensityOperator.maximally_mixed(2), seed=1, max_units=2
-            )
+            list(sample_ensemble(
+                gen, sched, pol, DensityOperator.maximally_mixed(2), [1], max_units=2
+            ))
 
     def test_unitary_kick_work_bookkeeping(self):
         gen = qubit_generator()
@@ -559,7 +556,7 @@ class TestJointTracking:
         sched = ControlSchedule.uniform(1, 1.0)
         pol = FixedPolicy([unitary_kick(h)])
         rho0 = DensityOperator.basis_state(2, 1)
-        rec = sample_trajectory(gen, sched, pol, rho0, seed=0)
+        (rec,) = sample_ensemble(gen, sched, pol, rho0, [0])
         l = rec.ledgers[0]
         assert l.logp_increment == pytest.approx(0.0, abs=1e-14)
         assert l.w_ctrl_sys == pytest.approx(-0.5, abs=1e-12)  # <1|H|1> 1 -> 1/2
@@ -643,8 +640,8 @@ class TestBatchInvariance:
                                     **self.OPTIONS, **options))
 
     def one(self, seed, **options):
-        return sample_trajectory(self.GEN, self.SCHED, _MixedPolicy(), self.RHO0, seed,
-                                 **self.OPTIONS, **options)
+        (rec,) = self.run([seed], **options)
+        return rec
 
     @staticmethod
     def assert_same(a, b):

@@ -3,7 +3,8 @@
 Each random-case check draws all its cases first and then evaluates them one
 shape group at a time through the batched kernels.  The oracles here draw
 the same cases one at a time and evaluate them with the public one-state
-functions.
+functions, or with a batched kernel on a batch of one where the package has no
+one-state form (the dilation's branches, the readout entropy lemma).
 """
 
 import dataclasses
@@ -28,7 +29,6 @@ from oqst.thermo import (
     _entropy_lemma,
     _instrument_energetics,
     average_control_entropy_production,
-    check_measurement_entropy_lemma,
     control_energetics,
 )
 from oqst.trajectory import derive_stream_seeds
@@ -58,11 +58,15 @@ def oracle_dilation_consistency(rng, samples=100):
         instr = random_instrument(rng, dim, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         dil = stinespring_dilate(instr)
         rho = qmath.random_density(rng, dim)
+        # each branch through the dilation: unit added, joint unitary run, unit read out
+        raws = dil.unitary_readout(rho.matrix[None])[1][0]
+        probs = np.trace(raws, axis1=-2, axis2=-1).real
         worst = 0.0
-        for a, b in zip(apply_instrument(instr, rho), dil.apply(rho)):
-            worst = max(worst, abs(a.probability - b.probability))
-            if a.state is not None and b.state is not None:
-                worst = max(worst, float(np.max(np.abs(a.state.matrix - b.state.matrix))))
+        for a, p, raw in zip(apply_instrument(instr, rho), probs, raws):
+            worst = max(worst, abs(a.probability - p))
+            if a.state is not None and p >= channels.IMPOSSIBLE_BRANCH:
+                state = qmath._partial_trace_matrix(raw, [dim, dil.unit_dim], [0]) / p
+                worst = max(worst, float(np.max(np.abs(a.state.matrix - state))))
         yield worst
 
 
@@ -97,7 +101,8 @@ def oracle_entropy_lemma(rng, samples=500):
             m = inv_sqrt @ b @ inv_sqrt
             ev, vv = np.linalg.eigh(0.5 * (m + dag(m)))
             family.append((vv * np.sqrt(np.clip(ev, 0, None))) @ dag(vv))
-        yield check_measurement_entropy_lemma(rho, family).margin
+        lhs, rhs = _entropy_lemma(np.array(family, dtype=complex)[None], rho.matrix[None])
+        yield rhs[0] - lhs[0]  # the readout's lemma, a batch of one
 
 
 def oracle_data_processing(rng, samples=500):
@@ -206,8 +211,8 @@ def test_operator_batched_kernels_match_one_instrument_calls(d, n_out, per, rest
         assert np.array_equal(probs[j], ce.probabilities) and w_sys[j] == ce.w_system
         assert [q_sys[j, r] for r in range(n_out)] == [ce.q_system[r] for r in labels]
         assert production[j] == average_control_entropy_production(instr, state)
-        report = check_measurement_entropy_lemma(state, family[j])
-        assert (lhs[j], rhs[j]) == (report.lhs, report.rhs)
+        one_lhs, one_rhs = _entropy_lemma(family[j][None], rho[j][None])
+        assert (lhs[j], rhs[j]) == (one_lhs[0], one_rhs[0])
         assert entropies[j] == von_neumann_entropy(x[j])
         if rest:
             assert informations[j] == mutual_information(x[j], [d, *rest], [0])
