@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.random on first attribute access; load it with the engine instead
-from numpy.random import Generator, Philox
 
 from .channels import COMPLETENESS_ATOL, IMPOSSIBLE_BRANCH, Instrument, stinespring_dilate
 from .lindblad import ThermalGenerator, _propagate_matrix, _switch_work
@@ -86,49 +84,36 @@ def derive_stream_seeds(master_seed: int, indices) -> np.ndarray:
 _M128 = (1 << 128) - 1
 
 
-def stream_rng(seed: int) -> Generator:
-    """Counter-based generator for one trajectory."""
+def stream_rng(seed: int) -> np.random.Generator:
+    """One trajectory's stream as numpy's ``Philox`` generator, keyed by the seed modulo 2**128.
+
+    Its ``random(steps)`` is the seed's row of :func:`stream_uniforms`.  ``numpy.random``
+    loads here, on first use: a run that draws only through ``stream_uniforms`` never loads it.
+    """
+    from numpy.random import Generator, Philox
     return Generator(Philox(key=seed & _M128))
 
 
-# Streams of at most this many uniforms (two Philox counters) take one array pass.
-_SHORT_STREAM = 8
-# Philox4x64's multipliers and key increments (Salmon et al., SC 2011), as (2, 1, 1)
-# arrays that act on the counter's even words and on the key's two words at once.
+# Philox4x64's multipliers (Salmon et al., SC 2011) and their 32-bit halves, as (2, 1, 1)
+# arrays that act on the counter's even words at once, and its ten rounds' key increments.
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M0, _PHILOX_M1 = _PHILOX_M & _LOW, _PHILOX_M >> _HALF
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None]
+_ROUND_KEYS = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W  # (round, word, 1)
+# Counters per pass, whatever the stream length: six (2, counters) uint64 temporaries, 1.5 MB.
+_PASS_COUNTERS = 1 << 14
 
 
 def stream_uniforms(seeds, steps: int) -> np.ndarray:
     """``stream_rng(seed).random(steps)`` for each seed, as the rows of an (N, steps) array.
 
-    A stream of at most ``_SHORT_STREAM`` uniforms is computed for all seeds
-    in one array pass of Philox4x64-10 (Salmon, Moraes, Dror & Shaw,
-    "Parallel random numbers: as easy as 1, 2, 3", SC 2011), bit for bit
-    as numpy's ``Philox`` draws it.  A longer one re-keys one Philox bit
-    generator per seed (counter 0, empty buffer), which draws the same
-    numbers as a fresh ``stream_rng`` without the OS entropy a fresh
-    generator gathers for its unused seed sequence.  The state is one dict
-    of Python ints with its key rewritten in place, which the state setter
-    reads faster than fresh arrays.  The array pass costs a fixed number of
-    array operations per counter, so it loses to the generator on long
-    streams; which one runs depends on ``steps`` alone.
+    Seeds are Python ints or a uint64 array.  Every stream comes from the array passes of
+    Philox4x64-10 in :func:`_philox_uniforms` (Salmon, Moraes, Dror & Shaw, "Parallel
+    random numbers: as easy as 1, 2, 3", SC 2011), bit for bit as numpy's ``Philox``
+    draws it, without loading ``numpy.random``.
     """
-    if steps <= _SHORT_STREAM:
-        return _philox_uniforms(*_philox_keys(seeds), steps)
-    bits = Philox(key=0)
-    draw = Generator(bits)
-    key = [0, 0]
-    state = {
-        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    out = np.empty((len(seeds), steps))
-    for row, seed in zip(out, seeds.tolist() if isinstance(seeds, np.ndarray) else seeds):
-        key[0], key[1] = seed & _M64, (seed & _M128) >> 64
-        bits.state = state
-        draw.random(out=row)
-    return out
+    return _philox_uniforms(*_philox_keys(seeds), steps)
 
 
 def _philox_keys(seeds) -> tuple:
@@ -140,37 +125,52 @@ def _philox_keys(seeds) -> tuple:
             np.array([(seed & _M128) >> 64 for seed in seeds], np.uint64))
 
 
-def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple:
-    """The high and low words of the 128-bit products ``m * x`` of uint64 arrays; the high
-    word from the products of 32-bit halves, none of whose partial sums overflows."""
-    u, low = np.uint64, np.uint64(0xFFFFFFFF)
-    m0, m1, x0, x1 = m & low, m >> u(32), x & low, x >> u(32)
-    t = m1 * x0 + ((m0 * x0) >> u(32))
-    w = (t & low) + m0 * x1
-    return m1 * x1 + (t >> u(32)) + (w >> u(32)), m * x
-
-
 def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, steps: int) -> np.ndarray:
     """The first ``steps`` uniforms of numpy's ``Philox`` keyed ``(k0, k1)`` per row, for
-    all rows in one pass of wrapping uint64 arithmetic.
+    all rows in passes of wrapping uint64 arithmetic.
 
     Counter ``c`` (from 1; only its first word is nonzero) gives four words through ten
     rounds of Philox4x64, and a word ``x`` the uniform ``(x >> 11) * 2**-53``.  A round
     maps the words ``(c0, c1, c2, c3)`` to ``(hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
-    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``; the even and the odd words are each one array.
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``; the even and the odd words are each one array, and a
+    high word comes from products of 32-bit halves, none of whose partial sums overflows.
+    A pass takes at most ``_PASS_COUNTERS`` counters of a block of rows through the rounds
+    in six preallocated arrays and writes its floats straight into the output.
     """
     u, n, counters = np.uint64, len(k0), -(-steps // 4)
-    even = np.zeros((2, n, counters), u)  # (c0, c2)
-    even[0] = np.arange(1, counters + 1, dtype=u)
-    odd = np.zeros_like(even)  # (c1, c3)
-    key = np.stack([k0, k1])[..., None]
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        hi, lo = _mulhilo(_PHILOX_M, even)
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-    return (words.reshape(n, 4 * counters)[:, :steps] >> u(11)) * (1.0 / 2**53)
+    out = np.empty((n, counters, 2, 2))  # (row, counter, word pair, odd word)
+    keys = np.stack([k0, k1]) + _ROUND_KEYS  # (round, word, row)
+    span = max(1, min(counters, _PASS_COUNTERS))
+    block = _PASS_COUNTERS // span
+    buffers = np.empty((6, 2 * min(block, n) * span), u)
+    for row in range(0, n, block):
+        for first in range(0, counters, span):
+            r, s = min(block, n - row), min(span, counters - first)
+            even, odd, a, b, c, d = (buf[:2 * r * s].reshape(2, r, s) for buf in buffers)
+            even[0], even[1], odd[...] = np.arange(first + 1, first + s + 1, dtype=u), 0, 0
+            for key in keys[:, :, row:row + r, None]:
+                np.bitwise_and(even, _LOW, out=a)       # x0
+                np.right_shift(even, _HALF, out=b)      # x1
+                np.multiply(_PHILOX_M, even, out=d)     # lo
+                np.multiply(_PHILOX_M0, a, out=c)
+                np.right_shift(c, _HALF, out=c)
+                np.multiply(_PHILOX_M1, a, out=a)
+                np.add(c, a, out=c)                     # t = m1 x0 + (m0 x0 >> 32)
+                np.bitwise_and(c, _LOW, out=a)
+                np.multiply(_PHILOX_M0, b, out=even)
+                np.add(a, even, out=a)                  # w = (t & low) + m0 x1
+                np.right_shift(a, _HALF, out=a)
+                np.right_shift(c, _HALF, out=c)
+                np.multiply(_PHILOX_M1, b, out=b)
+                np.add(b, c, out=b)
+                np.add(b, a, out=b)                     # hi = m1 x1 + (t >> 32) + (w >> 32)
+                np.bitwise_xor(b[::-1], odd, out=even)
+                np.bitwise_xor(even, key, out=even)
+                odd, d = d[::-1], odd
+            for half, floats in zip((even, odd), out[row:row + r, first:first + s].T):
+                np.right_shift(half, u(11), out=a)
+                np.multiply(a, 1.0 / 2**53, out=floats.transpose(0, 2, 1))
+    return out.reshape(n, 4 * counters)[:, :steps]
 
 
 def choose_branch(probs, u):

@@ -1,8 +1,11 @@
-"""Start-up cost: the runtime never imports scipy.
+"""Start-up cost: the runtime never imports scipy, and a cavity run not numpy.random.
 
 scipy is a test-only oracle.  A first-order cavity run does not even load
 it when it is installed, and every path that takes a matrix exponential
-runs with scipy made unimportable."""
+runs with scipy made unimportable.  A cavity run draws its uniforms by
+array Philox, so it loads neither ``numpy.random`` nor the hashing modules
+that come with it; the scenarios that do draw from numpy's generators
+load them on first use."""
 
 import os
 import subprocess
@@ -56,4 +59,26 @@ print(sys.modules["scipy"], codes)
 """
     assert run_python(code) == "None [0, 0, 0]"
     for run in ("verify", "cavity", "classical"):
+        assert (tmp_path / run / "summary.json").is_file()
+
+
+def test_cavity_runs_do_not_import_numpy_random(tmp_path):
+    code = f"""
+import sys
+import oqst.cli as cli
+out, runs = {str(tmp_path)!r}, [[], ["--exact-propagator"], ["--dense"],
+                                 ["--workers", "2", "--traj", "600"]]
+loaded = set()
+for i, flags in enumerate(runs):
+    argv = ["run", "cavity", "--steps", "5", "--traj", "3", "--seed", "1",
+            "--out", out + "/cavity" + str(i), *flags]
+    assert cli.main(argv) == 0
+    loaded |= {{"numpy.random", "secrets", "hashlib"}} & set(sys.modules)
+codes = [cli.main(["run", "classical", "--mode", "gillespie", "--steps", "5", "--traj", "3",
+                   "--seed", "1", "--out", out + "/gillespie"]),
+         cli.main(["verify", "--seed", "7", "--out", out + "/verify"])]
+print(sorted(loaded), codes, "numpy.random" in sys.modules)
+"""
+    assert run_python(code) == "[] [0, 0] True"
+    for run in ("cavity0", "cavity1", "cavity2", "cavity3", "gillespie", "verify"):
         assert (tmp_path / run / "summary.json").is_file()

@@ -1,8 +1,10 @@
 """Engine-level checks: sampling, enumeration, causality, bookkeeping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oqst import qmath, trajectory
 from oqst.channels import (
@@ -136,7 +138,8 @@ class TestStreams:
 
     @pytest.mark.parametrize("steps", [*range(1, 10), 37, 220])
     def test_uniforms_match_fresh_generators_on_both_sides_of_the_array_pass(self, steps):
-        # streams of up to 8 uniforms come from one array pass, longer ones from a generator
+        # a pass takes at most _PASS_COUNTERS counters: at 220 steps, blocks of 297 rows, so
+        # 1005 rows end passes inside the batch and on its last row
         derived = derive_stream_seeds(11, range(1000))
         small = [0, 1, 2**63, 2**64 - 1]
         seeds = [*small, 2**128 - 1, *derived.tolist()]
@@ -144,6 +147,29 @@ class TestStreams:
         assert np.array_equal(stream_uniforms(seeds, steps), want)
         as_array = np.concatenate([np.array(small, np.uint64), derived])
         assert np.array_equal(stream_uniforms(as_array, steps), np.delete(want, 4, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=4),
+           steps=st.integers(0, 700),
+           pass_counters=st.sampled_from([5, 64, trajectory._PASS_COUNTERS]))
+    @example(seeds=[0, 2**64 - 1], steps=4 * trajectory._PASS_COUNTERS,
+             pass_counters=trajectory._PASS_COUNTERS)
+    @example(seeds=[0, 2**64 - 1], steps=4 * trajectory._PASS_COUNTERS + 1,
+             pass_counters=trajectory._PASS_COUNTERS)
+    @example(seeds=[3, 2**127, 5, 2**64, 7], steps=64, pass_counters=64)
+    @example(seeds=[3, 2**127, 5, 2**64, 7], steps=65, pass_counters=64)
+    def test_kernel_matches_numpy_philox(self, seeds, steps, pass_counters):
+        """Seeds as Python ints and as a uint64 array (their low words), across passes in
+        counters and in rows.  Explicit cases: a stream of exactly one full span of counters
+        and one counter more; 16 counters a row in blocks of 4 rows, and 17 in blocks of 3."""
+        low = [seed & (2**64 - 1) for seed in seeds]
+        with mock.patch.object(trajectory, "_PASS_COUNTERS", pass_counters):
+            draws = stream_uniforms(seeds, steps)
+            low_draws = stream_uniforms(np.array(low, np.uint64), steps)
+        assert draws.shape == low_draws.shape == (len(seeds), steps)
+        for row, low_row, seed, low_seed in zip(draws, low_draws, seeds, low):
+            assert np.array_equal(row, stream_rng(seed).random(steps))
+            assert np.array_equal(low_row, stream_rng(low_seed).random(steps))
 
     @staticmethod
     def splitmix64_reference(master, index):
