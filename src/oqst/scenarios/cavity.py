@@ -56,8 +56,8 @@ from ..trajectory import (
     _stepped,
 )
 
-# Atom kinds are their positions in ATOM_KINDS inside the samplers; the
-# names appear in records, output files and the kinds a policy reads.
+# CavityPolicy hands its plans out in this order, so a run codes each kind by its
+# position here, and so do the kinds a policy reads; records and output files name them.
 ATOM_KINDS = ("sensor", "emitter", "absorber")
 SENSOR, EMITTER, ABSORBER = range(len(ATOM_KINDS))
 # Trajectories per reduction leaf.  Leaves merge in order, so this size fixes
@@ -214,7 +214,7 @@ class CavityPolicy(FeedbackPolicy):
         codes = feedback_decision(number_populations(estimates), self.target_nt)
         steer = codes.nonzero()[0]  # the sensor's code is 0
         recent = kinds[steer, max(0, step - self.delay - 1):]
-        codes[steer[(recent != "sensor").any(axis=1)]] = SENSOR
+        codes[steer[(recent != SENSOR).any(axis=1)]] = SENSOR
         return self.plans, codes
 
 
@@ -246,12 +246,11 @@ class _Populations:
     kernel, ``_banded_product``: one product of a band with a shifted slice
     per nonzero diagonal.  An atom's transfer acts, for each outcome, through
     the one nonzero diagonal of its kind's map, every row's atom in one
-    call, kinds coded in ``ATOM_KINDS`` order.  Each atom outcome moves the
-    cavity by a definite photon number, so a plan's work is that number
-    averaged over the outcomes: exactly zero for a sensor.
+    call, by the kind codes ``CavityPolicy`` hands out.  Each atom outcome
+    moves the cavity by a definite photon number, so a plan's work is that
+    number averaged over the outcomes: exactly zero for a sensor.
     """
 
-    kinds = ATOM_KINDS
     fields = ("state",)
 
     def __init__(self, config: CavityConfig):
@@ -343,18 +342,18 @@ _FOLD_STEPS = 16
 class _Fold:
     """A leaf's tally, folded in as the step loop writes each step; leaves merge in order.
 
-    The columns, number populations (level-major, as the populations are
-    held) and atom kinds of up to ``_FOLD_STEPS`` steps wait in a window.  A
-    full window, and the last, is closed (entropy productions and first-law
-    residuals) and reduced: per-step ``moments`` of every ledger column
-    (``(columns, steps)`` sums and M2), population sums, the count with
-    var(n) < 0.1, the atoms sent by kind and the extremes.  Each number is
-    the one a reduction of the whole leaf's ``(n, steps)`` arrays over its
-    rows gives, bit for bit: a sum over the rows in row order, a count or an
-    extreme.  Of the failures it holds the lowest failing row's
-    first, for a broken law and for a leak apart.  ``close`` keeps the
-    leaf's records and drops the window; ``merge`` then folds in the next
-    leaf.
+    The columns and number populations (level-major, as the populations are
+    held) of up to ``_FOLD_STEPS`` steps wait in a window.  A full window,
+    and the last, is closed (entropy productions and first-law residuals)
+    and reduced: per-step ``moments`` of every ledger column (``(columns,
+    steps)`` sums and M2), population sums, the count with var(n) < 0.1, the
+    atoms sent by kind (counted from the rows' kind history) and the
+    extremes.  Each number is the one a reduction of the whole leaf's ``(n,
+    steps)`` arrays over its rows gives, bit for bit: a sum over the rows in
+    row order, a count or an extreme.  Of the failures it holds the lowest
+    failing row's first, for a broken law and for a leak apart.  ``close``
+    keeps the leaf's records and drops the window; ``merge`` then folds in
+    the next leaf.
     """
 
     def __init__(self, run: _Run, n: int):
@@ -363,7 +362,7 @@ class _Fold:
         self.beta, self.steps = run.gen.beta, steps
         self.n_vec = np.arange(dim, dtype=float)[:, None]
         self.window = np.empty((n, width, len(LEDGER_DTYPE)))
-        self.pops, self.codes = np.empty((width, dim, n)), np.empty((width, n), np.int64)
+        self.pops = np.empty((width, dim, n))
         self.moments = Moments(n, *np.empty((2, len(LEDGER_DTYPE), steps)))
         self.populations, self.narrow = np.empty((steps, dim)), np.empty(steps, np.int64)
         self.atoms = np.zeros(len(ATOM_KINDS), np.int64)  # atoms sent, by kind code
@@ -375,12 +374,11 @@ class _Fold:
         j = k % self.window.shape[1]
         self.window[:, j] = rows.columns
         self.pops[j] = number_populations(rows.state).T
-        self.codes[j] = rows.code
         if j + 1 == self.window.shape[1] or k + 1 == self.steps:
-            self._reduce(slice(k - j, k + 1))
+            self._reduce(slice(k - j, k + 1), rows.kinds)
 
-    def _reduce(self, at: slice):
-        """Close and reduce the window's steps ``at``."""
+    def _reduce(self, at: slice, kinds):
+        """Close and reduce the window's steps ``at``; ``kinds`` is the rows' kind history."""
         width = at.stop - at.start
         block, pops = self.window[:, :width], self.pops[:width]
         led = block.view(_FLOAT_LEDGER)[..., 0]
@@ -393,7 +391,7 @@ class _Fold:
             self.law = i, _law_error(led, residual, seg_bad, (i, int(bad[i].argmax())))
         moments = Moments.of(block, out=block)  # the window's last use: deviations in place
         self.moments.sums[:, at], self.moments.m2[:, at] = moments.sums.T, moments.m2.T
-        self.atoms += np.bincount(self.codes[:width].ravel(), minlength=len(ATOM_KINDS))
+        self.atoms += np.bincount(kinds[:, at].ravel(), minlength=len(ATOM_KINDS))
         # elementwise sums over the levels: a matrix-vector product's last bit depends on
         # the window's shape; the rows add up in row order, each a block of a row-major copy
         mean_n = _ordered_sum(pops * self.n_vec, 1)
@@ -422,7 +420,7 @@ class _Fold:
 
     def close(self, records) -> "_Fold":
         """Keep the leaf's ``records`` and drop the window: what a leaf hands back."""
-        self.records, self.window, self.pops, self.codes = list(records), None, None, None
+        self.records, self.window, self.pops = list(records), None, None
         return self
 
     def merge(self, other: "_Fold") -> "_Fold":

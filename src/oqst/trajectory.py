@@ -253,10 +253,11 @@ class FeedbackPolicy:
 
     ``plan`` gets the rows' delayed estimates in the representation's state
     shape and any memory layout, ``(n, d, d)`` matrices or the cavity's ``(n, d)`` populations,
-    and their outcome labels and plan kinds so far, each ``(n, step - 1)``;
-    it returns a sequence of ``StepPlan`` and an ``(n,)`` integer array
-    indexing it, the plan of each row, which must be a pure function of
-    that row's arguments.
+    and their outcome labels and plan kind codes so far, each an ``(n, step - 1)`` integer
+    array.  A kind's code is the order in which the run first sees it among the plans the
+    policy hands out, so the plans of the first call code their kinds from 0.  ``plan``
+    returns a sequence of ``StepPlan`` and an ``(n,)`` integer array indexing it, the plan
+    of each row, which must be a pure function of that row's arguments.
     ``delay`` selects which past post-control state the estimate is; with
     delay 0 it is the current pre-control state.
     """
@@ -327,8 +328,7 @@ class _Run:
         self.h0 = gen.hamiltonian if hamiltonian0 is None else np.asarray(hamiltonian0, complex)
         self.rep, self.state0 = rep, rep.initial(rho0)
         self.units = {(): 0}  # code of each tracked-unit signature, in code order
-        self.kinds = {kind: code for code, kind in enumerate(rep.kinds)}  # likewise, plan kinds
-        self.names = np.array(list(self.kinds), dtype=object)  # the kinds in code order
+        self.kinds = {}  # likewise, each plan kind, in the order the policy first hands it out
         self.plans = self.codes = None  # the policy's last plans and their kind codes
 
 
@@ -337,12 +337,11 @@ class _Rows:
 
     ``state`` holds the system states in the run's representation, ``energy``
     their energies, ``s_prev`` the stochastic entropy after the last control,
-    ``outcomes`` and ``kinds`` the outcome labels and plan kind names so far
-    (what a policy reads), ``code`` the current plan kinds as codes in
-    ``run.kinds`` and ``columns`` the current step's ``_FLOAT_LEDGER`` row as
-    floats, ``led`` their ledger view.  The step rewrites every column but the
-    entropy productions and the unit columns of a representation without units,
-    which stay zero.
+    ``outcomes`` and ``kinds`` the outcome labels and plan kind codes in
+    ``run.kinds`` so far (what a policy reads), and ``columns`` the current
+    step's ``_FLOAT_LEDGER`` row as floats, ``led`` their ledger view.  The
+    step rewrites every column but the entropy productions and the unit
+    columns of a representation without units, which stay zero.
     The histories of records hold the first ``kept`` rows only: ``ledger``,
     every step's columns as floats, and with ``store_states`` ``states``, the
     post-control states.  Delayed estimates are read from ``states`` when it
@@ -354,7 +353,7 @@ class _Rows:
     def __init__(self, run: _Run, n: int, kept: int):
         steps, shape, dtype = run.schedule.n_steps, run.state0.shape, run.state0.dtype
         self.log_prob, self.prob = np.zeros(n), np.ones(n)
-        self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.empty((n, steps), object)
+        self.outcomes, self.kinds = np.zeros((n, steps), np.int64), np.zeros((n, steps), np.intp)
         self.ledger = np.zeros((kept, steps, len(_FLOAT_LEDGER)))
         self.states = np.empty((kept if run.store_states else 0, steps) + shape, dtype)
         slots = 0 if len(self.states) == n else max(0, min(run.policy.delay, steps))
@@ -413,11 +412,10 @@ class _Matrices:
     A row also holds its Hamiltonian ``h``, the one its next segment switches to
     (``pending``), whether a past inefficient unit carries energy (``energetic``) and its
     ``joint`` state with the tracked units, whose dimensions (nearest first) have the code
-    ``units`` in ``run.units``.  A representation has the plan ``kinds`` it codes first,
-    the row ``fields`` a control replaces, and the methods below.
+    ``units`` in ``run.units``.  A representation has the row ``fields`` a control
+    replaces, and the methods below.
     """
 
-    kinds = ()
     fields = ("state", "joint", "units", "pending", "energetic")
 
     def initial(self, rho0):
@@ -505,7 +503,7 @@ class _Matrices:
                 "q_ctrl_unit": q_unit[at, branch],
             }
 
-        probs, e_raws = _trace(post_raws).T, _expectation(h[:, None], raws).T
+        probs, e_raws = _trace(raws).T, _expectation(h[:, None], raws).T
         work = _expectation(h, _ordered_sum(raws, 1) - mat)
         heat = _average_heat(probs, e_raws, rows.energy[idx] + work)
         return probs, work, e_raws, heat, instr.labels, pick
@@ -543,8 +541,6 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     if plans is not run.plans:  # plans the policy hands out again are coded already
         run.plans = plans
         run.codes = np.array([run.kinds.setdefault(p.kind, len(run.kinds)) for p in plans])
-        if len(run.names) < len(run.kinds):
-            run.names = np.array(list(run.kinds), dtype=object)
     kind = run.codes[which]
     parts = []
     for idx, group in run.rep.groups(run, rows, plans, which, kind):
@@ -573,7 +569,7 @@ def _control(run: _Run, rows: _Rows, k: int, select) -> _Rows:
     for key in run.rep.fields:
         setattr(rows, key, kids[key])
     rows.log_prob, rows.prob = rows.log_prob + kids["logp_increment"], rows.prob * kids["p"]
-    rows.code, rows.kinds[:, k] = kind, run.names[kind]
+    rows.kinds[:, k] = kind
     led, e_end, w = rows.led, kids["e_sys_end"], kids["w_ctrl_sys"]
     rows.outcomes[:, k] = led["outcome"] = kids["outcome"]
     led["logp_increment"] = kids["logp_increment"]
@@ -615,7 +611,7 @@ class TrajectoryBlock:
     """Trajectories sampled together, as columns; row ``j`` is seed ``first + j``.
 
     ``ledger`` is the closed ``(n, steps)`` ``LEDGER_DTYPE`` record array,
-    ``kinds`` the ``(n, steps)`` plan kinds, ``log_prob`` the ``(n,)``
+    ``kinds`` the ``(n, steps)`` plan kind names, ``log_prob`` the ``(n,)``
     -ln probabilities, ``states`` the ``(n, steps, d, d)`` post-control
     system states (None without ``store_states``) and ``final_states`` the
     ``(n, d, d)`` system states at the end of the schedule.
@@ -631,7 +627,8 @@ class TrajectoryBlock:
 
 def _block(run: _Run, rows: _Rows, first: int = 0) -> TrajectoryBlock:
     """The block of the kept rows, their ledgers closed in one call; a broken law names its
-    row counted from ``first``.  The float history becomes the ledger in place."""
+    row counted from ``first``.  The float history becomes the ledger in place, and the kind
+    codes become names in one gather through the run's code table."""
     kept = len(rows.ledger)
     ledger = rows.ledger.view(LEDGER_DTYPE)[..., 0]
     ledger["step"], ledger["outcome"] = np.arange(1, ledger.shape[1] + 1), rows.outcomes[:kept]
@@ -641,8 +638,8 @@ def _block(run: _Run, rows: _Rows, first: int = 0) -> TrajectoryBlock:
         exc.row += first
         raise
     states = rows.states if run.store_states else None
-    return TrajectoryBlock(first, ledger, rows.kinds[:kept], rows.log_prob[:kept], states,
-                           rows.state[:kept])
+    names = np.array(list(run.kinds), dtype=object)[rows.kinds[:kept]]
+    return TrajectoryBlock(first, ledger, names, rows.log_prob[:kept], states, rows.state[:kept])
 
 
 _NO_STATES = np.array([])

@@ -146,7 +146,7 @@ class TestFeedbackDecision:
         pol = CavityPolicy(target_nt=NT, delay=5, instruments=instruments)
         est = np.zeros((1, 9))
         est[0, 1] = 1.0
-        sent = np.array([["sensor", "emitter"] + ["sensor"] * 5], dtype=object)
+        sent = np.array([[cavity.SENSOR, cavity.EMITTER] + [cavity.SENSOR] * 5])  # kind codes
 
         def kind(step):
             return ATOM_KINDS[pol.plan(step, est, None, sent[:, : step - 1])[1][0]]
@@ -439,6 +439,16 @@ class TestBlockInvariance:
         ref = _reduction(default_blocks[0])
         for key, value in _reduction(small_blocks[0]).items():
             assert np.abs(value - ref[key]).max() <= 1e-13, key
+
+    def test_dense_leaves_bit_equal_across_workers(self, monkeypatch):
+        # each worker codes its plan kinds in its own run and hands back its closed fold
+        monkeypatch.setattr(cavity, "BLOCK_ROWS", 4)
+        config = replace(self.CONFIG, steps=16, trajectories=10, dense=True)
+        one, two = (run_cavity(replace(config, workers=w)) for w in (1, 2))
+        assert any(kind != "sensor" for rec in one.records for kind in rec.kinds)
+        _same_records(two, one)
+        for key, value in _reduction(two).items():
+            assert np.array_equal(value, _reduction(one)[key]), key
 
     def test_one_block_runs_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):

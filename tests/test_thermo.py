@@ -77,24 +77,30 @@ class TestControlEnergetics:
 
     def test_engine_pre_control_state_gives_the_ledger_bit_for_bit(self):
         # one heat formula: control_energetics on the state the engine measured gives the
-        # ledger's control work and heat, the first-law remainder, to the last bit
-        rng = np.random.default_rng(117)
-        for case in range(200):
-            cutoff, steps, dt = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 1e-3
-            gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, cutoff)
-            instrs = [random_instrument(rng, cutoff + 1, int(rng.integers(2, 4)))
-                      for _ in range(steps)]
-            rho0 = qmath.random_density(rng, cutoff + 1)
-            schedule = ControlSchedule.uniform(steps, dt)
-            (rec,) = sample_ensemble(gen, schedule, FixedPolicy(instrs), rho0, [case])
-            before, t_prev = rho0.matrix, schedule.t0
-            for k, (t, instr, row) in enumerate(zip(schedule.times, instrs, rec.ledgers)):
-                pre = DensityOperator(_propagate_matrix(gen, before[None], t - t_prev, "exact")[0])
-                assert pre.expectation(gen.hamiltonian) == row.e_sys_pre  # the engine's state
-                ce = control_energetics(instr, gen.hamiltonian, pre)
-                assert ce.w_system == row.w_ctrl_sys
-                assert ce.q_system[row.outcome] == row.q_ctrl_sys
-                before, t_prev = rec.states[k], t
+        # ledger's control work and heat, the first-law remainder, to the last bit; also with
+        # two Kraus operators per outcome, whose branch probability the engine takes from the
+        # system's branch state, not from the tracked joint one (one step: after it the
+        # system's state is the joint state's partial trace, equal only up to rounding)
+        for kraus, seed in ((1, 117), (2, 118)):
+            rng = np.random.default_rng(seed)
+            for case in range(200):
+                cutoff = int(rng.integers(1, 4))
+                steps = int(rng.integers(1, 4)) if kraus == 1 else 1
+                gen = thermal_cavity_generator(2 * np.pi * 51.1e9, 0.8, 65e-3, cutoff)
+                instrs = [random_instrument(rng, cutoff + 1, int(rng.integers(2, 4)), kraus)
+                          for _ in range(steps)]
+                rho0 = qmath.random_density(rng, cutoff + 1)
+                schedule = ControlSchedule.uniform(steps, 1e-3)
+                (rec,) = sample_ensemble(gen, schedule, FixedPolicy(instrs), rho0, [case])
+                before, t_prev = rho0.matrix, schedule.t0
+                for k, (t, instr, row) in enumerate(zip(schedule.times, instrs, rec.ledgers)):
+                    pre = _propagate_matrix(gen, before[None], t - t_prev, "exact")[0]
+                    pre = DensityOperator(pre)
+                    assert pre.expectation(gen.hamiltonian) == row.e_sys_pre  # the engine's
+                    ce = control_energetics(instr, gen.hamiltonian, pre)
+                    assert ce.w_system == row.w_ctrl_sys
+                    assert ce.q_system[row.outcome] == row.q_ctrl_sys
+                    before, t_prev = rec.states[k], t
 
     def test_unit_energetics_commuting_projectors(self):
         # diagonal unit Hamiltonian commutes with the readout, so the

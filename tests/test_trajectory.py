@@ -778,6 +778,46 @@ class TestBlocks:
         assert info.value.row == row
 
 
+class _KindCodeProbe(FeedbackPolicy):
+    """Hands out x alone at step 1, then (z, x): z after an outcome 1, else x.  It keeps
+    the kinds each call receives."""
+
+    delay = 1
+    X, Z = StepPlan(X_INSTR, kind="x"), StepPlan(Z_INSTR, kind="z")
+
+    def __init__(self):
+        self.received = []
+
+    def plan(self, step, estimates, outcomes, kinds):
+        self.received.append(kinds.copy())
+        if step == 1:
+            return (self.X,), np.zeros(len(estimates), dtype=int)
+        return (self.Z, self.X), np.where(outcomes[:, -1] == 1, 0, 1)
+
+
+class TestKindCodes:
+    SCHED, RHO0 = ControlSchedule.uniform(6, 0.5), DensityOperator.maximally_mixed(2)
+    SEEDS = derive_stream_seeds(80, range(8)).tolist()
+    # these seeds' kind names, pinned from before policies read codes: names do not change
+    NAMES = ["xxxxxx", "xzxzxz", "xxzzzz", "xzxxxx", "xxxxxx", "xxxxxx", "xxzxxx", "xxxxxx"]
+
+    def test_policy_reads_codes_in_first_appearance_order(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "BLOCK_ROWS", 5)
+        probe = _KindCodeProbe()
+        blocks = list(sample_blocks(qubit_generator(), self.SCHED, probe, self.RHO0, self.SEEDS))
+        records = list(sample_ensemble(qubit_generator(), self.SCHED, _KindCodeProbe(),
+                                       self.RHO0, self.SEEDS))
+        assert ["".join(rec.kinds) for rec in records] == self.NAMES
+        assert ["".join(row) for block in blocks for row in block.kinds] == self.NAMES
+        # x is handed out first, so its code is 0 and z's 1, in every block of the run
+        steps = self.SCHED.n_steps
+        assert len(probe.received) == len(blocks) * steps
+        for i, kinds in enumerate(probe.received):
+            block, step = blocks[i // steps], i % steps + 1
+            assert kinds.dtype == np.intp and kinds.shape == (len(block.kinds), step - 1)
+            assert (np.array(["x", "z"])[kinds] == block.kinds[:, :step - 1]).all()
+
+
 class TestScheduleValidation:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(EngineError):
